@@ -15,6 +15,7 @@ stdout) disables the severity coloring of `lint`.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -144,12 +145,18 @@ def _parse_ctx_value(text: str) -> Value:
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise UsageError(
-            f"invalid context value {text!r} "
-            "(expected integer, decimal, HH:MM, true/false, or a quoted string)"
-        )
+        pass
+    else:
+        # The value grammar has no nan or inf; nan would make both
+        # `x > c` and `x <= c` false.
+        if math.isfinite(value):
+            return value
+    raise UsageError(
+        f"invalid context value {text!r} "
+        "(expected integer, decimal, HH:MM, true/false, or a quoted string)"
+    )
 
 
 def _parse_ctx(bindings: list[str]) -> dict[str, Value]:

@@ -15,12 +15,14 @@ Evaluation is three-valued.  A comparison involving an unbound variable is
 Unknown; chains and conjunctions combine by Kleene logic, so a chain with a
 definitively false link is False even if another link is Unknown.  A type
 clash between two bound operands is an authoring bug and raises
-ConditionTypeError instead of returning Unknown.
+ConditionTypeError instead of returning Unknown.  So does a compared number
+that is not finite: nan would make both `x > c` and `x <= c` false.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
@@ -274,6 +276,9 @@ def _evaluate_pair(left: Operand, op: str, right: Operand, ctx: EvalContext) -> 
     rv = ctx.get(right.name, _MISSING) if isinstance(right, Var) else right
     if lv is _MISSING or rv is _MISSING:
         return TriBool.UNKNOWN
+    for value in (lv, rv):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConditionTypeError(f"cannot compare the non-finite number {value!r}")
     lt, rt = _type_class(lv), _type_class(rv)
     if lt != rt:
         raise ConditionTypeError(f"cannot compare {lt} to {rt}")

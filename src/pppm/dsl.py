@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .conditions import (
     ConditionError,
@@ -55,7 +55,6 @@ from .model import (
     RoleEdge,
     RolePurposeGrant,
     Task,
-    validate,
 )
 
 
@@ -218,99 +217,67 @@ SECTION_NAMES = (
     "purpose_group",
 )
 
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One token, comment or stray character per match, within a single line.
+# Whitespace matches nothing, so finditer skips it.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<string>"[^"\\\n]*(?:\\["\\][^"\\\n]*)*")
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>->|[{}()\[\]:,=])
+  | (?P<comment>\#.*)
+  | (?P<bad>[^ \t\r])
+    """,
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident, string, punct, eof
-    text: str
-    value: str  # unescaped content for strings, text otherwise
-    span: Span
+    text: str  # unescaped content for strings
+    line: int
+    col: int
+    end_col: int
+
+    @property
+    def span(self) -> Span:
+        return Span(self.line, self.col, self.line, self.end_col)
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            value_chars: list[str] = []
-            i += 1
-            col += 1
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise ParseError(
-                        "unterminated string", Span(start_line, start_col, line, col)
-                    )
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in ('"', "\\"):
-                        raise ParseError(
-                            "unsupported escape in string",
-                            Span(line, col, line, col + 2),
-                        )
-                    value_chars.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                value_chars.append(c)
-                i += 1
-                col += 1
-            value = "".join(value_chars)
-            tokens.append(
-                _Token("string", value, value, Span(start_line, start_col, line, col))
-            )
-            continue
-        m = _ID_RE.match(text, i)
-        if m:
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, 1):
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind == "comment":
+                continue
+            if kind == "bad":
+                raise _lex_error(line, lineno, m.start())
             word = m.group()
-            i = m.end()
-            col += len(word)
-            tokens.append(
-                _Token("ident", word, word, Span(start_line, start_col, line, col))
-            )
-            continue
-        if text.startswith("->", i):
-            i += 2
-            col += 2
-            tokens.append(
-                _Token("punct", "->", "->", Span(start_line, start_col, line, col))
-            )
-            continue
-        if ch in "{}()[]:,=":
-            i += 1
-            col += 1
-            tokens.append(
-                _Token("punct", ch, ch, Span(start_line, start_col, line, col))
-            )
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r}", Span(start_line, start_col, line, col + 1)
-        )
-    tokens.append(_Token("eof", "", "", Span(line, col, line, col)))
+            if kind == "string":
+                word = word[1:-1]
+                if "\\" in word:
+                    word = _ESCAPE_RE.sub(r"\1", word)
+            tokens.append(_Token(kind, word, lineno, m.start() + 1, m.end() + 1))
+    col = len(lines[-1]) + 1
+    tokens.append(_Token("eof", "", len(lines), col, col))
     return tokens
+
+
+def _lex_error(line: str, lineno: int, start: int) -> ParseError:
+    """The error for the character at `start`, which begins no token."""
+    if line[start] != '"':
+        return ParseError(
+            f"unexpected character {line[start]!r}", Span(lineno, start + 1, lineno, start + 2)
+        )
+    # The string is not closed on this line, or it holds a bad escape.
+    i = start + 1
+    while i < len(line):
+        if line[i] == "\\" and line[i + 1:i + 2] not in ('"', "\\"):
+            return ParseError("unsupported escape in string", Span(lineno, i + 1, lineno, i + 3))
+        i += 2 if line[i] == "\\" else 1
+    return ParseError("unterminated string", Span(lineno, start + 1, lineno, i + 1))
 
 
 class _Parser:
@@ -368,15 +335,15 @@ def _describe(token: _Token) -> str:
     return repr(token.text)
 
 
-def _span_between(start: Span, end: Span) -> Span:
-    return Span(start.line, start.col, end.end_line, end.end_col)
+def _span_between(start: _Token, end: _Token) -> Span:
+    return Span(start.line, start.col, end.line, end.end_col)
 
 
 def parse_policy(text: str) -> Declarations:
     """Parse policy text into declarations; raises ParseError on bad input."""
     parser = _Parser(_lex(text))
     parser.expect_keyword("policy")
-    name = parser.expect_string().value
+    name = parser.expect_string().text
     entries: list[Decl] = []
     while True:
         token = parser.peek()
@@ -403,7 +370,7 @@ def _parse_named_decl(parser: _Parser, cls):
     ident = parser.expect_ident()
     parser.expect_punct(":")
     label = parser.expect_string()
-    return cls(ident.text, label.value, _span_between(ident.span, label.span))
+    return cls(ident.text, label.text, _span_between(ident, label))
 
 
 def _parse_role(parser: _Parser) -> RoleDecl:
@@ -423,7 +390,7 @@ def _parse_role_edge(parser: _Parser) -> RoleEdgeDecl:
     parser.expect_punct("->")
     inferior = parser.expect_ident()
     return RoleEdgeDecl(
-        superior.text, inferior.text, _span_between(superior.span, inferior.span)
+        superior.text, inferior.text, _span_between(superior, inferior)
     )
 
 
@@ -431,7 +398,7 @@ def _parse_attribute(parser: _Parser) -> AttributeDecl:
     ident = parser.expect_ident()
     parser.expect_punct(":")
     label = parser.expect_string()
-    end = label.span
+    end = label
     groups: tuple[str, ...] = ()
     collected: Optional[bool] = None
     # Both trailers are optional; two-token lookahead separates them from the
@@ -443,7 +410,7 @@ def _parse_attribute(parser: _Parser) -> AttributeDecl:
         while parser.at_punct(","):
             parser.next()
             members.append(parser.expect_ident().text)
-        end = parser.expect_punct(")").span
+        end = parser.expect_punct(")")
         groups = tuple(members)
     if parser.at_keyword("collected") and parser.at_punct("=", 1):
         parser.next()
@@ -454,9 +421,9 @@ def _parse_attribute(parser: _Parser) -> AttributeDecl:
                 f"found {_describe(flag)}", flag.span, expected="'yes' or 'no'"
             )
         collected = flag.text == "yes"
-        end = flag.span
+        end = flag
     return AttributeDecl(
-        ident.text, label.value, groups, collected, _span_between(ident.span, end)
+        ident.text, label.text, groups, collected, _span_between(ident, end)
     )
 
 
@@ -469,7 +436,7 @@ def _parse_aggregation(parser: _Parser) -> AggregationDecl:
     parser.expect_punct("->")
     product = parser.expect_ident()
     return AggregationDecl(
-        left.text, right.text, product.text, _span_between(start.span, product.span)
+        left.text, right.text, product.text, _span_between(start, product)
     )
 
 
@@ -479,15 +446,15 @@ def _parse_task(parser: _Parser) -> TaskDecl:
     label = parser.expect_string()
     parser.expect_keyword("reads")
     reads = parser.expect_ident()
-    end = reads.span
+    end = reads
     via: Optional[str] = None
     if parser.at_keyword("via") and parser.peek(1).kind == "ident" and not parser.at_punct(":", 2):
         parser.next()
         fn = parser.expect_ident()
         via = fn.text
-        end = fn.span
+        end = fn
     return TaskDecl(
-        ident.text, label.value, reads.text, via, _span_between(ident.span, end)
+        ident.text, label.text, reads.text, via, _span_between(ident, end)
     )
 
 
@@ -495,7 +462,7 @@ def _parse_purpose(parser: _Parser) -> PurposeDecl:
     ident = parser.expect_ident()
     parser.expect_punct(":")
     label = parser.expect_string()
-    end = label.span
+    end = label
     tasks: tuple[str, ...] = ()
     universal = False
     if parser.at_punct("="):
@@ -505,22 +472,22 @@ def _parse_purpose(parser: _Parser) -> PurposeDecl:
         while parser.at_punct(","):
             parser.next()
             members.append(parser.expect_ident().text)
-        end = parser.expect_punct("]").span
+        end = parser.expect_punct("]")
         tasks = tuple(members)
     # 'universal' could also start the next declaration as an id; a following
     # ':' disambiguates.
     if parser.at_keyword("universal") and not parser.at_punct(":", 1):
-        end = parser.next().span
+        end = parser.next()
         universal = True
     return PurposeDecl(
-        ident.text, label.value, tasks, universal, _span_between(ident.span, end)
+        ident.text, label.text, tasks, universal, _span_between(ident, end)
     )
 
 
 def _parse_condition_string(parser: _Parser) -> ConditionExpr:
     token = parser.expect_string()
     try:
-        return parse_condition(token.value)
+        return parse_condition(token.text)
     except ConditionError as exc:
         raise ParseError(f"invalid condition: {exc}", token.span) from exc
 
@@ -529,14 +496,14 @@ def _parse_role_purpose(parser: _Parser) -> RolePurposeDecl:
     role = parser.expect_ident()
     parser.expect_keyword("allowed")
     purpose = parser.expect_ident()
-    end = purpose.span
+    end = purpose
     condition: Optional[ConditionExpr] = None
     if parser.at_keyword("when") and parser.peek(1).kind == "string":
         parser.next()
-        end = parser.peek().span
+        end = parser.peek()
         condition = _parse_condition_string(parser)
     return RolePurposeDecl(
-        role.text, purpose.text, condition, _span_between(role.span, end)
+        role.text, purpose.text, condition, _span_between(role, end)
     )
 
 
@@ -545,10 +512,10 @@ def _parse_purpose_task_condition(parser: _Parser) -> PurposeTaskConditionDecl:
     parser.expect_keyword("task")
     task = parser.expect_ident()
     parser.expect_keyword("when")
-    end = parser.peek().span
+    end = parser.peek()
     condition = _parse_condition_string(parser)
     return PurposeTaskConditionDecl(
-        purpose.text, task.text, condition, _span_between(purpose.span, end)
+        purpose.text, task.text, condition, _span_between(purpose, end)
     )
 
 
@@ -557,14 +524,14 @@ def _parse_purpose_group(parser: _Parser) -> PurposeGroupDecl:
     parser.expect_keyword("allowed")
     parser.expect_keyword("group")
     group = parser.expect_ident()
-    end = group.span
+    end = group
     condition: Optional[ConditionExpr] = None
     if parser.at_keyword("when") and parser.peek(1).kind == "string":
         parser.next()
-        end = parser.peek().span
+        end = parser.peek()
         condition = _parse_condition_string(parser)
     return PurposeGroupDecl(
-        purpose.text, group.text, condition, _span_between(purpose.span, end)
+        purpose.text, group.text, condition, _span_between(purpose, end)
     )
 
 
@@ -608,37 +575,38 @@ def lower(decls: Declarations) -> PolicyModel:
     ptc_decls: list[PurposeTaskConditionDecl] = []
     pg_decls: list[PurposeGroupDecl] = []
 
-    def declare(seen: set[str], ident: str, kind: str, span: Span) -> bool:
-        if ident in seen:
+    # Each id's first declaration span, which diagnostics about it point at.
+    def declare(spans: dict[str, Span], ident: str, kind: str, span: Span) -> bool:
+        if ident in spans:
             bad(f"duplicate {kind} id {ident!r}", span)
             return False
-        seen.add(ident)
+        spans[ident] = span
         return True
 
-    seen_roles: set[str] = set()
-    seen_groups: set[str] = set()
-    seen_grans: set[str] = set()
-    seen_tasks: set[str] = set()
-    seen_purposes: set[str] = set()
+    role_spans: dict[str, Span] = {}
+    group_spans: dict[str, Span] = {}
+    gran_spans: dict[str, Span] = {}
+    task_spans: dict[str, Span] = {}
+    purpose_spans: dict[str, Span] = {}
     attr_index: dict[str, int] = {}
 
     for decl in decls.entries:
         if isinstance(decl, RoleDecl):
-            if declare(seen_roles, decl.id, "role", decl.span):
+            if declare(role_spans, decl.id, "role", decl.span):
                 if not decl.label:
                     bad(f"role {decl.id!r} has an empty label", decl.span)
                 roles.append(Role(decl.id, decl.label))
         elif isinstance(decl, GroupDecl):
-            if declare(seen_groups, decl.id, "group", decl.span):
+            if declare(group_spans, decl.id, "group", decl.span):
                 groups.append(AttributeGroup(decl.id, decl.label))
         elif isinstance(decl, GranularityDecl):
-            if declare(seen_grans, decl.id, "granularity function", decl.span):
+            if declare(gran_spans, decl.id, "granularity function", decl.span):
                 granularities.append(GranularityFn(decl.id, decl.description))
         elif isinstance(decl, TaskDecl):
-            if declare(seen_tasks, decl.id, "task", decl.span):
+            if declare(task_spans, decl.id, "task", decl.span):
                 tasks.append(Task(decl.id, decl.label, decl.reads, decl.via))
         elif isinstance(decl, PurposeDecl):
-            if declare(seen_purposes, decl.id, "purpose", decl.span):
+            if declare(purpose_spans, decl.id, "purpose", decl.span):
                 purposes.append(
                     Purpose(decl.id, decl.label, decl.tasks, decl.universal)
                 )
@@ -691,11 +659,6 @@ def lower(decls: Declarations) -> PolicyModel:
         else:
             pg_decls.append(decl)
 
-    role_ids = {r.id for r in roles}
-    group_ids = {g.id for g in groups}
-    attr_ids = set(attr_index)
-    gran_ids = {g.id for g in granularities}
-    task_ids = {t.id for t in tasks}
     purposes_by_id = {p.id: p for p in purposes}
 
     derived = {decl.product for decl in aggregation_decls}
@@ -706,7 +669,7 @@ def lower(decls: Declarations) -> PolicyModel:
 
     for attr in attributes:
         for group_id in sorted(attr.groups):
-            if group_id not in group_ids:
+            if group_id not in group_spans:
                 bad(
                     f"attribute {attr.id!r} references unknown group {group_id!r}",
                     attr_spans[attr.id],
@@ -716,7 +679,7 @@ def lower(decls: Declarations) -> PolicyModel:
     seen_edges: set[tuple[str, str]] = set()
     for decl in role_edge_decls:
         for endpoint in (decl.superior, decl.inferior):
-            if endpoint not in role_ids:
+            if endpoint not in role_spans:
                 bad(f"unknown role {endpoint!r} in role_hierarchy", decl.span)
         if decl.superior == decl.inferior:
             bad(f"role {decl.superior!r} cannot be its own inferior", decl.span)
@@ -728,7 +691,7 @@ def lower(decls: Declarations) -> PolicyModel:
     aggregations: list[Aggregation] = []
     for decl in aggregation_decls:
         for ref in (decl.left, decl.right, decl.product):
-            if ref not in attr_ids:
+            if ref not in attr_index:
                 bad(f"unknown attribute {ref!r} in aggregation", decl.span)
         if decl.product in (decl.left, decl.right):
             bad(
@@ -738,26 +701,20 @@ def lower(decls: Declarations) -> PolicyModel:
         aggregations.append(Aggregation(decl.left, decl.right, decl.product))
 
     for task in tasks:
-        span = next(
-            d.span for d in decls.entries if isinstance(d, TaskDecl) and d.id == task.id
-        )
-        if task.reads not in attr_ids:
+        span = task_spans[task.id]
+        if task.reads not in attr_index:
             bad(f"task {task.id!r} reads unknown attribute {task.reads!r}", span)
-        if task.via is not None and task.via not in gran_ids:
+        if task.via is not None and task.via not in gran_spans:
             bad(
                 f"task {task.id!r} uses unknown granularity function {task.via!r}",
                 span,
             )
 
     for purpose in purposes:
-        span = next(
-            d.span
-            for d in decls.entries
-            if isinstance(d, PurposeDecl) and d.id == purpose.id
-        )
+        span = purpose_spans[purpose.id]
         listed: set[str] = set()
         for task_id in purpose.tasks:
-            if task_id not in task_ids:
+            if task_id not in task_spans:
                 bad(f"purpose {purpose.id!r} lists unknown task {task_id!r}", span)
             if task_id in listed:
                 bad(
@@ -769,9 +726,9 @@ def lower(decls: Declarations) -> PolicyModel:
     rp_grants: list[RolePurposeGrant] = []
     seen_grants: set[tuple[str, str]] = set()
     for decl in rp_decls:
-        if decl.role not in role_ids:
+        if decl.role not in role_spans:
             bad(f"unknown role {decl.role!r} in role_purpose", decl.span)
-        if decl.purpose not in seen_purposes:
+        if decl.purpose not in purpose_spans:
             bad(f"unknown purpose {decl.purpose!r} in role_purpose", decl.span)
         if (decl.role, decl.purpose) in seen_grants:
             bad(
@@ -787,7 +744,7 @@ def lower(decls: Declarations) -> PolicyModel:
         purpose = purposes_by_id.get(decl.purpose)
         if purpose is None:
             bad(f"unknown purpose {decl.purpose!r} in purpose_task_conditions", decl.span)
-        if decl.task not in task_ids:
+        if decl.task not in task_spans:
             bad(f"unknown task {decl.task!r} in purpose_task_conditions", decl.span)
         elif purpose is not None and decl.task not in purpose.tasks:
             bad(
@@ -807,9 +764,9 @@ def lower(decls: Declarations) -> PolicyModel:
     pg_grants: list[PurposeGroupGrant] = []
     seen_pg: set[tuple[str, str]] = set()
     for decl in pg_decls:
-        if decl.purpose not in seen_purposes:
+        if decl.purpose not in purpose_spans:
             bad(f"unknown purpose {decl.purpose!r} in purpose_group", decl.span)
-        if decl.group not in group_ids:
+        if decl.group not in group_spans:
             bad(f"unknown group {decl.group!r} in purpose_group", decl.span)
         if (decl.purpose, decl.group) in seen_pg:
             bad(
@@ -837,7 +794,7 @@ def lower(decls: Declarations) -> PolicyModel:
     if not diagnostics:
         # Everything resolvable was checked above; what remains is graph
         # shape (hierarchy and derivation cycles).
-        for error in validate(model):
+        for error in model.validation_errors:
             span = _span_for_validation(decls, error.rule, error.subject)
             bad(error.message, span)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
-from .model import InvalidModelError, PolicyModel, inferiors, validate
+from .model import InvalidModelError, PolicyModel, inferiors
 
 SEVERITIES = ("error", "warning", "info")
 
@@ -232,7 +232,7 @@ def run_lints(model: PolicyModel, config: Optional[LintConfig] = None) -> list[F
     Raises InvalidModelError when the model does not pass validation: lint
     semantics assume resolvable references.
     """
-    problems = validate(model)
+    problems = model.validation_errors
     if problems:
         raise InvalidModelError(
             f"model has {len(problems)} validation error(s); lint requires a valid model"

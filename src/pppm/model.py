@@ -153,6 +153,20 @@ class PolicyModel:
     def purposes_by_id(self) -> dict[str, Purpose]:
         return {p.id: p for p in self.purposes}
 
+    @cached_property
+    def members_by_group(self) -> dict[str, tuple[str, ...]]:
+        """Attribute ids per group, in declaration order."""
+        members: dict[str, list[str]] = {g.id: [] for g in self.groups}
+        for a in self.attributes:
+            for group_id in a.groups:
+                members.setdefault(group_id, []).append(a.id)
+        return {g: tuple(ids) for g, ids in members.items()}
+
+    @cached_property
+    def validation_errors(self) -> tuple[ValidationError, ...]:
+        """The `validate` report, computed once per model."""
+        return tuple(validate(self))
+
     def role(self, role_id: str) -> Role:
         return _lookup(self.roles_by_id, role_id, "role")
 
@@ -174,7 +188,7 @@ class PolicyModel:
     def group_members(self, group_id: str) -> tuple[str, ...]:
         """Ids of attributes belonging to `group_id`, in declaration order."""
         self.group(group_id)
-        return tuple(a.id for a in self.attributes if group_id in a.groups)
+        return self.members_by_group[group_id]
 
 
 def _lookup(table, key: str, kind: str):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conditions import render_condition
-from .model import InvalidModelError, PolicyModel, validate
+from .model import InvalidModelError, PolicyModel
 
 COMPONENT_LAYERS = ("roles", "purposes", "attributes")
 CONNECTION_LAYERS = ("role-purpose", "purpose-attribute")
@@ -72,7 +72,7 @@ def _legend_label(title: str, entries: list[tuple[str, str]], show: bool) -> str
 
 
 def _require_valid(model: PolicyModel) -> None:
-    problems = validate(model)
+    problems = model.validation_errors
     if problems:
         raise InvalidModelError(
             f"model has {len(problems)} validation error(s); rendering requires a valid model"
@@ -142,12 +142,15 @@ def _attribute_cluster(
         )
 
     if options.cluster_groups:
-        home: dict[str, str] = {}  # attribute id -> first group (lexicographic)
-        for attr in model.attributes:
+        # Each attribute is drawn in its first group (lexicographic).
+        by_home: dict[str, list] = {}
+        ungrouped = []
+        for attr in sorted(model.attributes, key=lambda a: a.id):
             if attr.groups:
-                home[attr.id] = min(attr.groups)
-        shown_groups = sorted(set(home.values()) | granted_groups)
-        for group_id in shown_groups:
+                by_home.setdefault(min(attr.groups), []).append(attr)
+            else:
+                ungrouped.append(attr)
+        for group_id in sorted(by_home.keys() | granted_groups):
             lines.append(f"    subgraph cluster_group_{group_id} {{")
             lines.append(f'      label="{_dot_escape(group_id)}";')
             if group_id in granted_groups:
@@ -155,15 +158,11 @@ def _attribute_cluster(
                     f'      "group:{group_id}" [shape=plaintext, '
                     f'label="{_dot_escape(group_id)}"];'
                 )
-            for attr in sorted(model.attributes, key=lambda a: a.id):
-                if home.get(attr.id) != group_id:
-                    continue
-                others = sorted(attr.groups - {group_id})
-                lines.append(node(attr, "      ", others))
+            for attr in by_home.get(group_id, ()):
+                lines.append(node(attr, "      ", sorted(attr.groups - {group_id})))
             lines.append("    }")
-        for attr in sorted(model.attributes, key=lambda a: a.id):
-            if attr.id not in home:
-                lines.append(node(attr, "    ", []))
+        for attr in ungrouped:
+            lines.append(node(attr, "    ", []))
     else:
         for group_id in sorted(granted_groups):
             lines.append(

@@ -223,3 +223,11 @@ def test_no_color_env_keeps_output_plain():
     env = dict(os.environ, PPPM_NO_COLOR="1")
     proc = run_proc("lint", BABY, env=env)
     assert b"\x1b[" not in proc.stdout
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_query_rejects_non_finite_ctx_numbers(value, capsys):
+    code = run_cli("query", SHOP, "--role", "r4", "--attribute", "d1", "--purpose", "p3",
+                   "--ctx", f"age={value}", "--ctx", "now=10:00")
+    assert code == 4
+    assert f"invalid context value {value!r}" in capsys.readouterr().err

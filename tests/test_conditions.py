@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -142,6 +143,17 @@ def test_evaluate_type_clash_raises():
 def test_evaluate_rejects_runtime_string_ordering():
     with pytest.raises(ConditionTypeError):
         evaluate(parse_condition("a < b"), {"a": "x", "b": "y"})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("text", ["age > 18", "age <= 18", "age == age", "18.5 != age"])
+def test_evaluate_rejects_non_finite_numbers(text, value):
+    with pytest.raises(ConditionTypeError):
+        evaluate(parse_condition(text), {"age": value})
+
+
+def test_non_finite_number_left_unbound_stays_unknown():
+    assert evaluate(parse_condition("age > 18"), {"now": math.nan}) is TriBool.UNKNOWN
 
 
 @given(seeds)

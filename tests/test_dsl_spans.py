@@ -1,0 +1,80 @@
+"""Exact source positions of lexer errors, declarations and diagnostics."""
+
+from __future__ import annotations
+
+import pytest
+
+from pppm.dsl import (
+    LowerDiagnostic,
+    LoweringError,
+    ParseError,
+    RoleDecl,
+    Span,
+    load_policy,
+    parse_policy,
+)
+
+
+@pytest.mark.parametrize(
+    "text, message, span",
+    [
+        # An unterminated string ends at the newline or at end of input.
+        ('policy "x"\nroles { r1: "A\n}\n', "2:13: unterminated string", Span(2, 13, 2, 15)),
+        ('policy "x"\nroles { r1: "A', "2:13: unterminated string", Span(2, 13, 2, 15)),
+        # An escape spans the backslash and the character after it.
+        ('policy "x"\nroles { r1: "a\\q" }\n', "2:15: unsupported escape in string",
+         Span(2, 15, 2, 17)),
+        ('policy "x"\nroles { r1: "a\\\n" }\n', "2:15: unsupported escape in string",
+         Span(2, 15, 2, 17)),
+        ('policy "x"\nroles {\n  r1: "A" ; }\n', "3:11: unexpected character ';'",
+         Span(3, 11, 3, 12)),
+        ('policy "x"\nroles {\n\tr1 - r2 }\n', "3:5: unexpected character '-'",
+         Span(3, 5, 3, 6)),
+        # '\r' is ordinary whitespace that takes up one column.
+        ('policy "x"\r\nroles {\r\n  r1 "A"\r\n}\r\n', "3:6: found a string (expected ':')",
+         Span(3, 6, 3, 9)),
+        # End of input sits just past the last character, comments included.
+        ('policy "x"\nroles { r1: "A"\n# done',
+         "3:7: found end of input (expected an identifier)", Span(3, 7, 3, 7)),
+        ('policy "x"\nroles {\n  r1: "A"\n',
+         "4:1: found end of input (expected an identifier)", Span(4, 1, 4, 1)),
+        ('policy "x"\r\nroles {\r\n',
+         "3:1: found end of input (expected an identifier)", Span(3, 1, 3, 1)),
+    ],
+)
+def test_parse_error_messages_and_spans(text, message, span):
+    with pytest.raises(ParseError) as info:
+        parse_policy(text)
+    assert str(info.value) == message
+    assert info.value.span == span
+
+
+def test_crlf_declaration_spans_and_escape_values():
+    decls = parse_policy(
+        'policy "x"\r\nroles {\r\n  r1: "a\\"b\\\\c"  r2: "B"\r\n}\r\n# tail'
+    )
+    assert decls.entries == (
+        RoleDecl("r1", 'a"b\\c', Span(3, 3, 3, 16)),
+        RoleDecl("r2", "B", Span(3, 18, 3, 25)),
+    )
+
+
+def test_comment_on_last_line_without_newline():
+    decls = parse_policy('policy "x"\nroles { r1: "A" }\n# end')
+    assert decls.entries == (RoleDecl("r1", "A", Span(2, 9, 2, 16)),)
+
+
+def test_duplicate_task_and_purpose_diagnostics_use_the_first_declaration():
+    text = (
+        'policy "x"\nattributes { d1: "D" }\n'
+        'tasks {\n  t1: "T" reads d9\n  t1: "T2" reads d1\n}\n'
+        'purposes {\n  p1: "P" = [t7]\n  p1: "Q"\n}\n'
+    )
+    with pytest.raises(LoweringError) as info:
+        load_policy(text)
+    assert info.value.diagnostics == [
+        LowerDiagnostic("duplicate task id 't1'", Span(5, 3, 5, 20)),
+        LowerDiagnostic("duplicate purpose id 'p1'", Span(9, 3, 9, 10)),
+        LowerDiagnostic("task 't1' reads unknown attribute 'd9'", Span(4, 3, 4, 19)),
+        LowerDiagnostic("purpose 'p1' lists unknown task 't7'", Span(8, 3, 8, 17)),
+    ]

@@ -1,0 +1,100 @@
+"""The per-model caches: the validation report and the group-member index."""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import pppm.dsl
+import pppm.lints
+import pppm.model
+import pppm.render
+from pppm.dsl import lower, parse_policy
+from pppm.lints import run_lints
+from pppm.model import (
+    InvalidModelError,
+    PolicyModel,
+    RolePurposeGrant,
+    UnknownEntityError,
+    validate,
+)
+from pppm.render import emit_graph, emit_tables
+
+import gen
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def test_a_pass_validates_the_model_once(monkeypatch, shop_text):
+    calls = []
+    real = pppm.model.validate
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    for module in (pppm.model, pppm.dsl, pppm.lints, pppm.render):
+        monkeypatch.setattr(module, "validate", counting, raising=False)
+    model = lower(parse_policy(shop_text))
+    assert len(calls) == 1
+    run_lints(model)
+    emit_graph(model)
+    emit_tables(model)
+    assert calls == [model]
+
+
+def test_invalid_model_is_rejected_on_every_call():
+    broken = PolicyModel("x", rp_grants=(RolePurposeGrant("r9", "p9"),))
+    for _ in range(2):
+        with pytest.raises(InvalidModelError):
+            run_lints(broken)
+        with pytest.raises(InvalidModelError):
+            emit_graph(broken)
+        with pytest.raises(InvalidModelError):
+            emit_tables(broken)
+
+
+def test_validate_returns_a_fresh_list(baby_model):
+    broken = PolicyModel("x", rp_grants=(RolePurposeGrant("r9", "p9"),))
+    first = validate(broken)
+    second = validate(broken)
+    assert first == second and first is not second
+    first.clear()
+    assert validate(broken) == second
+    assert validate(baby_model) is not validate(baby_model)
+
+
+@given(seeds)
+def test_group_members_match_an_attribute_scan(seed):
+    rng = random.Random(seed)
+    model = gen.random_model(rng)
+    # Declaration order need not be id order.
+    shuffled = replace(model, attributes=tuple(rng.sample(model.attributes, len(model.attributes))))
+    for m in (model, shuffled):
+        for group in m.groups:
+            assert m.group_members(group.id) == tuple(
+                a.id for a in m.attributes if group.id in a.groups
+            )
+
+
+def test_group_members_of_unknown_group(shop_model):
+    with pytest.raises(UnknownEntityError):
+        shop_model.group_members("g99")
+    with pytest.raises(UnknownEntityError):
+        PolicyModel("x").group_members("g1")
+
+
+def test_caches_do_not_take_part_in_equality(baby_text):
+    warm = pppm.dsl.load_policy(baby_text)
+    cold = pppm.dsl.load_policy(baby_text)
+    run_lints(warm)
+    emit_graph(warm)
+    assert "validation_errors" in vars(warm) and "members_by_group" in vars(warm)
+    assert "members_by_group" not in vars(cold)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert replace(warm) == warm
+    assert "validation_errors" not in vars(replace(warm))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -167,6 +168,11 @@ def test_can_access_unknown_ids(shop_model):
 def test_can_access_reports_type_clashes(shop_model):
     with pytest.raises(QueryEvaluationError):
         can_access(shop_model, "r4", "d1", "p3", {"age": "fifteen", "now": make_time(9, 0)})
+
+
+def test_can_access_reports_non_finite_numbers(shop_model):
+    with pytest.raises(QueryEvaluationError, match="non-finite"):
+        can_access(shop_model, "r4", "d1", "p3", {"age": math.nan, "now": make_time(10, 0)})
 
 
 def test_decision_describe_is_stable(shop_model):
