@@ -15,12 +15,11 @@ stdout) disables the severity coloring of `lint`.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Optional, Sequence
 
-from .conditions import ConditionError, TimeOfDay, Value
+from .conditions import ConditionError, ConditionSyntaxError, Value, parse_literal
 from .dsl import LoweringError, ParseError, lower, parse_policy
 from .lints import LintConfig, RULES_BY_ID, format_findings, run_lints
 from .model import PolicyModel, UnknownEntityError
@@ -130,42 +129,19 @@ class _CliExit(Exception):
         self.message = message
 
 
-def _parse_ctx_value(text: str) -> Value:
-    if text in ("true", "false"):
-        return text == "true"
-    if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
-        return text[1:-1]
-    if ":" in text:
-        hh, _, mm = text.partition(":")
-        if hh.isdigit() and mm.isdigit() and int(hh) <= 23 and int(mm) <= 59:
-            return TimeOfDay(int(hh) * 60 + int(mm))
-        raise UsageError(f"invalid time of day {text!r}")
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        pass
-    else:
-        # The value grammar has no nan or inf; nan would make both
-        # `x > c` and `x <= c` false.
-        if math.isfinite(value):
-            return value
-    raise UsageError(
-        f"invalid context value {text!r} "
-        "(expected integer, decimal, HH:MM, true/false, or a quoted string)"
-    )
-
-
 def _parse_ctx(bindings: list[str]) -> dict[str, Value]:
     ctx: dict[str, Value] = {}
     for binding in bindings:
         name, eq, value = binding.partition("=")
         if not eq or not name:
             raise UsageError(f"invalid context binding {binding!r} (expected NAME=VALUE)")
-        ctx[name.lower()] = _parse_ctx_value(value)
+        try:
+            ctx[name.lower()] = parse_literal(value)
+        except ConditionSyntaxError:
+            raise UsageError(
+                f"invalid context value {value!r} "
+                "(expected integer, decimal, HH:MM, true/false, or a quoted string)"
+            ) from None
     return ctx
 
 

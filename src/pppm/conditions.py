@@ -7,9 +7,12 @@ Grammar:
     relop  := "<" | "<=" | ">" | ">=" | "==" | "!="
 
 Operands are variable names, numbers, times of day (HH:MM, 24h), quoted
-strings, or the boolean literals ``true``/``false``.  ``now`` is an ordinary
-variable reserved for the caller-supplied current time; the library never
-reads a clock.
+strings, or the boolean literals ``true``/``false``.  A number is ASCII
+digits with an optional leading minus and fractional part; one too large for
+a float, or with more digits than int() converts, is a syntax error.
+`parse_literal` reads one literal in this grammar, for values supplied from
+outside condition text.  ``now`` is an ordinary variable reserved for the
+caller-supplied current time; the library never reads a clock.
 
 Evaluation is three-valued.  A comparison involving an unbound variable is
 Unknown; chains and conjunctions combine by Kleene logic, so a chain with a
@@ -107,11 +110,13 @@ class ConditionExpr:
     chains: tuple[Chain, ...]
 
 
+# One token per match; `parse_literal` reads a lone literal with the same
+# pattern.  Digits are ASCII only: int() also takes other scripts' digits.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<time>\d{1,2}:\d{2})
-  | (?P<number>-?\d+(?:\.\d+)?)
+  | (?P<time>[0-9]{1,2}:[0-9]{2})
+  | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"(?:\\.|[^"\\])*")
   | (?P<op><=|>=|==|!=|<|>)
@@ -142,38 +147,51 @@ def _lex(text: str) -> list[tuple[str, object, int]]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ConditionSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        raw = m.group()
-        if kind == "ws":
-            pass
-        elif kind == "time":
-            hh, mm = raw.split(":")
-            if int(hh) > 23 or int(mm) > 59:
-                raise ConditionSyntaxError(f"invalid time of day {raw!r}", pos)
-            tokens.append(("lit", TimeOfDay(int(hh) * 60 + int(mm)), pos))
-        elif kind == "number":
-            tokens.append(("lit", float(raw) if "." in raw else int(raw), pos))
-        elif kind == "ident":
-            word = raw.lower()
-            if word == "and":
-                tokens.append(("and", word, pos))
-            elif word in ("true", "false"):
-                tokens.append(("lit", word == "true", pos))
-            else:
-                # Variable names are case-insensitive; canonical form is lower.
-                tokens.append(("var", word, pos))
-        elif kind == "string":
-            body = raw[1:-1]
-            try:
-                value = re.sub(r"\\(.)", lambda e: _unescape(e.group(1), pos), body)
-            except ConditionSyntaxError:
-                raise
-            tokens.append(("lit", value, pos))
-        else:
-            tokens.append(("op", raw, pos))
+        if m.lastgroup != "ws":
+            tokens.append(_token(m.lastgroup, m.group(), pos))
         pos = m.end()
     tokens.append(("eof", "", pos))
     return tokens
+
+
+def _token(kind: str, raw: str, pos: int) -> tuple[str, object, int]:
+    if kind == "time":
+        hh, mm = raw.split(":")
+        if int(hh) > 23 or int(mm) > 59:
+            raise ConditionSyntaxError(f"invalid time of day {raw!r}", pos)
+        return ("lit", TimeOfDay(int(hh) * 60 + int(mm)), pos)
+    if kind == "number":
+        try:
+            value = float(raw) if "." in raw else int(raw)
+        except ValueError:  # more digits than int() converts
+            value = math.inf
+        if value in (math.inf, -math.inf):
+            raise ConditionSyntaxError("number out of range", pos)
+        return ("lit", value, pos)
+    if kind == "ident":
+        word = raw.lower()
+        if word == "and":
+            return ("and", word, pos)
+        if word in ("true", "false"):
+            return ("lit", word == "true", pos)
+        # Variable names are case-insensitive; canonical form is lower.
+        return ("var", word, pos)
+    if kind == "string":
+        return ("lit", re.sub(r"\\(.)", lambda e: _unescape(e.group(1), pos), raw[1:-1]), pos)
+    return ("op", raw, pos)
+
+
+def parse_literal(text: str) -> Value:
+    """The value of `text`, which must be exactly one literal of the condition
+    grammar: an integer, a decimal, HH:MM, true/false or a quoted string.
+
+    Raises ConditionSyntaxError otherwise.
+    """
+    m = _TOKEN_RE.fullmatch(text)
+    token = _token(m.lastgroup, text, 0) if m else None
+    if token is None or token[0] != "lit":
+        raise ConditionSyntaxError(f"expected a literal, found {text!r}", 0)
+    return token[1]  # type: ignore[return-value]
 
 
 def _unescape(ch: str, offset: int) -> str:
@@ -253,7 +271,13 @@ def _render_operand(operand: Operand) -> str:
         return operand.name
     if type(operand) is bool:
         return "true" if operand else "false"
-    if isinstance(operand, (int, float, TimeOfDay)):
+    if isinstance(operand, float):
+        # repr writes an exponent below 1e-4 and from 1e16 up, and the
+        # grammar has none: write as many places as repr's digits need.
+        mantissa, _, exponent = repr(operand).partition("e")
+        places = max(0, len(mantissa.partition(".")[2]) - int(exponent or 0))
+        return f"{operand:.{places}f}" + ("" if places else ".0")
+    if isinstance(operand, (int, TimeOfDay)):
         return str(operand)
     escaped = operand.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'

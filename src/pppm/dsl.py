@@ -19,9 +19,12 @@ A policy file names the policy and then lists sections in any order:
 `#` starts a comment running to end of line.  Ids match
 [A-Za-z_][A-Za-z0-9_]*; strings are double-quoted with \\" and \\\\ escapes.
 
-Parsing produces Declarations (flat entries with source spans); `lower`
-resolves ids into a validated PolicyModel, reporting every resolution problem
-at once; `serialize` writes a model back in canonical form (fixed section
+Parsing produces Declarations (flat entries with source spans).  `lower`
+builds a PolicyModel from them, validates it once with `model.validate`, and
+reports every problem together, each at the declaration of the entry it is
+about, ordered by rule and then by source position.  A duplicated id is
+reported at each declaration after the first; references to it resolve to the
+first.  `serialize` writes a model back in canonical form (fixed section
 order, two-space indent, LF) such that lower(parse(serialize(m))) == m.
 
 An attribute may be declared more than once under the same label; the
@@ -550,273 +553,92 @@ _SECTION_PARSERS = {
 }
 
 
+# The PolicyModel field each kind of declaration lowers into, and the entry
+# it becomes.  Attributes merge by id, so `lower` builds those itself.
+_ENTRIES = {
+    RoleDecl: ("roles", lambda d: Role(d.id, d.label)),
+    RoleEdgeDecl: ("role_edges", lambda d: RoleEdge(d.superior, d.inferior)),
+    GroupDecl: ("groups", lambda d: AttributeGroup(d.id, d.label)),
+    AggregationDecl: ("aggregations", lambda d: Aggregation(d.left, d.right, d.product)),
+    GranularityDecl: ("granularities", lambda d: GranularityFn(d.id, d.description)),
+    TaskDecl: ("tasks", lambda d: Task(d.id, d.label, d.reads, d.via)),
+    PurposeDecl: ("purposes", lambda d: Purpose(d.id, d.label, d.tasks, d.universal)),
+    RolePurposeDecl: ("rp_grants", lambda d: RolePurposeGrant(d.role, d.purpose, d.condition)),
+    PurposeTaskConditionDecl: (
+        "pt_conditions", lambda d: PurposeTaskCondition(d.purpose, d.task, d.condition)
+    ),
+    PurposeGroupDecl: ("pg_grants", lambda d: PurposeGroupGrant(d.purpose, d.group, d.condition)),
+}
+
+
 def lower(decls: Declarations) -> PolicyModel:
     """Resolve declarations into a validated PolicyModel.
 
-    All resolution problems (unknown ids, duplicates, tasks conditioned
-    outside their purpose, hierarchy/derivation cycles) are collected and
-    raised together as LoweringError, each with the offending span.
+    Every declaration becomes a model entry, a duplicated id's included, and
+    the model is validated once.  Each ValidationError is reported at the
+    declaration its `where` names; the one check made here is an attribute
+    redeclared with a different label, which a model cannot represent.  All
+    problems are raised together as LoweringError, ordered by rule and then
+    by source position.
     """
-    diagnostics: list[LowerDiagnostic] = []
-
-    def bad(message: str, span: Span) -> None:
-        diagnostics.append(LowerDiagnostic(message, span))
-
-    roles: list[Role] = []
-    role_edge_decls: list[RoleEdgeDecl] = []
-    groups: list[AttributeGroup] = []
+    entries: dict[str, list] = {name: [] for name, _ in _ENTRIES.values()}
+    spans: dict[str, list[Span]] = {name: [] for name in entries}
     attributes: list[Attribute] = []
-    attr_spans: dict[str, Span] = {}
-    aggregation_decls: list[AggregationDecl] = []
-    granularities: list[GranularityFn] = []
-    tasks: list[Task] = []
-    purposes: list[Purpose] = []
-    rp_decls: list[RolePurposeDecl] = []
-    ptc_decls: list[PurposeTaskConditionDecl] = []
-    pg_decls: list[PurposeGroupDecl] = []
-
-    # Each id's first declaration span, which diagnostics about it point at.
-    def declare(spans: dict[str, Span], ident: str, kind: str, span: Span) -> bool:
-        if ident in spans:
-            bad(f"duplicate {kind} id {ident!r}", span)
-            return False
-        spans[ident] = span
-        return True
-
-    role_spans: dict[str, Span] = {}
-    group_spans: dict[str, Span] = {}
-    gran_spans: dict[str, Span] = {}
-    task_spans: dict[str, Span] = {}
-    purpose_spans: dict[str, Span] = {}
+    spans["attributes"] = []
     attr_index: dict[str, int] = {}
+    problems: list[tuple[str, Span, str]] = []
 
     for decl in decls.entries:
-        if isinstance(decl, RoleDecl):
-            if declare(role_spans, decl.id, "role", decl.span):
-                if not decl.label:
-                    bad(f"role {decl.id!r} has an empty label", decl.span)
-                roles.append(Role(decl.id, decl.label))
-        elif isinstance(decl, GroupDecl):
-            if declare(group_spans, decl.id, "group", decl.span):
-                groups.append(AttributeGroup(decl.id, decl.label))
-        elif isinstance(decl, GranularityDecl):
-            if declare(gran_spans, decl.id, "granularity function", decl.span):
-                granularities.append(GranularityFn(decl.id, decl.description))
-        elif isinstance(decl, TaskDecl):
-            if declare(task_spans, decl.id, "task", decl.span):
-                tasks.append(Task(decl.id, decl.label, decl.reads, decl.via))
-        elif isinstance(decl, PurposeDecl):
-            if declare(purpose_spans, decl.id, "purpose", decl.span):
-                purposes.append(
-                    Purpose(decl.id, decl.label, decl.tasks, decl.universal)
-                )
-        elif isinstance(decl, AttributeDecl):
-            if decl.id not in attr_index:
-                attr_index[decl.id] = len(attributes)
-                attr_spans[decl.id] = decl.span
-                attributes.append(
-                    Attribute(
-                        decl.id,
-                        decl.label,
-                        frozenset(decl.groups),
-                        decl.collected,
-                    )
-                )
-            else:
-                # Re-declaration: merge group sets and collection votes so a
-                # policy's own contradictions stay representable.
-                existing = attributes[attr_index[decl.id]]
-                if existing.label != decl.label:
-                    bad(
-                        f"attribute {decl.id!r} redeclared with a different label "
-                        f"({existing.label!r} vs {decl.label!r})",
-                        decl.span,
-                    )
-                    continue
-                merged_groups = existing.groups | frozenset(decl.groups)
-                collected = existing.collected
-                conflict = existing.collected_conflict
-                if decl.collected is not None:
-                    if conflict or (collected is not None and collected != decl.collected):
-                        collected = None
-                        conflict = True
-                    elif collected is None:
-                        collected = decl.collected
-                attributes[attr_index[decl.id]] = replace(
-                    existing,
-                    groups=merged_groups,
-                    collected=collected,
-                    collected_conflict=conflict,
-                )
-        elif isinstance(decl, RoleEdgeDecl):
-            role_edge_decls.append(decl)
-        elif isinstance(decl, AggregationDecl):
-            aggregation_decls.append(decl)
-        elif isinstance(decl, RolePurposeDecl):
-            rp_decls.append(decl)
-        elif isinstance(decl, PurposeTaskConditionDecl):
-            ptc_decls.append(decl)
+        if not isinstance(decl, AttributeDecl):
+            name, entry = _ENTRIES[type(decl)]
+            entries[name].append(entry(decl))
+            spans[name].append(decl.span)
+        elif decl.id not in attr_index:
+            attr_index[decl.id] = len(attributes)
+            spans["attributes"].append(decl.span)
+            attributes.append(
+                Attribute(decl.id, decl.label, frozenset(decl.groups), decl.collected)
+            )
         else:
-            pg_decls.append(decl)
+            # Re-declaration: merge group sets and collection votes so a
+            # policy's own contradictions stay representable.
+            existing = attributes[attr_index[decl.id]]
+            if existing.label != decl.label:
+                message = (
+                    f"attribute {decl.id!r} redeclared with a different label "
+                    f"({existing.label!r} vs {decl.label!r})"
+                )
+                # Ordered among the duplicate-id errors, as a kind of one.
+                problems.append(("duplicate-id", decl.span, message))
+                continue
+            collected = existing.collected
+            conflict = existing.collected_conflict
+            if decl.collected is not None:
+                if conflict or (collected is not None and collected != decl.collected):
+                    collected = None
+                    conflict = True
+                elif collected is None:
+                    collected = decl.collected
+            attributes[attr_index[decl.id]] = replace(
+                existing,
+                groups=existing.groups | frozenset(decl.groups),
+                collected=collected,
+                collected_conflict=conflict,
+            )
 
-    purposes_by_id = {p.id: p for p in purposes}
-
-    derived = {decl.product for decl in aggregation_decls}
-    attributes = [
-        replace(attr, derived=attr.id in derived) if attr.id in derived else attr
-        for attr in attributes
+    derived = {a.product for a in entries["aggregations"]}
+    entries["attributes"] = [
+        replace(attr, derived=True) if attr.id in derived else attr for attr in attributes
     ]
+    model = PolicyModel(decls.name, **{name: tuple(e) for name, e in entries.items()})
 
-    for attr in attributes:
-        for group_id in sorted(attr.groups):
-            if group_id not in group_spans:
-                bad(
-                    f"attribute {attr.id!r} references unknown group {group_id!r}",
-                    attr_spans[attr.id],
-                )
-
-    role_edges: list[RoleEdge] = []
-    seen_edges: set[tuple[str, str]] = set()
-    for decl in role_edge_decls:
-        for endpoint in (decl.superior, decl.inferior):
-            if endpoint not in role_spans:
-                bad(f"unknown role {endpoint!r} in role_hierarchy", decl.span)
-        if decl.superior == decl.inferior:
-            bad(f"role {decl.superior!r} cannot be its own inferior", decl.span)
-        if (decl.superior, decl.inferior) in seen_edges:
-            bad(f"duplicate role edge {decl.superior} -> {decl.inferior}", decl.span)
-        seen_edges.add((decl.superior, decl.inferior))
-        role_edges.append(RoleEdge(decl.superior, decl.inferior))
-
-    aggregations: list[Aggregation] = []
-    for decl in aggregation_decls:
-        for ref in (decl.left, decl.right, decl.product):
-            if ref not in attr_index:
-                bad(f"unknown attribute {ref!r} in aggregation", decl.span)
-        if decl.product in (decl.left, decl.right):
-            bad(
-                f"aggregation product {decl.product!r} cannot be one of its sources",
-                decl.span,
-            )
-        aggregations.append(Aggregation(decl.left, decl.right, decl.product))
-
-    for task in tasks:
-        span = task_spans[task.id]
-        if task.reads not in attr_index:
-            bad(f"task {task.id!r} reads unknown attribute {task.reads!r}", span)
-        if task.via is not None and task.via not in gran_spans:
-            bad(
-                f"task {task.id!r} uses unknown granularity function {task.via!r}",
-                span,
-            )
-
-    for purpose in purposes:
-        span = purpose_spans[purpose.id]
-        listed: set[str] = set()
-        for task_id in purpose.tasks:
-            if task_id not in task_spans:
-                bad(f"purpose {purpose.id!r} lists unknown task {task_id!r}", span)
-            if task_id in listed:
-                bad(
-                    f"purpose {purpose.id!r} lists task {task_id!r} more than once",
-                    span,
-                )
-            listed.add(task_id)
-
-    rp_grants: list[RolePurposeGrant] = []
-    seen_grants: set[tuple[str, str]] = set()
-    for decl in rp_decls:
-        if decl.role not in role_spans:
-            bad(f"unknown role {decl.role!r} in role_purpose", decl.span)
-        if decl.purpose not in purpose_spans:
-            bad(f"unknown purpose {decl.purpose!r} in role_purpose", decl.span)
-        if (decl.role, decl.purpose) in seen_grants:
-            bad(
-                f"role {decl.role!r} is granted purpose {decl.purpose!r} more than once",
-                decl.span,
-            )
-        seen_grants.add((decl.role, decl.purpose))
-        rp_grants.append(RolePurposeGrant(decl.role, decl.purpose, decl.condition))
-
-    pt_conditions: list[PurposeTaskCondition] = []
-    seen_ptc: set[tuple[str, str]] = set()
-    for decl in ptc_decls:
-        purpose = purposes_by_id.get(decl.purpose)
-        if purpose is None:
-            bad(f"unknown purpose {decl.purpose!r} in purpose_task_conditions", decl.span)
-        if decl.task not in task_spans:
-            bad(f"unknown task {decl.task!r} in purpose_task_conditions", decl.span)
-        elif purpose is not None and decl.task not in purpose.tasks:
-            bad(
-                f"task {decl.task!r} is not part of purpose {decl.purpose!r}",
-                decl.span,
-            )
-        if (decl.purpose, decl.task) in seen_ptc:
-            bad(
-                f"purpose {decl.purpose!r} conditions task {decl.task!r} more than once",
-                decl.span,
-            )
-        seen_ptc.add((decl.purpose, decl.task))
-        pt_conditions.append(
-            PurposeTaskCondition(decl.purpose, decl.task, decl.condition)
-        )
-
-    pg_grants: list[PurposeGroupGrant] = []
-    seen_pg: set[tuple[str, str]] = set()
-    for decl in pg_decls:
-        if decl.purpose not in purpose_spans:
-            bad(f"unknown purpose {decl.purpose!r} in purpose_group", decl.span)
-        if decl.group not in group_spans:
-            bad(f"unknown group {decl.group!r} in purpose_group", decl.span)
-        if (decl.purpose, decl.group) in seen_pg:
-            bad(
-                f"purpose {decl.purpose!r} is granted group {decl.group!r} more than once",
-                decl.span,
-            )
-        seen_pg.add((decl.purpose, decl.group))
-        pg_grants.append(PurposeGroupGrant(decl.purpose, decl.group, decl.condition))
-
-    model = PolicyModel(
-        name=decls.name,
-        roles=tuple(roles),
-        role_edges=tuple(role_edges),
-        groups=tuple(groups),
-        attributes=tuple(attributes),
-        aggregations=tuple(aggregations),
-        granularities=tuple(granularities),
-        tasks=tuple(tasks),
-        purposes=tuple(purposes),
-        rp_grants=tuple(rp_grants),
-        pt_conditions=tuple(pt_conditions),
-        pg_grants=tuple(pg_grants),
-    )
-
-    if not diagnostics:
-        # Everything resolvable was checked above; what remains is graph
-        # shape (hierarchy and derivation cycles).
-        for error in model.validation_errors:
-            span = _span_for_validation(decls, error.rule, error.subject)
-            bad(error.message, span)
-
-    if diagnostics:
-        raise LoweringError(diagnostics)
+    for error in model.validation_errors:
+        name, index = error.where
+        problems.append((error.rule, spans[name][index], error.message))
+    if problems:
+        problems.sort(key=lambda p: (p[0], p[1].line, p[1].col))
+        raise LoweringError([LowerDiagnostic(message, span) for _, span, message in problems])
     return model
-
-
-def _span_for_validation(decls: Declarations, rule: str, subject: str) -> Span:
-    if rule == "role-cycle":
-        members = set(subject.split(","))
-        for decl in decls.entries:
-            if isinstance(decl, RoleEdgeDecl) and {decl.superior, decl.inferior} <= members:
-                return decl.span
-    if rule == "aggregation-cycle":
-        members = set(subject.split(","))
-        for decl in decls.entries:
-            if isinstance(decl, AggregationDecl) and decl.product in members:
-                return decl.span
-    for decl in decls.entries:
-        return decl.span
-    return Span(1, 1, 1, 1)
 
 
 def _quote(text: str) -> str:

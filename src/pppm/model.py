@@ -14,7 +14,7 @@ raising, so callers can show all problems at once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -200,9 +200,17 @@ def _lookup(table, key: str, kind: str):
 
 @dataclass(frozen=True)
 class ValidationError:
+    """One violated invariant.
+
+    `where` is the (PolicyModel field, index) of the entry the error is
+    about, such as ("tasks", 2); `dsl.lower` reports the error at that
+    entry's declaration.  It takes no part in equality or the report order.
+    """
+
     rule: str
     subject: str
     message: str
+    where: tuple[str, int] = field(compare=False)
 
 
 def validate(model: PolicyModel) -> list[ValidationError]:
@@ -210,24 +218,27 @@ def validate(model: PolicyModel) -> list[ValidationError]:
 
     References may dangle in the input; nothing is mutated.  The report is
     sorted by (rule, subject, message) so repeated runs are byte-identical.
+    A duplicated id is reported at each entry after the first, and a
+    reference to it resolves to the first.  A cycle is reported at its first
+    role edge, or at the first aggregation whose product lies on it.
     """
     errors: list[ValidationError] = []
 
-    def err(rule: str, subject: str, message: str) -> None:
-        errors.append(ValidationError(rule, subject, message))
+    def err(rule: str, subject: str, message: str, where: tuple[str, int]) -> None:
+        errors.append(ValidationError(rule, subject, message, where))
 
-    for kind, entities in (
-        ("role", model.roles),
-        ("group", model.groups),
-        ("attribute", model.attributes),
-        ("granularity function", model.granularities),
-        ("task", model.tasks),
-        ("purpose", model.purposes),
+    for kind, name, entities in (
+        ("role", "roles", model.roles),
+        ("group", "groups", model.groups),
+        ("attribute", "attributes", model.attributes),
+        ("granularity function", "granularities", model.granularities),
+        ("task", "tasks", model.tasks),
+        ("purpose", "purposes", model.purposes),
     ):
         seen: set[str] = set()
-        for entity in entities:
+        for i, entity in enumerate(entities):
             if entity.id in seen:
-                err("duplicate-id", entity.id, f"{kind} {entity.id!r} declared more than once")
+                err("duplicate-id", entity.id, f"duplicate {kind} id {entity.id!r}", (name, i))
             seen.add(entity.id)
 
     role_ids = {r.id for r in model.roles}
@@ -235,46 +246,55 @@ def validate(model: PolicyModel) -> list[ValidationError]:
     attr_ids = {a.id for a in model.attributes}
     gran_ids = {g.id for g in model.granularities}
     task_ids = {t.id for t in model.tasks}
-    purpose_ids = {p.id for p in model.purposes}
+    # Reversed, so that a duplicated purpose id maps to its first declaration.
+    purposes_by_id = {p.id: p for p in reversed(model.purposes)}
 
-    for role in model.roles:
+    for i, role in enumerate(model.roles):
         if not role.label:
-            err("empty-label", role.id, f"role {role.id!r} has an empty label")
+            err("empty-label", role.id, f"role {role.id!r} has an empty label", ("roles", i))
 
     seen_edges: set[tuple[str, str]] = set()
-    for edge in model.role_edges:
+    for i, edge in enumerate(model.role_edges):
         subject = f"{edge.superior}->{edge.inferior}"
+        where = ("role_edges", i)
         for endpoint in (edge.superior, edge.inferior):
             if endpoint not in role_ids:
-                err("unknown-id", subject, f"role hierarchy references unknown role {endpoint!r}")
+                err("unknown-id", subject, f"unknown role {endpoint!r} in role_hierarchy", where)
         if edge.superior == edge.inferior:
-            err("role-self-edge", subject, f"role {edge.superior!r} cannot be its own inferior")
+            err("role-self-edge", subject,
+                f"role {edge.superior!r} cannot be its own inferior", where)
         if (edge.superior, edge.inferior) in seen_edges:
-            err("duplicate-role-edge", subject, f"duplicate role edge {subject}")
+            err("duplicate-role-edge", subject,
+                f"duplicate role edge {edge.superior} -> {edge.inferior}", where)
         seen_edges.add((edge.superior, edge.inferior))
 
-    for scc in _cycles(role_ids, [(e.superior, e.inferior) for e in model.role_edges if e.superior != e.inferior]):
+    edge_sites = [(e.superior, e.inferior) if e.superior != e.inferior else () for e in model.role_edges]
+    role_sccs = _cycles(role_ids, [site for site in edge_sites if site])
+    for scc, i in zip(role_sccs, _first_sites(role_sccs, edge_sites)):
         names = ", ".join(scc)
-        err("role-cycle", ",".join(scc), f"roles form a hierarchy cycle: {names}")
+        err("role-cycle", ",".join(scc), f"roles form a hierarchy cycle: {names}", ("role_edges", i))
 
-    for attribute in model.attributes:
+    for i, attribute in enumerate(model.attributes):
+        where = ("attributes", i)
         for group_id in sorted(attribute.groups):
             if group_id not in group_ids:
                 err("unknown-id", attribute.id,
-                    f"attribute {attribute.id!r} references unknown group {group_id!r}")
+                    f"attribute {attribute.id!r} references unknown group {group_id!r}", where)
         if attribute.collected_conflict and attribute.collected is not None:
             err("collected-conflict-flag", attribute.id,
-                f"attribute {attribute.id!r} marks a collection conflict but also a definite flag")
+                f"attribute {attribute.id!r} marks a collection conflict but also a definite flag",
+                where)
 
     products = {a.product for a in model.aggregations}
-    for aggregation in model.aggregations:
+    for i, aggregation in enumerate(model.aggregations):
         subject = f"({aggregation.left},{aggregation.right})->{aggregation.product}"
+        where = ("aggregations", i)
         for ref in (aggregation.left, aggregation.right, aggregation.product):
             if ref not in attr_ids:
-                err("unknown-id", subject, f"aggregation references unknown attribute {ref!r}")
+                err("unknown-id", subject, f"unknown attribute {ref!r} in aggregation", where)
         if aggregation.product in (aggregation.left, aggregation.right):
             err("aggregation-self", subject,
-                f"aggregation product {aggregation.product!r} cannot be one of its sources")
+                f"aggregation product {aggregation.product!r} cannot be one of its sources", where)
 
     agg_edges = [
         (src, a.product)
@@ -282,75 +302,101 @@ def validate(model: PolicyModel) -> list[ValidationError]:
         for src in (a.left, a.right)
         if src != a.product
     ]
-    for scc in _cycles(attr_ids | products, agg_edges):
+    agg_sccs = _cycles(attr_ids | products, agg_edges)
+    product_sites = [(a.product,) for a in model.aggregations]
+    for scc, i in zip(agg_sccs, _first_sites(agg_sccs, product_sites)):
         names = ", ".join(scc)
-        err("aggregation-cycle", ",".join(scc), f"attributes form a derivation cycle: {names}")
+        err("aggregation-cycle", ",".join(scc),
+            f"attributes form a derivation cycle: {names}", ("aggregations", i))
 
-    for attribute in model.attributes:
+    for i, attribute in enumerate(model.attributes):
         if attribute.derived != (attribute.id in products):
             err("derived-flag", attribute.id,
-                f"attribute {attribute.id!r} derived flag does not match the aggregations")
+                f"attribute {attribute.id!r} derived flag does not match the aggregations",
+                ("attributes", i))
 
-    for task in model.tasks:
+    for i, task in enumerate(model.tasks):
+        where = ("tasks", i)
         if task.reads not in attr_ids:
-            err("unknown-id", task.id, f"task {task.id!r} reads unknown attribute {task.reads!r}")
+            err("unknown-id", task.id,
+                f"task {task.id!r} reads unknown attribute {task.reads!r}", where)
         if task.via is not None and task.via not in gran_ids:
             err("unknown-id", task.id,
-                f"task {task.id!r} uses unknown granularity function {task.via!r}")
+                f"task {task.id!r} uses unknown granularity function {task.via!r}", where)
 
-    for purpose in model.purposes:
+    for i, purpose in enumerate(model.purposes):
+        where = ("purposes", i)
         seen_tasks: set[str] = set()
         for task_id in purpose.tasks:
             if task_id not in task_ids:
                 err("unknown-id", purpose.id,
-                    f"purpose {purpose.id!r} lists unknown task {task_id!r}")
+                    f"purpose {purpose.id!r} lists unknown task {task_id!r}", where)
             if task_id in seen_tasks:
                 err("duplicate-task-in-purpose", purpose.id,
-                    f"purpose {purpose.id!r} lists task {task_id!r} more than once")
+                    f"purpose {purpose.id!r} lists task {task_id!r} more than once", where)
             seen_tasks.add(task_id)
 
     seen_grants: set[tuple[str, str]] = set()
-    for grant in model.rp_grants:
+    for i, grant in enumerate(model.rp_grants):
         subject = f"{grant.role}:{grant.purpose}"
+        where = ("rp_grants", i)
         if grant.role not in role_ids:
-            err("unknown-id", subject, f"grant references unknown role {grant.role!r}")
-        if grant.purpose not in purpose_ids:
-            err("unknown-id", subject, f"grant references unknown purpose {grant.purpose!r}")
+            err("unknown-id", subject, f"unknown role {grant.role!r} in role_purpose", where)
+        if grant.purpose not in purposes_by_id:
+            err("unknown-id", subject,
+                f"unknown purpose {grant.purpose!r} in role_purpose", where)
         if (grant.role, grant.purpose) in seen_grants:
             err("duplicate-grant", subject,
-                f"role {grant.role!r} is granted purpose {grant.purpose!r} more than once")
+                f"role {grant.role!r} is granted purpose {grant.purpose!r} more than once", where)
         seen_grants.add((grant.role, grant.purpose))
 
     seen_ptc: set[tuple[str, str]] = set()
-    for ptc in model.pt_conditions:
+    for i, ptc in enumerate(model.pt_conditions):
         subject = f"{ptc.purpose}:{ptc.task}"
-        purpose = model.purposes_by_id.get(ptc.purpose)
+        where = ("pt_conditions", i)
+        purpose = purposes_by_id.get(ptc.purpose)
         if purpose is None:
-            err("unknown-id", subject, f"task condition references unknown purpose {ptc.purpose!r}")
+            err("unknown-id", subject,
+                f"unknown purpose {ptc.purpose!r} in purpose_task_conditions", where)
         if ptc.task not in task_ids:
-            err("unknown-id", subject, f"task condition references unknown task {ptc.task!r}")
+            err("unknown-id", subject,
+                f"unknown task {ptc.task!r} in purpose_task_conditions", where)
         elif purpose is not None and ptc.task not in purpose.tasks:
             err("task-not-in-purpose", subject,
-                f"task {ptc.task!r} is not part of purpose {ptc.purpose!r}")
+                f"task {ptc.task!r} is not part of purpose {ptc.purpose!r}", where)
         if (ptc.purpose, ptc.task) in seen_ptc:
             err("duplicate-task-condition", subject,
-                f"purpose {ptc.purpose!r} conditions task {ptc.task!r} more than once")
+                f"purpose {ptc.purpose!r} conditions task {ptc.task!r} more than once", where)
         seen_ptc.add((ptc.purpose, ptc.task))
 
     seen_pg: set[tuple[str, str]] = set()
-    for grant in model.pg_grants:
+    for i, grant in enumerate(model.pg_grants):
         subject = f"{grant.purpose}:{grant.group}"
-        if grant.purpose not in purpose_ids:
-            err("unknown-id", subject, f"group grant references unknown purpose {grant.purpose!r}")
+        where = ("pg_grants", i)
+        if grant.purpose not in purposes_by_id:
+            err("unknown-id", subject,
+                f"unknown purpose {grant.purpose!r} in purpose_group", where)
         if grant.group not in group_ids:
-            err("unknown-id", subject, f"group grant references unknown group {grant.group!r}")
+            err("unknown-id", subject, f"unknown group {grant.group!r} in purpose_group", where)
         if (grant.purpose, grant.group) in seen_pg:
             err("duplicate-group-grant", subject,
-                f"purpose {grant.purpose!r} is granted group {grant.group!r} more than once")
+                f"purpose {grant.purpose!r} is granted group {grant.group!r} more than once",
+                where)
         seen_pg.add((grant.purpose, grant.group))
 
     errors.sort(key=lambda e: (e.rule, e.subject, e.message))
     return errors
+
+
+def _first_sites(sccs: list[list[str]], sites: list[tuple[str, ...]]) -> list[int]:
+    """For each SCC, the index of the first site whose nodes all lie in it."""
+    scc_of = {node: k for k, scc in enumerate(sccs) for node in scc}
+    first: dict[int, int] = {}
+    for i, nodes in enumerate(sites):
+        ks = {scc_of.get(node) for node in nodes}
+        if len(ks) == 1 and None not in ks:
+            first.setdefault(ks.pop(), i)
+    return [first[k] for k in range(len(sccs))]
 
 
 def _cycles(nodes: set[str], edges: list[tuple[str, str]]) -> list[list[str]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,13 @@ from pppm.dsl import load_policy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# pytest puts src/ on its own path (pyproject's `pythonpath`); the CLI tests'
+# `python -m pppm.cli` subprocesses need it too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+)
 
 
 def read_fixture(name: str) -> str:

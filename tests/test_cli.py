@@ -231,3 +231,26 @@ def test_query_rejects_non_finite_ctx_numbers(value, capsys):
                    "--ctx", f"age={value}", "--ctx", "now=10:00")
     assert code == 4
     assert f"invalid context value {value!r}" in capsys.readouterr().err
+
+
+# Outside the literal grammar, though int(), float() or str.isdigit take them;
+# '²' (superscript two) passes isdigit but not int().
+@pytest.mark.parametrize("value", ["²:00", "1e3", "1_000", " 7", "٣"])
+def test_query_rejects_ctx_values_outside_the_literal_grammar(value, capsys):
+    code = run_cli("query", SHOP, "--role", "r4", "--attribute", "d1", "--purpose", "p3",
+                   "--ctx", f"age={value}", "--ctx", "now=10:00")
+    assert code == 4
+    assert f"invalid context value {value!r}" in capsys.readouterr().err
+
+
+def test_query_ctx_string_escapes_are_unescaped(tmp_path, capsys):
+    policy = tmp_path / "escape.pppm"
+    policy.write_text(
+        'policy "x"\nroles { r1: "A" }\nattributes { d1: "D" }\n'
+        'tasks { t1: "T" reads d1 }\npurposes { p1: "P" = [t1] }\n'
+        'role_purpose { r1 allowed p1 when "tier == \\"a\\\\\\"b\\"" }\n',
+        encoding="utf-8",
+    )
+    args = ("query", str(policy), "--role", "r1", "--attribute", "d1")
+    assert run_cli(*args, "--ctx", 'tier="a\\"b"') == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Allow"

@@ -17,6 +17,7 @@ from pppm.conditions import (
     Var,
     evaluate,
     parse_condition,
+    parse_literal,
     render_condition,
     tri_and,
 )
@@ -181,3 +182,61 @@ def test_kleene_monotonicity_under_context_extension(seed):
     after = evaluate(expr, extended)
     if before is not TriBool.UNKNOWN:
         assert after is before
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "age > " + "1" * 5000,  # beyond the digits int() converts
+        "age > " + "9" * 400 + ".5",  # beyond the float range
+        "age > -" + "9" * 400 + ".5",
+        "age > ٣",  # an Arabic-Indic digit
+        "age > 1e3",
+    ],
+)
+def test_parse_rejects_numbers_outside_the_grammar(text):
+    with pytest.raises(ConditionSyntaxError):
+        parse_condition(text)
+
+
+def test_long_integer_within_the_limit_round_trips():
+    expr = parse_condition("age > " + "9" * 400)
+    assert expr.chains[0].operands[1] == 10**400 - 1
+    assert parse_condition(render_condition(expr)) == expr
+
+
+@pytest.mark.parametrize("value", [1e-05, 1.5e-07, 1e16, 1.2345678901234567e20, 5e-324, -2.5e-10])
+def test_decimals_render_without_an_exponent(value):
+    expr = ConditionExpr((Chain((Var("x"), value), (">",)),))
+    text = render_condition(expr)
+    assert "e" not in text.replace("x", "")
+    back = parse_condition(text).chains[0].operands[1]
+    assert back == value and type(back) is float
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("7", 7),
+        ("-3", -3),
+        ("2.5", 2.5),
+        ("08:30", make_time(8, 30)),
+        ("true", True),
+        ("FALSE", False),
+        ('"gold"', "gold"),
+        ('"a\\"b\\\\c"', 'a"b\\c'),
+    ],
+)
+def test_parse_literal_matches_the_condition_grammar(text, value):
+    assert parse_literal(text) == value
+    assert parse_condition(f"x == {text}").chains[0].operands[1] == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " 7", "7 ", "1e3", "1_000", "+7", ".5", "٣", "²:00", "25:00", "nan",
+     "inf", "age", '"a\\q"', "1" * 5000, "9" * 400 + ".5"],
+)
+def test_parse_literal_rejects(text):
+    with pytest.raises(ConditionSyntaxError):
+        parse_literal(text)

@@ -227,3 +227,14 @@ def test_serialize_is_a_fixed_point_on_random_models(seed):
     model = gen.random_model(random.Random(seed))
     once = serialize(model)
     assert serialize(lower(parse_policy(once))) == once
+
+
+def test_decimal_literals_round_trip_and_out_of_range_ones_are_rejected():
+    text = (
+        'policy "x"\nroles { r1: "A" }\npurposes { p1: "P" }\n'
+        'role_purpose { r1 allowed p1 when "age > 0.00001 and age < 10000000000000000.5" }\n'
+    )
+    model = load_policy(text)
+    assert lower(parse_policy(serialize(model))) == model
+    with pytest.raises(ParseError, match="number out of range"):
+        parse_policy(text.replace("0.00001", "9" * 400 + ".5"))

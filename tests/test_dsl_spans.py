@@ -78,3 +78,55 @@ def test_duplicate_task_and_purpose_diagnostics_use_the_first_declaration():
         LowerDiagnostic("task 't1' reads unknown attribute 'd9'", Span(4, 3, 4, 19)),
         LowerDiagnostic("purpose 'p1' lists unknown task 't7'", Span(8, 3, 8, 17)),
     ]
+
+
+def _diagnostics(text):
+    with pytest.raises(LoweringError) as info:
+        load_policy(text)
+    return info.value.diagnostics
+
+
+def test_a_role_and_a_task_with_one_id_are_reported_apart():
+    text = (
+        'policy "x"\nroles { r1: "A"  r1: "B" }\nattributes { d1: "D" }\n'
+        'tasks {\n  r1: "T" reads d9\n  r1: "U" reads d1\n}\n'
+        'purposes { r1: "P" = [t9] }\n'
+    )
+    assert _diagnostics(text) == [
+        LowerDiagnostic("duplicate role id 'r1'", Span(2, 18, 2, 25)),
+        LowerDiagnostic("duplicate task id 'r1'", Span(6, 3, 6, 19)),
+        LowerDiagnostic("task 'r1' reads unknown attribute 'd9'", Span(5, 3, 5, 19)),
+        LowerDiagnostic("purpose 'r1' lists unknown task 't9'", Span(8, 12, 8, 26)),
+    ]
+
+
+def test_each_later_declaration_of_an_id_is_reported_at_its_own_span():
+    text = 'policy "x"\nroles {\n  r1: "A"\n  r1: "B"\n  r1: "C"\n}\n'
+    assert _diagnostics(text) == [
+        LowerDiagnostic("duplicate role id 'r1'", Span(4, 3, 4, 10)),
+        LowerDiagnostic("duplicate role id 'r1'", Span(5, 3, 5, 10)),
+    ]
+
+
+def test_a_role_cycle_is_reported_beside_a_dangling_reference():
+    text = (
+        'policy "x"\nroles { r1: "A" r2: "B" }\n'
+        'role_hierarchy {\n  r1 -> r2\n  r2 -> r1\n}\n'
+        "role_purpose { r1 allowed p9 }\n"
+    )
+    assert _diagnostics(text) == [
+        LowerDiagnostic("roles form a hierarchy cycle: r1, r2", Span(4, 3, 4, 11)),
+        LowerDiagnostic("unknown purpose 'p9' in role_purpose", Span(7, 16, 7, 29)),
+    ]
+
+
+def test_a_dangling_reference_in_a_second_declaration_is_reported_there():
+    text = (
+        'policy "x"\nattributes { d1: "D" }\ntasks { t1: "T" reads d1 }\n'
+        'purposes {\n  p1: "P" = [t1]\n  p1: "Q" = [t9]\n}\n'
+        "purpose_task_conditions { p1 task t1 when \"age > 1\" }\n"
+    )
+    assert _diagnostics(text) == [
+        LowerDiagnostic("duplicate purpose id 'p1'", Span(6, 3, 6, 17)),
+        LowerDiagnostic("purpose 'p1' lists unknown task 't9'", Span(6, 3, 6, 17)),
+    ]

@@ -18,6 +18,7 @@ from pppm.model import (
     RolePurposeGrant,
     Task,
     UnknownEntityError,
+    ValidationError,
     aggregation_sources,
     inferiors,
     validate,
@@ -221,3 +222,9 @@ def test_aggregation_sources_match_fixpoint(seed):
         assert aggregation_sources(model, attr.id) == brute_aggregation_sources(
             model, attr.id
         )
+
+
+def test_validation_error_equality_ignores_where():
+    first = ValidationError("unknown-id", "t1", "m", ("tasks", 0))
+    other = ValidationError("unknown-id", "t1", "m", ("tasks", 3))
+    assert first == other and hash(first) == hash(other)
