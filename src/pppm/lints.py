@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
-from .model import InvalidModelError, PolicyModel, inferiors
+from .model import InvalidModelError, PolicyModel
 
 SEVERITIES = ("error", "warning", "info")
 
@@ -44,17 +44,12 @@ def _orphan_purposes(model: PolicyModel) -> list[tuple[str, str]]:
 
 
 def _orphan_roles(model: PolicyModel) -> list[tuple[str, str]]:
-    granted = {g.role for g in model.rp_grants}
-    out = []
-    for role in model.roles:
-        if role.id in granted:
-            continue
-        if any(inferior in granted for inferior in inferiors(model, role.id)):
-            continue
-        out.append(
-            (role.id, f"role {role.id!r} ({role.label}) has no direct or inherited purpose")
-        )
-    return out
+    # A role with a grant of its own needs no closure.
+    return [
+        (role.id, f"role {role.id!r} ({role.label}) has no direct or inherited purpose")
+        for role in model.roles
+        if role.id not in model.grants_by_role and not model.role_closure(role.id).grants
+    ]
 
 
 def _universal_purpose_grants(model: PolicyModel) -> list[tuple[str, str]]:

@@ -7,8 +7,11 @@ attribute aggregations, role-purpose grants, per-(purpose, task) conditions,
 and purpose-group grants.
 
 Models are immutable after construction and safe to share across threads.
-`validate` checks every structural invariant and returns a report instead of
-raising, so callers can show all problems at once.
+Lookup caches, the access index and the per-role closure memo are filled
+lazily on first use; sharing them stays safe because every fill is
+idempotent, so threads that race store equal values.  `validate` checks every
+structural invariant and returns a report instead of raising, so callers can
+show all problems at once.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .conditions import ConditionExpr
 
@@ -163,6 +166,56 @@ class PolicyModel:
         return {g: tuple(ids) for g, ids in members.items()}
 
     @cached_property
+    def children_by_role(self) -> dict[str, tuple[str, ...]]:
+        """Each superior's direct inferiors, sorted and deduplicated."""
+        children: dict[str, set[str]] = {}
+        for edge in self.role_edges:
+            children.setdefault(edge.superior, set()).add(edge.inferior)
+        return {role: tuple(sorted(ids)) for role, ids in children.items()}
+
+    @cached_property
+    def grants_by_role(self) -> dict[str, tuple[RolePurposeGrant, ...]]:
+        """Each role's own purpose grants, in declaration order."""
+        grants: dict[str, list[RolePurposeGrant]] = {}
+        for grant in self.rp_grants:
+            grants.setdefault(grant.role, []).append(grant)
+        return {role: tuple(g) for role, g in grants.items()}
+
+    @cached_property
+    def sources_by_purpose(self) -> dict[str, tuple[SourceEntry, ...]]:
+        """What each purpose reaches: its tasks in task-list order, then the
+        members of its granted groups in grant order."""
+        conditions = {(c.purpose, c.task): c.condition for c in self.pt_conditions}
+        sources: dict[str, list[SourceEntry]] = {p: [] for p in self.purposes_by_id}
+        for purpose in self.purposes_by_id.values():
+            for task_id in purpose.tasks:
+                task = self.task(task_id)
+                condition = conditions.get((purpose.id, task_id))
+                sources[purpose.id].append(
+                    (task.reads, purpose.id, task_id, "task", task.via, condition)
+                )
+        for grant in self.pg_grants:
+            for attribute_id in self.group_members(grant.group):
+                sources.setdefault(grant.purpose, []).append(
+                    (attribute_id, grant.purpose, grant.group, "group", None, grant.condition)
+                )
+        return {p: tuple(entries) for p, entries in sources.items()}
+
+    @cached_property
+    def sources_by_attribute(self) -> dict[str, tuple[SourceEntry, ...]]:
+        """`sources_by_purpose` inverted, each purpose's entries kept in order."""
+        index: dict[str, list[SourceEntry]] = {}
+        for entries in self.sources_by_purpose.values():
+            for entry in entries:
+                index.setdefault(entry[0], []).append(entry)
+        return {a: tuple(entries) for a, entries in index.items()}
+
+    @cached_property
+    def _role_closures(self) -> dict[str, RoleClosure]:
+        """Memo for `role_closure`, filled one role at a time."""
+        return {}
+
+    @cached_property
     def validation_errors(self) -> tuple[ValidationError, ...]:
         """The `validate` report, computed once per model."""
         return tuple(validate(self))
@@ -189,6 +242,58 @@ class PolicyModel:
         """Ids of attributes belonging to `group_id`, in declaration order."""
         self.group(group_id)
         return self.members_by_group[group_id]
+
+    def role_closure(self, role_id: str) -> RoleClosure:
+        """What `role_id` reaches down the hierarchy, computed once per role.
+
+        One breadth-first search over the sorted children gives the
+        inferiors and the first-found parent of each; the usable grants are
+        the role's own and every inferior's, first declaration per (purpose,
+        supplying role).  Unknown ids raise UnknownEntityError.
+        """
+        if role_id in self._role_closures:
+            return self._role_closures[role_id]
+        self.role(role_id)
+        children = self.children_by_role
+        parent: dict[str, str] = {}
+        queue = deque([role_id])
+        while queue:
+            current = queue.popleft()
+            for child in children.get(current, ()):
+                if child != role_id and child not in parent:
+                    parent[child] = current
+                    queue.append(child)
+        usable: dict[tuple[str, str], RolePurposeGrant] = {}
+        for role in (role_id, *parent):
+            for grant in self.grants_by_role.get(role, ()):
+                usable.setdefault((grant.purpose, role), grant)
+        grants: dict[str, list[RolePurposeGrant]] = {}
+        for key in sorted(usable):
+            grants.setdefault(key[0], []).append(usable[key])
+        closure = RoleClosure(role_id, parent, {p: tuple(g) for p, g in grants.items()})
+        self._role_closures[role_id] = closure
+        return closure
+
+
+# (attribute, purpose, source id, "task" | "group", granularity, condition)
+SourceEntry = tuple[str, str, str, str, Optional[str], Optional[ConditionExpr]]
+
+
+class RoleClosure(NamedTuple):
+    """A role's view of the hierarchy below it; see `PolicyModel.role_closure`."""
+
+    role: str
+    # Each inferior, breadth-first with ties by id, to the role it was first
+    # reached from.  The role itself is never a key.
+    parent: dict[str, str]
+    grants: dict[str, tuple[RolePurposeGrant, ...]]  # purpose -> grants by role; purposes sorted
+
+    def hops(self, inferior: str) -> tuple[str, ...]:
+        """Shortest chain from the role down to `inferior`, ties by id."""
+        chain = [inferior]
+        while chain[-1] != self.role:
+            chain.append(self.parent[chain[-1]])
+        return tuple(reversed(chain))
 
 
 def _lookup(table, key: str, kind: str):
@@ -459,25 +564,10 @@ def _cycles(nodes: set[str], edges: list[tuple[str, str]]) -> list[list[str]]:
 def inferiors(model: PolicyModel, role_id: str) -> list[str]:
     """Roles transitively below `role_id`, breadth-first, ties by id.
 
-    The role itself is excluded; on a valid (acyclic) model it can never
-    appear.  Unknown ids raise UnknownEntityError.
+    The role itself is excluded, even when a cycle or self-edge of an
+    invalid model leads back to it.  Unknown ids raise UnknownEntityError.
     """
-    model.role(role_id)
-    children: dict[str, list[str]] = {}
-    for edge in model.role_edges:
-        children.setdefault(edge.superior, []).append(edge.inferior)
-    seen: set[str] = {role_id}
-    order: list[str] = []
-    queue = deque(sorted(set(children.get(role_id, ()))))
-    seen.update(queue)
-    while queue:
-        current = queue.popleft()
-        order.append(current)
-        for nxt in sorted(set(children.get(current, ()))):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return order
+    return list(model.role_closure(role_id).parent)
 
 
 def aggregation_sources(model: PolicyModel, attribute_id: str) -> set[str]:

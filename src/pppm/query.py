@@ -11,7 +11,6 @@ the most permissive verdict: Allow > Conditional > Deny.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +22,7 @@ from .conditions import (
     evaluate,
     render_condition,
 )
-from .model import PolicyModel, inferiors
+from .model import PolicyModel
 
 
 class QueryEvaluationError(ValueError):
@@ -101,16 +100,11 @@ def effective_purposes(model: PolicyModel, role_id: str) -> list[EffectiveGrant]
     Inherited entries keep their conditions; `via` names the supplying role.
     Sorted by (purpose, via) and deduplicated per that pair.
     """
-    model.role(role_id)
-    reachable = [role_id] + inferiors(model, role_id)
-    entries: dict[tuple[str, str], EffectiveGrant] = {}
-    for grant in model.rp_grants:
-        if grant.role in reachable:
-            key = (grant.purpose, grant.role)
-            entries.setdefault(
-                key, EffectiveGrant(grant.purpose, grant.condition, grant.role)
-            )
-    return [entries[key] for key in sorted(entries)]
+    return [
+        EffectiveGrant(grant.purpose, grant.condition, grant.role)
+        for grants in model.role_closure(role_id).grants.values()
+        for grant in grants
+    ]
 
 
 def accessible_attributes(model: PolicyModel, purpose_id: str) -> list[AttributeSource]:
@@ -119,62 +113,12 @@ def accessible_attributes(model: PolicyModel, purpose_id: str) -> list[Attribute
     Task entries come first in task-list order, then group-grant members in
     grant order; the same attribute may appear once per distinct source.
     """
-    purpose = model.purpose(purpose_id)
-    conditions = {
-        (c.purpose, c.task): c.condition
-        for c in model.pt_conditions
-    }
-    out: list[AttributeSource] = []
-    for task_id in purpose.tasks:
-        task = model.task(task_id)
-        out.append(
-            AttributeSource(
-                attribute=task.reads,
-                source=task.id,
-                kind="task",
-                granularity=task.via,
-                condition=conditions.get((purpose_id, task_id)),
-            )
-        )
-    for grant in model.pg_grants:
-        if grant.purpose != purpose_id:
-            continue
-        for attr_id in model.group_members(grant.group):
-            out.append(
-                AttributeSource(
-                    attribute=attr_id,
-                    source=grant.group,
-                    kind="group",
-                    condition=grant.condition,
-                )
-            )
-    return out
-
-
-def _hops(model: PolicyModel, src: str, dst: str) -> tuple[str, ...]:
-    """Shortest superior-to-inferior chain from src to dst, ties by id."""
-    if src == dst:
-        return (src,)
-    children: dict[str, list[str]] = {}
-    for edge in model.role_edges:
-        children.setdefault(edge.superior, []).append(edge.inferior)
-    parent: dict[str, str] = {}
-    queue = deque([src])
-    seen = {src}
-    while queue:
-        current = queue.popleft()
-        for nxt in sorted(set(children.get(current, ()))):
-            if nxt in seen:
-                continue
-            parent[nxt] = current
-            if nxt == dst:
-                chain = [dst]
-                while chain[-1] != src:
-                    chain.append(parent[chain[-1]])
-                return tuple(reversed(chain))
-            seen.add(nxt)
-            queue.append(nxt)
-    return (src,)
+    model.purpose(purpose_id)
+    return [
+        AttributeSource(attribute, source, kind, granularity, condition)
+        for attribute, _, source, kind, granularity, condition
+        in model.sources_by_purpose[purpose_id]
+    ]
 
 
 def _paths(
@@ -183,32 +127,33 @@ def _paths(
     attribute_id: str,
     purpose_id: Optional[str],
 ) -> list[AccessPath]:
+    closure = model.role_closure(role_id)
     paths: list[AccessPath] = []
-    for grant in effective_purposes(model, role_id):
-        if purpose_id is not None and grant.purpose != purpose_id:
+    for _, purpose, source, kind, granularity, condition in model.sources_by_attribute.get(
+        attribute_id, ()
+    ):
+        if purpose_id is not None and purpose != purpose_id:
             continue
-        for source in accessible_attributes(model, grant.purpose):
-            if source.attribute != attribute_id:
-                continue
+        for grant in closure.grants.get(purpose, ()):
             conditions: list[PathCondition] = []
             if grant.condition is not None:
                 conditions.append(PathCondition("grant", grant.condition))
-            if source.condition is not None:
-                conditions.append(PathCondition("source", source.condition))
+            if condition is not None:
+                conditions.append(PathCondition("source", condition))
             paths.append(
                 AccessPath(
                     role=role_id,
-                    via=grant.via,
-                    hops=_hops(model, role_id, grant.via),
-                    purpose=grant.purpose,
-                    source=source.source,
-                    source_kind=source.kind,
-                    granularity=source.granularity,
+                    via=grant.role,
+                    hops=closure.hops(grant.role),
+                    purpose=purpose,
+                    source=source,
+                    source_kind=kind,
+                    granularity=granularity,
                     conditions=tuple(conditions),
                 )
             )
-    # Equally permissive paths tie-break by (purpose, source); via keeps the
-    # full order total.
+    # Equally permissive paths tie-break by (purpose, source, via); a task
+    # and a group sharing an id stay in source order, the task first.
     paths.sort(key=lambda p: (p.purpose, p.source, p.via))
     return paths
 

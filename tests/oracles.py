@@ -37,6 +37,27 @@ def brute_inferiors(model: PolicyModel, role_id: str) -> set[str]:
     return found
 
 
+def brute_hops(model: PolicyModel, src: str, dst: str) -> Optional[tuple[str, ...]]:
+    """The shortest simple superior-to-inferior chain from src to dst, ties
+    broken by the smallest id sequence read from src; None if there is none.
+
+    Every simple path is enumerated, so this is exponential: small models only.
+    """
+    edges = [(e.superior, e.inferior) for e in model.role_edges]
+    best: Optional[tuple[str, ...]] = None
+    stack: list[tuple[str, ...]] = [(src,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == dst:
+            if best is None or (len(path), path) < (len(best), best):
+                best = path
+            continue
+        for sup, inf in edges:
+            if sup == path[-1] and inf not in path:
+                stack.append(path + (inf,))
+    return best
+
+
 def brute_aggregation_sources(model: PolicyModel, attribute_id: str) -> set[str]:
     """Transitive sources by rescanning the aggregation list to a fixpoint."""
     sources: set[str] = set()

@@ -206,13 +206,16 @@ def test_module_entry_point_runs():
 
 
 def test_reruns_are_byte_identical():
-    for argv in (
-        ("render", BABY),
-        ("report", BABY),
-        ("lint", BABY, "--format", "tsv"),
+    # The baby fixture has error-severity findings, so lint exits 2.
+    for argv, code in (
+        (("render", BABY), 0),
+        (("report", BABY), 0),
+        (("lint", BABY, "--format", "tsv"), 2),
     ):
         first = run_proc(*argv)
         second = run_proc(*argv)
+        assert (first.returncode, second.returncode) == (code, code), first.stderr
+        assert first.stdout
         assert first.stdout == second.stdout
         assert b"\r" not in first.stdout
 
@@ -222,6 +225,8 @@ def test_no_color_env_keeps_output_plain():
 
     env = dict(os.environ, PPPM_NO_COLOR="1")
     proc = run_proc("lint", BABY, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert b" error " in proc.stdout
     assert b"\x1b[" not in proc.stdout
 
 

@@ -1,4 +1,5 @@
-"""The per-model caches: the validation report and the group-member index."""
+"""The per-model caches: the validation report, the group-member index and
+the access index."""
 
 from __future__ import annotations
 
@@ -20,8 +21,10 @@ from pppm.model import (
     PolicyModel,
     RolePurposeGrant,
     UnknownEntityError,
+    inferiors,
     validate,
 )
+from pppm.query import can_access
 from pppm.render import emit_graph, emit_tables
 
 import gen
@@ -98,3 +101,24 @@ def test_caches_do_not_take_part_in_equality(baby_text):
     assert warm == cold and hash(warm) == hash(cold)
     assert replace(warm) == warm
     assert "validation_errors" not in vars(replace(warm))
+
+
+def test_the_access_index_is_built_lazily(shop_text):
+    model = pppm.dsl.load_policy(shop_text)
+    index = {"children_by_role", "grants_by_role", "_role_closures",
+             "sources_by_purpose", "sources_by_attribute"}
+    assert not index & set(vars(model))
+    inferiors(model, "r3")
+    assert set(model._role_closures) == {"r3"}
+    assert "sources_by_attribute" not in vars(model)
+    can_access(model, "r1", "d1")
+    assert set(model._role_closures) == {"r3", "r1"}
+    assert index <= set(vars(model))
+    assert model == pppm.dsl.load_policy(shop_text)
+
+
+def test_unknown_roles_are_not_memoised(shop_model):
+    for _ in range(2):
+        with pytest.raises(UnknownEntityError):
+            inferiors(shop_model, "r99")
+    assert "r99" not in shop_model._role_closures

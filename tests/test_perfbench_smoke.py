@@ -1,8 +1,10 @@
 """The benchmark harness still runs and its output checks still pass.
 
-One author pass at the smallest setting; no timing is asserted.  The pass
-compares every output with the digests in perfbench/expected.json, so this
-also gates byte-identical findings, DOT, tables and serialized text.
+No timing is asserted.  One author pass at the smallest setting compares
+every output with the digests in perfbench/expected.json, so it also gates
+byte-identical findings, DOT, tables and serialized text.  One second of the
+serve workload checks 200 of its `can_access` decisions on a generated
+n=2000 policy against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -15,16 +17,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_author_workload_runs_and_checks_its_outputs():
+def _run(workload: str, seconds: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "author", "--seed", "0",
-         "--seconds", "0", "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", seconds, "--trace", "0"],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_author_workload_runs_and_checks_its_outputs():
+    result = _run("author", "0")
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_serve_workload_checks_its_decisions_against_the_oracle():
+    result = _run("serve", "1")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

@@ -2,13 +2,26 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pppm.conditions import parse_condition
-from pppm.model import UnknownEntityError
+from pppm.model import (
+    Attribute,
+    AttributeGroup,
+    PolicyModel,
+    Purpose,
+    PurposeGroupGrant,
+    Role,
+    RolePurposeGrant,
+    Task,
+    UnknownEntityError,
+    inferiors,
+    validate,
+)
 from pppm.query import (
     Outcome,
     QueryEvaluationError,
@@ -18,7 +31,7 @@ from pppm.query import (
 )
 
 import gen
-from oracles import brute_can_access, brute_effective_purposes, make_time
+from oracles import brute_can_access, brute_effective_purposes, brute_hops, make_time
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -189,6 +202,24 @@ def test_decision_describe_is_stable(shop_model):
     )
 
 
+def test_a_task_and_a_group_sharing_an_id_keep_the_source_order():
+    # Both paths tie on (purpose, source, via); the task comes first, as in
+    # accessible_attributes, so it is the path reported.
+    model = PolicyModel(
+        "x",
+        roles=(Role("r1", "R"),),
+        groups=(AttributeGroup("s1", "G"),),
+        attributes=(Attribute("d1", "D", frozenset({"s1"})),),
+        tasks=(Task("s1", "T", "d1"),),
+        purposes=(Purpose("p1", "P", ("s1",)),),
+        rp_grants=(RolePurposeGrant("r1", "p1"),),
+        pg_grants=(PurposeGroupGrant("p1", "s1"),),
+    )
+    assert not validate(model)
+    assert [s.kind for s in accessible_attributes(model, "p1")] == ["task", "group"]
+    assert can_access(model, "r1", "d1").path.source_kind == "task"
+
+
 def test_decisions_are_deterministic(shop_model):
     a = can_access(shop_model, "r1", "d1")
     b = can_access(shop_model, "r1", "d1")
@@ -250,3 +281,53 @@ def test_definite_outcomes_survive_context_extension(seed):
     after = can_access(model, role, attribute, None, gen.extend_ctx(rng, ctx))
     if before.outcome is not Outcome.CONDITIONAL:
         assert after.outcome is before.outcome
+
+
+@given(seeds)
+@settings(max_examples=200)
+def test_hops_are_the_shortest_chain_with_the_smallest_ids(seed):
+    rng = random.Random(seed)
+    model = gen.random_model(rng)
+    ctx = gen.random_ctx(rng)
+    for role in model.roles:
+        for attribute in model.attributes:
+            for purpose in [None] + [p.id for p in model.purposes]:
+                path = can_access(model, role.id, attribute.id, purpose, ctx).path
+                if path is not None:
+                    assert path.hops == brute_hops(model, role.id, path.via)
+
+
+@given(seeds)
+@settings(max_examples=100)
+def test_answers_do_not_depend_on_query_history(seed):
+    rng = random.Random(seed)
+    model = gen.random_model(rng)
+    twin = replace(model)
+    assert twin == model and twin is not model
+    requests = [
+        (
+            rng.choice(model.roles).id,
+            rng.choice(model.attributes).id,
+            rng.choice([None] + [p.id for p in model.purposes]),
+            gen.random_ctx(rng),
+        )
+        for _ in range(30)
+    ]
+    forward = [can_access(model, *req).describe() for req in requests]
+    # The twin first hands out every derived list and each one is mutated;
+    # then it answers the same requests in the reverse order.
+    for role in twin.roles:
+        below, grants = inferiors(twin, role.id), effective_purposes(twin, role.id)
+        below.clear()
+        below.append(role.id)
+        grants.reverse()
+        grants.append(None)
+        assert inferiors(twin, role.id) == inferiors(model, role.id)
+        assert effective_purposes(twin, role.id) == effective_purposes(model, role.id)
+    for purpose in twin.purposes:
+        sources = accessible_attributes(twin, purpose.id)
+        sources.reverse()
+        sources.append(None)
+        assert accessible_attributes(twin, purpose.id) == accessible_attributes(model, purpose.id)
+    backward = [can_access(twin, *req).describe() for req in reversed(requests)]
+    assert backward[::-1] == forward
