@@ -5,7 +5,7 @@ Exit codes:
     1  validation errors in the policy
     2  lint findings at error severity (warnings too with --deny-warnings)
     3  parse error
-    4  usage error (bad flags, unknown ids, unreadable files)
+    4  usage error (bad flags, unknown ids, unreadable or non-UTF-8 files)
 
 Output is UTF-8 with LF endings and contains no timestamps or absolute paths,
 so repeated invocations are byte-identical.  Setting PPPM_NO_COLOR (or piping
@@ -111,6 +111,8 @@ def _load_model(path: str) -> PolicyModel:
             text = handle.read()
     except OSError as exc:
         raise _CliExit(EXIT_USAGE, f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise _CliExit(EXIT_USAGE, f"cannot read {path}: {exc}")
     try:
         decls = parse_policy(text)
     except ParseError as exc:

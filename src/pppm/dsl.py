@@ -19,6 +19,13 @@ A policy file names the policy and then lists sections in any order:
 `#` starts a comment running to end of line.  Ids match
 [A-Za-z_][A-Za-z0-9_]*; strings are double-quoted with \\" and \\\\ escapes.
 
+The lexer turns each line into plain tuples (kind, text, line, col, end_col):
+`kind` is "ident", "string", "eof" or the punctuation text itself ("{",
+"->", ...), and a string's `text` is its unescaped content.  The list ends
+with end-of-input sentinels, so lookahead is a plain index.  A Span is built
+only for a declaration or an error, and each distinct condition text is
+parsed once per `parse_policy` call.
+
 Parsing produces Declarations (flat entries with source spans).  `lower`
 builds a PolicyModel from them, validates it once with `model.validate`, and
 reports every problem together, each at the declaration of the entry it is
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .conditions import (
     ConditionError,
@@ -220,51 +227,55 @@ SECTION_NAMES = (
     "purpose_group",
 )
 
-# One token, comment or stray character per match, within a single line.
-# Whitespace matches nothing, so finditer skips it.
+# The whitespace before a token, then one token, comment or stray character.
+# Each match starts where the last one ended (only trailing whitespace is
+# left unmatched), so a token's column is the sum of the lengths before it.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<string>"[^"\\\n]*(?:\\["\\][^"\\\n]*)*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>->|[{}()\[\]:,=])
-  | (?P<comment>\#.*)
-  | (?P<bad>[^ \t\r])
+    ([ \t\r]*)
+    (?:
+      ([A-Za-z_][A-Za-z0-9_]*)                  # ident
+    | (->|[{}()\[\]:,=])                        # punctuation
+    | ("[^"\\\n]*(?:\\["\\][^"\\\n]*)*")        # string
+    | (\#.*)                                    # comment
+    | ([^ \t\r])                                # stray character
+    )
     """,
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r'\\(["\\])')
+# Lookahead reaches two tokens past the current one, so the token list ends
+# with three end-of-input sentinels and `peek` never runs off it.
+_EOF_PAD = 3
 
 
-class _Token(NamedTuple):
-    kind: str  # ident, string, punct, eof
-    text: str  # unescaped content for strings
-    line: int
-    col: int
-    end_col: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col, self.line, self.end_col)
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _lex(text: str) -> list[tuple]:
+    tokens: list[tuple] = []
+    append = tokens.append
     lines = text.split("\n")
     for lineno, line in enumerate(lines, 1):
-        for m in _TOKEN_RE.finditer(line):
-            kind = m.lastgroup
-            if kind == "comment":
-                continue
-            if kind == "bad":
-                raise _lex_error(line, lineno, m.start())
-            word = m.group()
-            if kind == "string":
-                word = word[1:-1]
+        col = 1
+        for space, ident, punct, string, comment, bad in _TOKEN_RE.findall(line):
+            col += len(space)
+            if ident:
+                end = col + len(ident)
+                append(("ident", ident, lineno, col, end))
+            elif punct:
+                end = col + len(punct)
+                append((punct, punct, lineno, col, end))
+            elif string:
+                end = col + len(string)
+                word = string[1:-1]
                 if "\\" in word:
                     word = _ESCAPE_RE.sub(r"\1", word)
-            tokens.append(_Token(kind, word, lineno, m.start() + 1, m.end() + 1))
+                append(("string", word, lineno, col, end))
+            elif bad:
+                raise _lex_error(line, lineno, col - 1)
+            else:
+                break  # a comment runs to the end of the line
+            col = end
     col = len(lines[-1]) + 1
-    tokens.append(_Token("eof", "", len(lines), col, col))
+    tokens.extend([("eof", "", len(lines), col, col)] * _EOF_PAD)
     return tokens
 
 
@@ -283,84 +294,84 @@ def _lex_error(line: str, lineno: int, start: int) -> ParseError:
     return ParseError("unterminated string", Span(lineno, start + 1, lineno, i + 1))
 
 
+_EXPECTED = {"ident": "an identifier", "string": "a string"}
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
+    def __init__(self, tokens: list[tuple]) -> None:
         self.tokens = tokens
         self.pos = 0
+        # Condition text -> ConditionExpr: each distinct text is parsed once.
+        self.conditions: dict[str, ConditionExpr] = {}
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> tuple:
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
+        """The current token, which the caller has checked is not eof."""
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, kind: str, expected: Optional[str] = None) -> tuple:
+        """The current token if it is of `kind` (a punctuation text, "ident"
+        or "string"), else a ParseError naming `expected` or else `kind`."""
         token = self.tokens[self.pos]
-        if token.kind != "eof":
-            self.pos += 1
+        if token[0] != kind:
+            raise _unexpected(token, expected or _EXPECTED.get(kind, repr(kind)))
+        self.pos += 1
         return token
 
-    def expect_punct(self, text: str) -> _Token:
-        token = self.peek()
-        if token.kind != "punct" or token.text != text:
-            raise ParseError(f"found {_describe(token)}", token.span, expected=repr(text))
-        return self.next()
+    def expect_keyword(self, word: str) -> tuple:
+        token = self.tokens[self.pos]
+        if token[1] != word or token[0] != "ident":
+            raise _unexpected(token, repr(word))
+        self.pos += 1
+        return token
 
-    def expect_ident(self, what: str = "an identifier") -> _Token:
-        token = self.peek()
-        if token.kind != "ident":
-            raise ParseError(f"found {_describe(token)}", token.span, expected=what)
-        return self.next()
-
-    def expect_keyword(self, word: str) -> _Token:
-        token = self.peek()
-        if token.kind != "ident" or token.text != word:
-            raise ParseError(f"found {_describe(token)}", token.span, expected=repr(word))
-        return self.next()
-
-    def expect_string(self) -> _Token:
-        token = self.peek()
-        if token.kind != "string":
-            raise ParseError(f"found {_describe(token)}", token.span, expected="a string")
-        return self.next()
-
-    def at_keyword(self, word: str, ahead: int = 0) -> bool:
-        token = self.peek(ahead)
-        return token.kind == "ident" and token.text == word
+    def at_keyword(self, word: str) -> bool:
+        token = self.tokens[self.pos]
+        return token[1] == word and token[0] == "ident"
 
     def at_punct(self, text: str, ahead: int = 0) -> bool:
-        token = self.peek(ahead)
-        return token.kind == "punct" and token.text == text
+        return self.tokens[self.pos + ahead][0] == text
 
 
-def _describe(token: _Token) -> str:
-    if token.kind == "eof":
-        return "end of input"
-    if token.kind == "string":
-        return "a string"
-    return repr(token.text)
+def _span(token: tuple) -> Span:
+    return Span(token[2], token[3], token[2], token[4])
 
 
-def _span_between(start: _Token, end: _Token) -> Span:
-    return Span(start.line, start.col, end.line, end.end_col)
+def _span_between(start: tuple, end: tuple) -> Span:
+    return Span(start[2], start[3], end[2], end[4])
+
+
+def _unexpected(token: tuple, expected: str) -> ParseError:
+    kind = token[0]
+    if kind == "eof":
+        found = "end of input"
+    elif kind == "string":
+        found = "a string"
+    else:
+        found = repr(token[1])
+    return ParseError(f"found {found}", _span(token), expected=expected)
 
 
 def parse_policy(text: str) -> Declarations:
     """Parse policy text into declarations; raises ParseError on bad input."""
     parser = _Parser(_lex(text))
     parser.expect_keyword("policy")
-    name = parser.expect_string().text
+    name = parser.expect("string")[1]
     entries: list[Decl] = []
     while True:
         token = parser.peek()
-        if token.kind == "eof":
+        if token[0] == "eof":
             break
-        if token.kind != "ident" or token.text not in SECTION_NAMES:
-            raise ParseError(
-                f"found {_describe(token)}", token.span, expected="a section name"
-            )
-        section = parser.next().text
-        parser.expect_punct("{")
+        if token[1] not in SECTION_NAMES or token[0] != "ident":
+            raise _unexpected(token, "a section name")
+        parse_entry = _SECTION_PARSERS[parser.next()[1]]
+        parser.expect("{")
         while not parser.at_punct("}"):
-            entries.append(_SECTION_PARSERS[section](parser))
-        parser.expect_punct("}")
+            entries.append(parse_entry(parser))
+        parser.expect("}")
     return Declarations(name, tuple(entries))
 
 
@@ -369,11 +380,16 @@ def load_policy(text: str) -> PolicyModel:
     return lower(parse_policy(text))
 
 
+def _parse_head(parser: _Parser) -> tuple[tuple, tuple]:
+    """The `id: "label"` that starts most declarations; its two tokens."""
+    ident = parser.expect("ident")
+    parser.expect(":")
+    return ident, parser.expect("string")
+
+
 def _parse_named_decl(parser: _Parser, cls):
-    ident = parser.expect_ident()
-    parser.expect_punct(":")
-    label = parser.expect_string()
-    return cls(ident.text, label.text, _span_between(ident, label))
+    ident, label = _parse_head(parser)
+    return cls(ident[1], label[1], _span_between(ident, label))
 
 
 def _parse_role(parser: _Parser) -> RoleDecl:
@@ -389,153 +405,128 @@ def _parse_granularity(parser: _Parser) -> GranularityDecl:
 
 
 def _parse_role_edge(parser: _Parser) -> RoleEdgeDecl:
-    superior = parser.expect_ident()
-    parser.expect_punct("->")
-    inferior = parser.expect_ident()
-    return RoleEdgeDecl(
-        superior.text, inferior.text, _span_between(superior, inferior)
-    )
+    superior = parser.expect("ident")
+    parser.expect("->")
+    inferior = parser.expect("ident")
+    return RoleEdgeDecl(superior[1], inferior[1], _span_between(superior, inferior))
+
+
+def _parse_id_list(parser: _Parser, close: str) -> tuple[tuple[str, ...], tuple]:
+    """`id (, id)*` then `close`; the ids and the closing token."""
+    members = [parser.expect("ident")[1]]
+    while parser.at_punct(","):
+        parser.next()
+        members.append(parser.expect("ident")[1])
+    return tuple(members), parser.expect(close)
 
 
 def _parse_attribute(parser: _Parser) -> AttributeDecl:
-    ident = parser.expect_ident()
-    parser.expect_punct(":")
-    label = parser.expect_string()
-    end = label
+    ident, end = _parse_head(parser)
+    label = end[1]
     groups: tuple[str, ...] = ()
     collected: Optional[bool] = None
     # Both trailers are optional; two-token lookahead separates them from the
     # next declaration, whose id is always followed by ':'.
     if parser.at_keyword("groups") and parser.at_punct("(", 1):
         parser.next()
-        parser.expect_punct("(")
-        members = [parser.expect_ident().text]
-        while parser.at_punct(","):
-            parser.next()
-            members.append(parser.expect_ident().text)
-        end = parser.expect_punct(")")
-        groups = tuple(members)
+        parser.next()
+        groups, end = _parse_id_list(parser, ")")
     if parser.at_keyword("collected") and parser.at_punct("=", 1):
         parser.next()
-        parser.expect_punct("=")
-        flag = parser.expect_ident("'yes' or 'no'")
-        if flag.text not in ("yes", "no"):
-            raise ParseError(
-                f"found {_describe(flag)}", flag.span, expected="'yes' or 'no'"
-            )
-        collected = flag.text == "yes"
-        end = flag
-    return AttributeDecl(
-        ident.text, label.text, groups, collected, _span_between(ident, end)
-    )
+        parser.next()
+        end = parser.expect("ident", "'yes' or 'no'")
+        if end[1] not in ("yes", "no"):
+            raise _unexpected(end, "'yes' or 'no'")
+        collected = end[1] == "yes"
+    return AttributeDecl(ident[1], label, groups, collected, _span_between(ident, end))
 
 
 def _parse_aggregation(parser: _Parser) -> AggregationDecl:
-    start = parser.expect_punct("(")
-    left = parser.expect_ident()
-    parser.expect_punct(",")
-    right = parser.expect_ident()
-    parser.expect_punct(")")
-    parser.expect_punct("->")
-    product = parser.expect_ident()
-    return AggregationDecl(
-        left.text, right.text, product.text, _span_between(start, product)
-    )
+    start = parser.expect("(")
+    left = parser.expect("ident")
+    parser.expect(",")
+    right = parser.expect("ident")
+    parser.expect(")")
+    parser.expect("->")
+    product = parser.expect("ident")
+    return AggregationDecl(left[1], right[1], product[1], _span_between(start, product))
 
 
 def _parse_task(parser: _Parser) -> TaskDecl:
-    ident = parser.expect_ident()
-    parser.expect_punct(":")
-    label = parser.expect_string()
+    ident, label = _parse_head(parser)
     parser.expect_keyword("reads")
-    reads = parser.expect_ident()
-    end = reads
+    end = parser.expect("ident")
+    reads = end[1]
     via: Optional[str] = None
-    if parser.at_keyword("via") and parser.peek(1).kind == "ident" and not parser.at_punct(":", 2):
+    if parser.at_keyword("via") and parser.peek(1)[0] == "ident" and not parser.at_punct(":", 2):
         parser.next()
-        fn = parser.expect_ident()
-        via = fn.text
-        end = fn
-    return TaskDecl(
-        ident.text, label.text, reads.text, via, _span_between(ident, end)
-    )
+        end = parser.next()
+        via = end[1]
+    return TaskDecl(ident[1], label[1], reads, via, _span_between(ident, end))
 
 
 def _parse_purpose(parser: _Parser) -> PurposeDecl:
-    ident = parser.expect_ident()
-    parser.expect_punct(":")
-    label = parser.expect_string()
-    end = label
+    ident, end = _parse_head(parser)
+    label = end[1]
     tasks: tuple[str, ...] = ()
     universal = False
     if parser.at_punct("="):
         parser.next()
-        parser.expect_punct("[")
-        members = [parser.expect_ident().text]
-        while parser.at_punct(","):
-            parser.next()
-            members.append(parser.expect_ident().text)
-        end = parser.expect_punct("]")
-        tasks = tuple(members)
+        parser.expect("[")
+        tasks, end = _parse_id_list(parser, "]")
     # 'universal' could also start the next declaration as an id; a following
     # ':' disambiguates.
     if parser.at_keyword("universal") and not parser.at_punct(":", 1):
         end = parser.next()
         universal = True
-    return PurposeDecl(
-        ident.text, label.text, tasks, universal, _span_between(ident, end)
-    )
+    return PurposeDecl(ident[1], label, tasks, universal, _span_between(ident, end))
 
 
-def _parse_condition_string(parser: _Parser) -> ConditionExpr:
-    token = parser.expect_string()
-    try:
-        return parse_condition(token.text)
-    except ConditionError as exc:
-        raise ParseError(f"invalid condition: {exc}", token.span) from exc
+def _parse_condition_string(parser: _Parser) -> tuple[ConditionExpr, tuple]:
+    """A condition string, parsed once per distinct text; and its token."""
+    token = parser.expect("string")
+    condition = parser.conditions.get(token[1])
+    if condition is None:
+        try:
+            condition = parser.conditions[token[1]] = parse_condition(token[1])
+        except ConditionError as exc:
+            raise ParseError(f"invalid condition: {exc}", _span(token)) from exc
+    return condition, token
+
+
+def _parse_optional_condition(parser: _Parser, end: tuple):
+    """The condition of a following `when "..."`, or None; and the last
+    token of the declaration, which is `end` when there is no condition."""
+    if parser.at_keyword("when") and parser.peek(1)[0] == "string":
+        parser.next()
+        return _parse_condition_string(parser)
+    return None, end
 
 
 def _parse_role_purpose(parser: _Parser) -> RolePurposeDecl:
-    role = parser.expect_ident()
+    role = parser.expect("ident")
     parser.expect_keyword("allowed")
-    purpose = parser.expect_ident()
-    end = purpose
-    condition: Optional[ConditionExpr] = None
-    if parser.at_keyword("when") and parser.peek(1).kind == "string":
-        parser.next()
-        end = parser.peek()
-        condition = _parse_condition_string(parser)
-    return RolePurposeDecl(
-        role.text, purpose.text, condition, _span_between(role, end)
-    )
+    purpose = parser.expect("ident")
+    condition, end = _parse_optional_condition(parser, purpose)
+    return RolePurposeDecl(role[1], purpose[1], condition, _span_between(role, end))
 
 
 def _parse_purpose_task_condition(parser: _Parser) -> PurposeTaskConditionDecl:
-    purpose = parser.expect_ident()
+    purpose = parser.expect("ident")
     parser.expect_keyword("task")
-    task = parser.expect_ident()
+    task = parser.expect("ident")
     parser.expect_keyword("when")
-    end = parser.peek()
-    condition = _parse_condition_string(parser)
-    return PurposeTaskConditionDecl(
-        purpose.text, task.text, condition, _span_between(purpose, end)
-    )
+    condition, end = _parse_condition_string(parser)
+    return PurposeTaskConditionDecl(purpose[1], task[1], condition, _span_between(purpose, end))
 
 
 def _parse_purpose_group(parser: _Parser) -> PurposeGroupDecl:
-    purpose = parser.expect_ident()
+    purpose = parser.expect("ident")
     parser.expect_keyword("allowed")
     parser.expect_keyword("group")
-    group = parser.expect_ident()
-    end = group
-    condition: Optional[ConditionExpr] = None
-    if parser.at_keyword("when") and parser.peek(1).kind == "string":
-        parser.next()
-        end = parser.peek()
-        condition = _parse_condition_string(parser)
-    return PurposeGroupDecl(
-        purpose.text, group.text, condition, _span_between(purpose, end)
-    )
+    group = parser.expect("ident")
+    condition, end = _parse_optional_condition(parser, group)
+    return PurposeGroupDecl(purpose[1], group[1], condition, _span_between(purpose, end))
 
 
 _SECTION_PARSERS = {

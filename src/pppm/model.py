@@ -510,10 +510,10 @@ def _cycles(nodes: set[str], edges: list[tuple[str, str]]) -> list[list[str]]:
     Self-edges are reported separately by the caller, so singleton SCCs are
     ignored here.  Iterative Tarjan keeps deep hierarchies off the call stack.
     """
-    adjacency: dict[str, list[str]] = {n: [] for n in nodes}
+    adjacency: dict[str, list[str]] = {}
     for src, dst in edges:
-        if src in adjacency and dst in adjacency:
-            adjacency[src].append(dst)
+        if src in nodes and dst in nodes:
+            adjacency.setdefault(src, []).append(dst)
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -521,7 +521,9 @@ def _cycles(nodes: set[str], edges: list[tuple[str, str]]) -> list[list[str]]:
     counter = 0
     sccs: list[list[str]] = []
 
-    for start in sorted(nodes):
+    # A node without an outgoing edge is a singleton SCC, so only the
+    # sources of edges start a search.
+    for start in sorted(adjacency):
         if start in index:
             continue
         work: list[tuple[str, int]] = [(start, 0)]
@@ -533,7 +535,7 @@ def _cycles(nodes: set[str], edges: list[tuple[str, str]]) -> list[list[str]]:
                 stack.append(node)
                 on_stack.add(node)
             advanced = False
-            children = adjacency[node]
+            children = adjacency.get(node, ())
             for i in range(child_idx, len(children)):
                 child = children[i]
                 if child not in index:

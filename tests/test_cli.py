@@ -36,6 +36,17 @@ def test_check_missing_file_is_a_usage_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_check_non_utf8_file_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.pppm"
+    bad.write_bytes(b'policy "x"\nroles { r1: "\xff" }\n')
+    assert run_cli("check", str(bad)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+    proc = run_proc("check", str(bad))
+    assert proc.returncode == 4 and b"Traceback" not in proc.stderr
+
+
 def test_check_unparsable_file(tmp_path, capsys):
     bad = tmp_path / "bad.pppm"
     bad.write_text("this is not a policy\n", encoding="utf-8")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pppm.conditions import (
+    RELOPS,
     Chain,
     ConditionExpr,
     ConditionSyntaxError,
@@ -182,6 +183,48 @@ def test_kleene_monotonicity_under_context_extension(seed):
     after = evaluate(expr, extended)
     if before is not TriBool.UNKNOWN:
         assert after is before
+
+
+# Numbers where int/float comparison is easy to get wrong: signed zeros, the
+# edges of exact float integers, and equal int/float pairs.
+_BOUNDARY_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, 0.0, -0.0, 2**53 - 1, 2**53, 2**53 + 1, float(2**53), 0.1, -1]),
+    st.integers(-(2**64), 2**64),
+)
+
+
+@st.composite
+def _numeric_case(draw):
+    """A numeric condition over x, y and z, a context, and an extension of it.
+
+    Operands and bindings come from one small pool holding each number's
+    int/float twin too, so equal values of both types meet in comparisons.
+    """
+    pool = draw(st.lists(_BOUNDARY_NUMBERS, min_size=1, max_size=4))
+    pool += [float(v) if isinstance(v, int) else int(v) for v in pool if v == int(v)]
+    values = st.sampled_from(pool)
+    operand = st.one_of(st.sampled_from([Var("x"), Var("y"), Var("z")]), values)
+    chain = st.integers(2, 4).flatmap(
+        lambda n: st.builds(
+            Chain,
+            st.tuples(*[operand] * n),
+            st.tuples(*[st.sampled_from(RELOPS)] * (n - 1)),
+        )
+    )
+    expr = ConditionExpr(tuple(draw(st.lists(chain, min_size=1, max_size=3))))
+    ctx = draw(st.dictionaries(st.sampled_from("xyz"), values))
+    extended = {**draw(st.dictionaries(st.sampled_from("xyz"), values)), **ctx}
+    return expr, ctx, extended
+
+
+@given(_numeric_case())
+@settings(max_examples=300)
+def test_monotonicity_over_floats_and_boundaries(case):
+    expr, ctx, extended = case
+    before = evaluate(expr, ctx)
+    if before is not TriBool.UNKNOWN:
+        assert evaluate(expr, extended) is before
 
 
 @pytest.mark.parametrize(

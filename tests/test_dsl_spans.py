@@ -5,11 +5,16 @@ from __future__ import annotations
 import pytest
 
 from pppm.dsl import (
+    AttributeDecl,
     LowerDiagnostic,
     LoweringError,
     ParseError,
+    PurposeDecl,
+    PurposeGroupDecl,
     RoleDecl,
+    RolePurposeDecl,
     Span,
+    TaskDecl,
     load_policy,
     parse_policy,
 )
@@ -130,3 +135,102 @@ def test_a_dangling_reference_in_a_second_declaration_is_reported_there():
         LowerDiagnostic("duplicate purpose id 'p1'", Span(6, 3, 6, 17)),
         LowerDiagnostic("purpose 'p1' lists unknown task 't9'", Span(6, 3, 6, 17)),
     ]
+
+
+# Each optional trailer is taken only when the tokens after its keyword fit
+# it; otherwise the keyword is the id (or role, or purpose) of the next
+# declaration.
+@pytest.mark.parametrize(
+    "text, entries",
+    [
+        ('policy "x"\nattributes { d1: "A" groups: "B" }\n', (
+            AttributeDecl("d1", "A", (), None, Span(2, 14, 2, 21)),
+            AttributeDecl("groups", "B", (), None, Span(2, 22, 2, 33)),
+        )),
+        ('policy "x"\nattributes { d1: "A" collected: "B" }\n', (
+            AttributeDecl("d1", "A", (), None, Span(2, 14, 2, 21)),
+            AttributeDecl("collected", "B", (), None, Span(2, 22, 2, 36)),
+        )),
+        ('policy "x"\nattributes { d1: "A" groups (g1) collected: "B" }\n', (
+            AttributeDecl("d1", "A", ("g1",), None, Span(2, 14, 2, 33)),
+            AttributeDecl("collected", "B", (), None, Span(2, 34, 2, 48)),
+        )),
+        ('policy "x"\ntasks { t1: "T" reads d1 via: "V" reads d2 }\n', (
+            TaskDecl("t1", "T", "d1", None, Span(2, 9, 2, 25)),
+            TaskDecl("via", "V", "d2", None, Span(2, 26, 2, 43)),
+        )),
+        ('policy "x"\ntasks { t1: "T" reads d1 via g1 }\n', (
+            TaskDecl("t1", "T", "d1", "g1", Span(2, 9, 2, 32)),
+        )),
+        ('policy "x"\npurposes { p1: "P" universal: "U" }\n', (
+            PurposeDecl("p1", "P", (), False, Span(2, 12, 2, 19)),
+            PurposeDecl("universal", "U", (), False, Span(2, 20, 2, 34)),
+        )),
+        ('policy "x"\npurposes { p1: "P" = [t1] universal: "U" }\n', (
+            PurposeDecl("p1", "P", ("t1",), False, Span(2, 12, 2, 26)),
+            PurposeDecl("universal", "U", (), False, Span(2, 27, 2, 41)),
+        )),
+        ('policy "x"\nrole_purpose { r1 allowed p1 when allowed p2 }\n', (
+            RolePurposeDecl("r1", "p1", None, Span(2, 16, 2, 29)),
+            RolePurposeDecl("when", "p2", None, Span(2, 30, 2, 45)),
+        )),
+        ('policy "x"\npurpose_group { p1 allowed group g1 when allowed group g2 }\n', (
+            PurposeGroupDecl("p1", "g1", None, Span(2, 17, 2, 36)),
+            PurposeGroupDecl("when", "g2", None, Span(2, 37, 2, 58)),
+        )),
+    ],
+)
+def test_a_trailer_keyword_can_be_the_next_declarations_id(text, entries):
+    assert parse_policy(text).entries == entries
+
+
+@pytest.mark.parametrize(
+    "text, message, span",
+    [
+        # `via t2 :` is the start of a declaration named `via`, which then
+        # lacks its ':'.
+        ('policy "x"\ntasks { t1: "T" reads d1 via t2: "U" reads d2 }\n',
+         "2:30: found 't2' (expected ':')", Span(2, 30, 2, 32)),
+        # A trailer keyword as the last token of the input.
+        ('policy "x"\nattributes { d1: "A" groups',
+         "2:28: found end of input (expected ':')", Span(2, 28, 2, 28)),
+        ('policy "x"\nattributes { d1: "A" collected',
+         "2:31: found end of input (expected ':')", Span(2, 31, 2, 31)),
+        ('policy "x"\ntasks { t1: "T" reads d1 via',
+         "2:29: found end of input (expected ':')", Span(2, 29, 2, 29)),
+        ('policy "x"\ntasks { t1: "T" reads d1 via t2',
+         "2:32: found end of input (expected an identifier)", Span(2, 32, 2, 32)),
+        ('policy "x"\npurposes { p1: "P" universal',
+         "2:29: found end of input (expected an identifier)", Span(2, 29, 2, 29)),
+        ('policy "x"\nrole_purpose { r1 allowed p1 when',
+         "2:34: found end of input (expected 'allowed')", Span(2, 34, 2, 34)),
+        ('policy "x"\npurpose_group { p1 allowed group g1 when',
+         "2:41: found end of input (expected 'allowed')", Span(2, 41, 2, 41)),
+        ('policy "x"\npurpose_task_conditions { p1 task t1 when',
+         "2:42: found end of input (expected a string)", Span(2, 42, 2, 42)),
+        ('policy "x"\nattributes { d1: "A" groups (',
+         "2:30: found end of input (expected an identifier)", Span(2, 30, 2, 30)),
+        ('policy "x"\nattributes { d1: "A" collected =',
+         "2:33: found end of input (expected 'yes' or 'no')", Span(2, 33, 2, 33)),
+        ('policy "x"\nattributes { d1: "A" collected = maybe }\n',
+         "2:34: found 'maybe' (expected 'yes' or 'no')", Span(2, 34, 2, 39)),
+        # An invalid condition is reported at its whole string token.
+        ('policy "x"\nrole_purpose { r1 allowed p1 when "age >" }\n',
+         "2:35: invalid condition: expected an operand (at offset 5)", Span(2, 35, 2, 42)),
+        ('policy "x"\npurpose_task_conditions { p1 task t1 when "age > 18 or x" }\n',
+         "2:43: invalid condition: expected 'and' or end of condition (at offset 9)",
+         Span(2, 43, 2, 58)),
+        ('policy "x"\npurpose_group { p1 allowed group g1 when "" }\n',
+         "2:42: invalid condition: expected an operand (at offset 0)", Span(2, 42, 2, 44)),
+        # The second use of a text that parsed is fine; a later bad one still
+        # gets its own span.
+        ('policy "x"\nrole_purpose {\n  r1 allowed p1 when "a > 1"\n'
+         '  r2 allowed p1 when "a > 1"\n  r3 allowed p1 when "a >\\"1"\n}\n',
+         "5:22: invalid condition: unexpected character '\"' (at offset 3)", Span(5, 22, 5, 30)),
+    ],
+)
+def test_lookahead_errors_and_spans(text, message, span):
+    with pytest.raises(ParseError) as info:
+        parse_policy(text)
+    assert str(info.value) == message
+    assert info.value.span == span

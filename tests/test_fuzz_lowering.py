@@ -5,11 +5,13 @@ point one id at another, duplicate or delete a line, reverse an edge or an
 aggregation, or delete a token.  Whatever the edit, only ParseError and
 LoweringError may escape, every reported span lies inside the text, and a
 policy that lowers round-trips through `serialize` and can be linted and
-rendered.
+rendered.  One digest over every mutant's parse outcome pins the parser's
+exact output, errors and spans included.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -110,17 +112,30 @@ def _assert_inside(span: Span, lines: list[str]) -> None:
     assert (span.line, span.col) <= (span.end_line, span.end_col), span
 
 
+# Per fixture, the sha256 of every mutant's parse outcome: the repr of its
+# Declarations, or the ParseError message and span.
+PARSE_DIGESTS = {
+    "imaginary_shop.pppm": "86f098f406d8353713b38aeef924583e12d7130f7c791f3fd723f13815c81d6b",
+    "chatterbaby.pppm": "c109551d2609b8a9405fdca3599c22384ee87244293d23d1db4ad66c28c6315a",
+}
+
+
 @pytest.mark.parametrize("fixture, count", CASES.items())
 def test_mutated_fixtures_fail_only_with_documented_errors(fixture, count):
     outcomes = {"parse": 0, "lower": 0, "model": 0}
+    digest = hashlib.sha256()
     for text in mutants(read_fixture(fixture), SEED, count):
         lines = text.split("\n")
         try:
-            model = lower(parse_policy(text))
+            decls = parse_policy(text)
         except ParseError as exc:
+            digest.update(f"{exc} {exc.span!r}\n".encode("utf-8"))
             _assert_inside(exc.span, lines)
             outcomes["parse"] += 1
             continue
+        digest.update(f"{decls!r}\n".encode("utf-8"))
+        try:
+            model = lower(decls)
         except LoweringError as exc:
             assert exc.diagnostics
             for diagnostic in exc.diagnostics:
@@ -133,3 +148,6 @@ def test_mutated_fixtures_fail_only_with_documented_errors(fixture, count):
         emit_graph(model)
     # Every outcome class is exercised, so the checks above are not vacuous.
     assert all(n >= count // 20 for n in outcomes.values()), outcomes
+    # The parser's exact output, errors and spans included, is pinned.
+    assert digest.hexdigest() == PARSE_DIGESTS[fixture], outcomes
+

@@ -1,5 +1,5 @@
-"""The per-model caches: the validation report, the group-member index and
-the access index."""
+"""The per-model caches (the validation report, the group-member index and
+the access index) and the per-parse condition memo."""
 
 from __future__ import annotations
 
@@ -122,3 +122,30 @@ def test_unknown_roles_are_not_memoised(shop_model):
         with pytest.raises(UnknownEntityError):
             inferiors(shop_model, "r99")
     assert "r99" not in shop_model._role_closures
+
+
+def test_each_distinct_condition_text_is_parsed_once_per_call(monkeypatch):
+    calls = []
+    real = pppm.dsl.parse_condition
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(pppm.dsl, "parse_condition", counting)
+    text = (
+        'policy "x"\n'
+        'role_purpose {\n  r1 allowed p1 when "age > 18"\n  r2 allowed p1 when "age > 18"\n'
+        '  r3 allowed p1\n  r4 allowed p1 when "consent == true"\n}\n'
+        'purpose_task_conditions { p1 task t1 when "age > 18" }\n'
+        'purpose_group {\n  p1 allowed group g1 when "consent == true"\n'
+        '  p2 allowed group g1 when "age  > 18"\n}\n'
+    )
+    decls = parse_policy(text)
+    assert sorted(calls) == ["age  > 18", "age > 18", "consent == true"]
+    conditions = [d.condition for d in decls.entries]
+    assert conditions[0] == conditions[1] == conditions[4] == conditions[6]
+    assert conditions[3] == conditions[5] and conditions[2] is None
+    # Nothing is kept between calls.
+    parse_policy(text)
+    assert len(calls) == 6
