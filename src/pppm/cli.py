@@ -7,9 +7,11 @@ Exit codes:
     3  parse error
     4  usage error (bad flags, unknown ids, unreadable or non-UTF-8 files)
 
-Output is UTF-8 with LF endings and contains no timestamps or absolute paths,
-so repeated invocations are byte-identical.  Setting PPPM_NO_COLOR (or piping
-stdout) disables the severity coloring of `lint`.
+A policy file is read as UTF-8, and a leading byte-order mark is skipped, so
+it shifts no line or column.  Output is UTF-8 with LF endings and contains no
+timestamps or absolute paths, so repeated invocations are byte-identical.
+Setting PPPM_NO_COLOR (or piping stdout) disables the severity coloring of
+`lint`.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def _build_parser() -> _Parser:
 def _load_model(path: str) -> PolicyModel:
     """Read, parse, and lower a policy file; raises _CliExit on failure."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise _CliExit(EXIT_USAGE, f"cannot read {path}: {exc.strerror}")
@@ -194,9 +196,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     ctx = _parse_ctx(args.ctx)
     try:
         decision = can_access(model, args.role, args.attribute, args.purpose, ctx)
-    except UnknownEntityError as exc:
-        raise UsageError(str(exc))
-    except (QueryEvaluationError, ConditionError) as exc:
+    except (UnknownEntityError, QueryEvaluationError, ConditionError) as exc:
         raise UsageError(str(exc))
     sys.stdout.write(decision.describe() + "\n")
     return EXIT_OK

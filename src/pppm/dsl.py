@@ -26,12 +26,21 @@ with end-of-input sentinels, so lookahead is a plain index.  A Span is built
 only for a declaration or an error, and each distinct condition text is
 parsed once per `parse_policy` call.
 
+Each section is described once, by its row in `_SECTIONS`: its keyword, the
+PolicyModel field it fills, its declaration record, the function that parses
+one declaration, the model entity a declaration becomes and the writer of an
+entity's canonical row(s).  The table is in grammar order, the order of
+PolicyModel's fields.  A declaration record (RoleDecl, TaskDecl, ...) is a
+NamedTuple of its entity's leading fields followed by `span`, so `lower`
+builds an entry as `entity(*decl[:-1])`; Span and LowerDiagnostic are
+NamedTuples too.
+
 Parsing produces Declarations (flat entries with source spans).  `lower`
 builds a PolicyModel from them, validates it once with `model.validate`, and
 reports every problem together, each at the declaration of the entry it is
 about, ordered by rule and then by source position.  A duplicated id is
 reported at each declaration after the first; references to it resolve to the
-first.  `serialize` writes a model back in canonical form (fixed section
+first.  `serialize` writes a model back in canonical form (sections in table
 order, two-space indent, LF) such that lower(parse(serialize(m))) == m.
 
 An attribute may be declared more than once under the same label; the
@@ -44,7 +53,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Any, Callable, NamedTuple, Optional
 
 from .conditions import (
     ConditionError,
@@ -68,8 +77,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """1-based source position range."""
 
     line: int
@@ -89,8 +97,7 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class LowerDiagnostic:
+class LowerDiagnostic(NamedTuple):
     message: str
     span: Span
 
@@ -103,29 +110,29 @@ class LoweringError(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class RoleDecl:
+# One declaration record per section: the leading fields of the model entry
+# it lowers into, then its span.
+
+
+class RoleDecl(NamedTuple):
     id: str
     label: str
     span: Span
 
 
-@dataclass(frozen=True)
-class RoleEdgeDecl:
+class RoleEdgeDecl(NamedTuple):
     superior: str
     inferior: str
     span: Span
 
 
-@dataclass(frozen=True)
-class GroupDecl:
+class GroupDecl(NamedTuple):
     id: str
     label: str
     span: Span
 
 
-@dataclass(frozen=True)
-class AttributeDecl:
+class AttributeDecl(NamedTuple):
     id: str
     label: str
     groups: tuple[str, ...]
@@ -133,23 +140,20 @@ class AttributeDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class AggregationDecl:
+class AggregationDecl(NamedTuple):
     left: str
     right: str
     product: str
     span: Span
 
 
-@dataclass(frozen=True)
-class GranularityDecl:
+class GranularityDecl(NamedTuple):
     id: str
     description: str
     span: Span
 
 
-@dataclass(frozen=True)
-class TaskDecl:
+class TaskDecl(NamedTuple):
     id: str
     label: str
     reads: str
@@ -157,8 +161,7 @@ class TaskDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class PurposeDecl:
+class PurposeDecl(NamedTuple):
     id: str
     label: str
     tasks: tuple[str, ...]
@@ -166,43 +169,25 @@ class PurposeDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class RolePurposeDecl:
+class RolePurposeDecl(NamedTuple):
     role: str
     purpose: str
     condition: Optional[ConditionExpr]
     span: Span
 
 
-@dataclass(frozen=True)
-class PurposeTaskConditionDecl:
+class PurposeTaskConditionDecl(NamedTuple):
     purpose: str
     task: str
     condition: ConditionExpr
     span: Span
 
 
-@dataclass(frozen=True)
-class PurposeGroupDecl:
+class PurposeGroupDecl(NamedTuple):
     purpose: str
     group: str
     condition: Optional[ConditionExpr]
     span: Span
-
-
-Decl = Union[
-    RoleDecl,
-    RoleEdgeDecl,
-    GroupDecl,
-    AttributeDecl,
-    AggregationDecl,
-    GranularityDecl,
-    TaskDecl,
-    PurposeDecl,
-    RolePurposeDecl,
-    PurposeTaskConditionDecl,
-    PurposeGroupDecl,
-]
 
 
 @dataclass(frozen=True)
@@ -210,22 +195,8 @@ class Declarations:
     """Parsed policy file: name plus section entries in source order."""
 
     name: str
-    entries: tuple[Decl, ...]
+    entries: tuple[tuple, ...]  # declaration records such as RoleDecl
 
-
-SECTION_NAMES = (
-    "roles",
-    "role_hierarchy",
-    "groups",
-    "attributes",
-    "aggregations",
-    "granularities",
-    "tasks",
-    "purposes",
-    "role_purpose",
-    "purpose_task_conditions",
-    "purpose_group",
-)
 
 # The whitespace before a token, then one token, comment or stray character.
 # Each match starts where the last one ended (only trailing whitespace is
@@ -360,17 +331,19 @@ def parse_policy(text: str) -> Declarations:
     parser = _Parser(_lex(text))
     parser.expect_keyword("policy")
     name = parser.expect("string")[1]
-    entries: list[Decl] = []
+    entries: list[tuple] = []
     while True:
         token = parser.peek()
         if token[0] == "eof":
             break
-        if token[1] not in SECTION_NAMES or token[0] != "ident":
+        section = _SECTION_BY_KEYWORD.get(token[1])
+        if section is None or token[0] != "ident":
             raise _unexpected(token, "a section name")
-        parse_entry = _SECTION_PARSERS[parser.next()[1]]
+        parser.next()
         parser.expect("{")
+        parse, record = section.parse, section.record
         while not parser.at_punct("}"):
-            entries.append(parse_entry(parser))
+            entries.append(parse(parser, record))
         parser.expect("}")
     return Declarations(name, tuple(entries))
 
@@ -387,28 +360,16 @@ def _parse_head(parser: _Parser) -> tuple[tuple, tuple]:
     return ident, parser.expect("string")
 
 
-def _parse_named_decl(parser: _Parser, cls):
+def _parse_named(parser: _Parser, record: type) -> tuple:
     ident, label = _parse_head(parser)
-    return cls(ident[1], label[1], _span_between(ident, label))
+    return record(ident[1], label[1], _span_between(ident, label))
 
 
-def _parse_role(parser: _Parser) -> RoleDecl:
-    return _parse_named_decl(parser, RoleDecl)
-
-
-def _parse_group(parser: _Parser) -> GroupDecl:
-    return _parse_named_decl(parser, GroupDecl)
-
-
-def _parse_granularity(parser: _Parser) -> GranularityDecl:
-    return _parse_named_decl(parser, GranularityDecl)
-
-
-def _parse_role_edge(parser: _Parser) -> RoleEdgeDecl:
+def _parse_role_edge(parser: _Parser, record: type) -> tuple:
     superior = parser.expect("ident")
     parser.expect("->")
     inferior = parser.expect("ident")
-    return RoleEdgeDecl(superior[1], inferior[1], _span_between(superior, inferior))
+    return record(superior[1], inferior[1], _span_between(superior, inferior))
 
 
 def _parse_id_list(parser: _Parser, close: str) -> tuple[tuple[str, ...], tuple]:
@@ -420,7 +381,7 @@ def _parse_id_list(parser: _Parser, close: str) -> tuple[tuple[str, ...], tuple]
     return tuple(members), parser.expect(close)
 
 
-def _parse_attribute(parser: _Parser) -> AttributeDecl:
+def _parse_attribute(parser: _Parser, record: type) -> tuple:
     ident, end = _parse_head(parser)
     label = end[1]
     groups: tuple[str, ...] = ()
@@ -438,10 +399,10 @@ def _parse_attribute(parser: _Parser) -> AttributeDecl:
         if end[1] not in ("yes", "no"):
             raise _unexpected(end, "'yes' or 'no'")
         collected = end[1] == "yes"
-    return AttributeDecl(ident[1], label, groups, collected, _span_between(ident, end))
+    return record(ident[1], label, groups, collected, _span_between(ident, end))
 
 
-def _parse_aggregation(parser: _Parser) -> AggregationDecl:
+def _parse_aggregation(parser: _Parser, record: type) -> tuple:
     start = parser.expect("(")
     left = parser.expect("ident")
     parser.expect(",")
@@ -449,10 +410,10 @@ def _parse_aggregation(parser: _Parser) -> AggregationDecl:
     parser.expect(")")
     parser.expect("->")
     product = parser.expect("ident")
-    return AggregationDecl(left[1], right[1], product[1], _span_between(start, product))
+    return record(left[1], right[1], product[1], _span_between(start, product))
 
 
-def _parse_task(parser: _Parser) -> TaskDecl:
+def _parse_task(parser: _Parser, record: type) -> tuple:
     ident, label = _parse_head(parser)
     parser.expect_keyword("reads")
     end = parser.expect("ident")
@@ -462,10 +423,10 @@ def _parse_task(parser: _Parser) -> TaskDecl:
         parser.next()
         end = parser.next()
         via = end[1]
-    return TaskDecl(ident[1], label[1], reads, via, _span_between(ident, end))
+    return record(ident[1], label[1], reads, via, _span_between(ident, end))
 
 
-def _parse_purpose(parser: _Parser) -> PurposeDecl:
+def _parse_purpose(parser: _Parser, record: type) -> tuple:
     ident, end = _parse_head(parser)
     label = end[1]
     tasks: tuple[str, ...] = ()
@@ -479,7 +440,7 @@ def _parse_purpose(parser: _Parser) -> PurposeDecl:
     if parser.at_keyword("universal") and not parser.at_punct(":", 1):
         end = parser.next()
         universal = True
-    return PurposeDecl(ident[1], label, tasks, universal, _span_between(ident, end))
+    return record(ident[1], label, tasks, universal, _span_between(ident, end))
 
 
 def _parse_condition_string(parser: _Parser) -> tuple[ConditionExpr, tuple]:
@@ -503,63 +464,103 @@ def _parse_optional_condition(parser: _Parser, end: tuple):
     return None, end
 
 
-def _parse_role_purpose(parser: _Parser) -> RolePurposeDecl:
+def _parse_role_purpose(parser: _Parser, record: type) -> tuple:
     role = parser.expect("ident")
     parser.expect_keyword("allowed")
     purpose = parser.expect("ident")
     condition, end = _parse_optional_condition(parser, purpose)
-    return RolePurposeDecl(role[1], purpose[1], condition, _span_between(role, end))
+    return record(role[1], purpose[1], condition, _span_between(role, end))
 
 
-def _parse_purpose_task_condition(parser: _Parser) -> PurposeTaskConditionDecl:
+def _parse_purpose_task_condition(parser: _Parser, record: type) -> tuple:
     purpose = parser.expect("ident")
     parser.expect_keyword("task")
     task = parser.expect("ident")
     parser.expect_keyword("when")
     condition, end = _parse_condition_string(parser)
-    return PurposeTaskConditionDecl(purpose[1], task[1], condition, _span_between(purpose, end))
+    return record(purpose[1], task[1], condition, _span_between(purpose, end))
 
 
-def _parse_purpose_group(parser: _Parser) -> PurposeGroupDecl:
+def _parse_purpose_group(parser: _Parser, record: type) -> tuple:
     purpose = parser.expect("ident")
     parser.expect_keyword("allowed")
     parser.expect_keyword("group")
     group = parser.expect("ident")
     condition, end = _parse_optional_condition(parser, group)
-    return PurposeGroupDecl(purpose[1], group[1], condition, _span_between(purpose, end))
+    return record(purpose[1], group[1], condition, _span_between(purpose, end))
 
 
-_SECTION_PARSERS = {
-    "roles": _parse_role,
-    "role_hierarchy": _parse_role_edge,
-    "groups": _parse_group,
-    "attributes": _parse_attribute,
-    "aggregations": _parse_aggregation,
-    "granularities": _parse_granularity,
-    "tasks": _parse_task,
-    "purposes": _parse_purpose,
-    "role_purpose": _parse_role_purpose,
-    "purpose_task_conditions": _parse_purpose_task_condition,
-    "purpose_group": _parse_purpose_group,
-}
+def _quote(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
 
 
-# The PolicyModel field each kind of declaration lowers into, and the entry
-# it becomes.  Attributes merge by id, so `lower` builds those itself.
-_ENTRIES = {
-    RoleDecl: ("roles", lambda d: Role(d.id, d.label)),
-    RoleEdgeDecl: ("role_edges", lambda d: RoleEdge(d.superior, d.inferior)),
-    GroupDecl: ("groups", lambda d: AttributeGroup(d.id, d.label)),
-    AggregationDecl: ("aggregations", lambda d: Aggregation(d.left, d.right, d.product)),
-    GranularityDecl: ("granularities", lambda d: GranularityFn(d.id, d.description)),
-    TaskDecl: ("tasks", lambda d: Task(d.id, d.label, d.reads, d.via)),
-    PurposeDecl: ("purposes", lambda d: Purpose(d.id, d.label, d.tasks, d.universal)),
-    RolePurposeDecl: ("rp_grants", lambda d: RolePurposeGrant(d.role, d.purpose, d.condition)),
-    PurposeTaskConditionDecl: (
-        "pt_conditions", lambda d: PurposeTaskCondition(d.purpose, d.task, d.condition)
-    ),
-    PurposeGroupDecl: ("pg_grants", lambda d: PurposeGroupGrant(d.purpose, d.group, d.condition)),
-}
+def _when(condition: Optional[ConditionExpr]) -> str:
+    return "" if condition is None else f" when {_quote(render_condition(condition))}"
+
+
+def _write_attribute(attr: Attribute) -> tuple[str, ...]:
+    row = f"{attr.id}: {_quote(attr.label)}"
+    if attr.groups:
+        row += f" groups ({', '.join(sorted(attr.groups))})"
+    if attr.collected_conflict:
+        return (row + " collected = yes", f"{attr.id}: {_quote(attr.label)} collected = no")
+    if attr.collected is not None:
+        row += f" collected = {'yes' if attr.collected else 'no'}"
+    return (row,)
+
+
+def _write_task(task: Task) -> tuple[str, ...]:
+    via = "" if task.via is None else f" via {task.via}"
+    return (f"{task.id}: {_quote(task.label)} reads {task.reads}{via}",)
+
+
+def _write_purpose(purpose: Purpose) -> tuple[str, ...]:
+    row = f"{purpose.id}: {_quote(purpose.label)}"
+    if purpose.tasks:
+        row += f" = [{', '.join(purpose.tasks)}]"
+    if purpose.universal:
+        row += " universal"
+    return (row,)
+
+
+class _Section(NamedTuple):
+    keyword: str  # the section's name in a policy file
+    field: str  # the PolicyModel field its entries lower into
+    record: type  # its declaration record
+    parse: Callable[[_Parser, type], tuple]  # reads one declaration as a `record`
+    entity: type  # the model entry a declaration becomes
+    write: Callable[[Any], tuple[str, ...]]  # an entry's canonical row(s)
+
+
+# Every section, in grammar order, which is also the order of PolicyModel's
+# fields and of `serialize`'s output.
+_SECTIONS = (
+    _Section("roles", "roles", RoleDecl, _parse_named, Role,
+             lambda r: (f"{r.id}: {_quote(r.label)}",)),
+    _Section("role_hierarchy", "role_edges", RoleEdgeDecl, _parse_role_edge, RoleEdge,
+             lambda e: (f"{e.superior} -> {e.inferior}",)),
+    _Section("groups", "groups", GroupDecl, _parse_named, AttributeGroup,
+             lambda g: (f"{g.id}: {_quote(g.label)}",)),
+    _Section("attributes", "attributes", AttributeDecl, _parse_attribute, Attribute,
+             _write_attribute),
+    _Section("aggregations", "aggregations", AggregationDecl, _parse_aggregation, Aggregation,
+             lambda a: (f"({a.left}, {a.right}) -> {a.product}",)),
+    _Section("granularities", "granularities", GranularityDecl, _parse_named, GranularityFn,
+             lambda g: (f"{g.id}: {_quote(g.description)}",)),
+    _Section("tasks", "tasks", TaskDecl, _parse_task, Task, _write_task),
+    _Section("purposes", "purposes", PurposeDecl, _parse_purpose, Purpose, _write_purpose),
+    _Section("role_purpose", "rp_grants", RolePurposeDecl, _parse_role_purpose,
+             RolePurposeGrant, lambda g: (f"{g.role} allowed {g.purpose}{_when(g.condition)}",)),
+    _Section("purpose_task_conditions", "pt_conditions", PurposeTaskConditionDecl,
+             _parse_purpose_task_condition, PurposeTaskCondition,
+             lambda c: (f"{c.purpose} task {c.task}{_when(c.condition)}",)),
+    _Section("purpose_group", "pg_grants", PurposeGroupDecl, _parse_purpose_group,
+             PurposeGroupGrant,
+             lambda g: (f"{g.purpose} allowed group {g.group}{_when(g.condition)}",)),
+)
+_SECTION_BY_KEYWORD = {section.keyword: section for section in _SECTIONS}
+_SECTION_BY_RECORD = {section.record: section for section in _SECTIONS}
 
 
 def lower(decls: Declarations) -> PolicyModel:
@@ -572,18 +573,17 @@ def lower(decls: Declarations) -> PolicyModel:
     problems are raised together as LoweringError, ordered by rule and then
     by source position.
     """
-    entries: dict[str, list] = {name: [] for name, _ in _ENTRIES.values()}
-    spans: dict[str, list[Span]] = {name: [] for name in entries}
-    attributes: list[Attribute] = []
-    spans["attributes"] = []
+    entries: dict[str, list] = {section.field: [] for section in _SECTIONS}
+    spans: dict[str, list[Span]] = {section.field: [] for section in _SECTIONS}
+    attributes: list[Attribute] = entries["attributes"]
     attr_index: dict[str, int] = {}
     problems: list[tuple[str, Span, str]] = []
 
     for decl in decls.entries:
-        if not isinstance(decl, AttributeDecl):
-            name, entry = _ENTRIES[type(decl)]
-            entries[name].append(entry(decl))
-            spans[name].append(decl.span)
+        if type(decl) is not AttributeDecl:
+            section = _SECTION_BY_RECORD[type(decl)]
+            entries[section.field].append(section.entity(*decl[:-1]))
+            spans[section.field].append(decl.span)
         elif decl.id not in attr_index:
             attr_index[decl.id] = len(attributes)
             spans["attributes"].append(decl.span)
@@ -632,11 +632,6 @@ def lower(decls: Declarations) -> PolicyModel:
     return model
 
 
-def _quote(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
-
-
 def serialize(model: PolicyModel) -> str:
     """Canonical text form of a valid model.
 
@@ -645,85 +640,8 @@ def serialize(model: PolicyModel) -> str:
     is written as two declarations so it survives a round trip.
     """
     lines: list[str] = [f"policy {_quote(model.name)}"]
-
-    def section(name: str, rows: list[str]) -> None:
-        if not rows:
-            return
-        lines.append("")
-        lines.append(f"{name} {{")
-        lines.extend(f"  {row}" for row in rows)
-        lines.append("}")
-
-    section("roles", [f"{r.id}: {_quote(r.label)}" for r in model.roles])
-    section(
-        "role_hierarchy",
-        [f"{e.superior} -> {e.inferior}" for e in model.role_edges],
-    )
-    section("groups", [f"{g.id}: {_quote(g.label)}" for g in model.groups])
-
-    attr_rows: list[str] = []
-    for attr in model.attributes:
-        row = f"{attr.id}: {_quote(attr.label)}"
-        if attr.groups:
-            row += f" groups ({', '.join(sorted(attr.groups))})"
-        if attr.collected_conflict:
-            attr_rows.append(row + " collected = yes")
-            attr_rows.append(f"{attr.id}: {_quote(attr.label)} collected = no")
-            continue
-        if attr.collected is not None:
-            row += f" collected = {'yes' if attr.collected else 'no'}"
-        attr_rows.append(row)
-    section("attributes", attr_rows)
-
-    section(
-        "aggregations",
-        [f"({a.left}, {a.right}) -> {a.product}" for a in model.aggregations],
-    )
-    section(
-        "granularities",
-        [f"{g.id}: {_quote(g.description)}" for g in model.granularities],
-    )
-
-    task_rows: list[str] = []
-    for task in model.tasks:
-        row = f"{task.id}: {_quote(task.label)} reads {task.reads}"
-        if task.via is not None:
-            row += f" via {task.via}"
-        task_rows.append(row)
-    section("tasks", task_rows)
-
-    purpose_rows: list[str] = []
-    for purpose in model.purposes:
-        row = f"{purpose.id}: {_quote(purpose.label)}"
-        if purpose.tasks:
-            row += f" = [{', '.join(purpose.tasks)}]"
-        if purpose.universal:
-            row += " universal"
-        purpose_rows.append(row)
-    section("purposes", purpose_rows)
-
-    rp_rows: list[str] = []
-    for grant in model.rp_grants:
-        row = f"{grant.role} allowed {grant.purpose}"
-        if grant.condition is not None:
-            row += f" when {_quote(render_condition(grant.condition))}"
-        rp_rows.append(row)
-    section("role_purpose", rp_rows)
-
-    section(
-        "purpose_task_conditions",
-        [
-            f"{c.purpose} task {c.task} when {_quote(render_condition(c.condition))}"
-            for c in model.pt_conditions
-        ],
-    )
-
-    pg_rows: list[str] = []
-    for grant in model.pg_grants:
-        row = f"{grant.purpose} allowed group {grant.group}"
-        if grant.condition is not None:
-            row += f" when {_quote(render_condition(grant.condition))}"
-        pg_rows.append(row)
-    section("purpose_group", pg_rows)
-
+    for section in _SECTIONS:
+        rows = [row for entry in getattr(model, section.field) for row in section.write(entry)]
+        if rows:
+            lines += ["", f"{section.keyword} {{", *[f"  {row}" for row in rows], "}"]
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
-from .model import InvalidModelError, PolicyModel
+from .model import PolicyModel, require_valid
 
 SEVERITIES = ("error", "warning", "info")
 
@@ -227,11 +227,7 @@ def run_lints(model: PolicyModel, config: Optional[LintConfig] = None) -> list[F
     Raises InvalidModelError when the model does not pass validation: lint
     semantics assume resolvable references.
     """
-    problems = model.validation_errors
-    if problems:
-        raise InvalidModelError(
-            f"model has {len(problems)} validation error(s); lint requires a valid model"
-        )
+    require_valid(model, "lint")
     config = config or LintConfig()
     findings: list[Finding] = []
     for rule in RULES:

@@ -493,6 +493,15 @@ def validate(model: PolicyModel) -> list[ValidationError]:
     return errors
 
 
+def require_valid(model: PolicyModel, operation: str) -> None:
+    """Raise InvalidModelError, naming `operation`, unless the model is valid."""
+    problems = model.validation_errors
+    if problems:
+        raise InvalidModelError(
+            f"model has {len(problems)} validation error(s); {operation} requires a valid model"
+        )
+
+
 def _first_sites(sccs: list[list[str]], sites: list[tuple[str, ...]]) -> list[int]:
     """For each SCC, the index of the first site whose nodes all lie in it."""
     scc_of = {node: k for k, scc in enumerate(sccs) for node in scc}

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conditions import render_condition
-from .model import InvalidModelError, PolicyModel
+from .model import PolicyModel, require_valid
 
 COMPONENT_LAYERS = ("roles", "purposes", "attributes")
 CONNECTION_LAYERS = ("role-purpose", "purpose-attribute")
@@ -71,17 +71,9 @@ def _legend_label(title: str, entries: list[tuple[str, str]], show: bool) -> str
     return "\\l".join(_dot_escape(part) for part in parts) + "\\l"
 
 
-def _require_valid(model: PolicyModel) -> None:
-    problems = model.validation_errors
-    if problems:
-        raise InvalidModelError(
-            f"model has {len(problems)} validation error(s); rendering requires a valid model"
-        )
-
-
 def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> str:
     """DOT text for the selected layers of a valid model."""
-    _require_valid(model)
+    require_valid(model, "rendering")
     layers = _selected_layers(options)
     lines: list[str] = [f'digraph "{_dot_escape(model.name)}" {{']
 
@@ -175,6 +167,14 @@ def _attribute_cluster(
     return lines
 
 
+def _conditions_by_task(model: PolicyModel) -> dict[str, list[str]]:
+    """Each task's "purpose: condition" texts, sorted."""
+    by_task: dict[str, list[str]] = {}
+    for c in model.pt_conditions:
+        by_task.setdefault(c.task, []).append(f"{c.purpose}: {render_condition(c.condition)}")
+    return {task: sorted(texts) for task, texts in by_task.items()}
+
+
 def _edges(model: PolicyModel, layers: frozenset[str]) -> list[str]:
     lines: list[str] = []
 
@@ -209,13 +209,9 @@ def _edges(model: PolicyModel, layers: frozenset[str]) -> list[str]:
             lines.append(f'  "role:{grant.role}" -> "purpose:{grant.purpose}" [{attrs}];')
 
     if "purpose-attribute" in layers:
-        conditions: dict[str, list[str]] = {}
-        for c in model.pt_conditions:
-            conditions.setdefault(c.task, []).append(
-                f"{c.purpose}: {render_condition(c.condition)}"
-            )
+        conditions = _conditions_by_task(model)
         for task in sorted(model.tasks, key=lambda t: t.id):
-            parts = sorted(conditions.get(task.id, []))
+            parts = list(conditions.get(task.id, ()))
             if task.via is not None:
                 parts.append(model.granularity(task.via).description)
             attrs = "style=dashed"
@@ -233,7 +229,7 @@ def _edges(model: PolicyModel, layers: frozenset[str]) -> list[str]:
 
 def emit_tables(model: PolicyModel) -> str:
     """Tab-separated report: eight blocks, header row then data rows."""
-    _require_valid(model)
+    require_valid(model, "rendering")
     blocks: list[str] = []
 
     def block(title: str, header: list[str], rows: list[list[str]]) -> None:
@@ -296,11 +292,7 @@ def emit_tables(model: PolicyModel) -> str:
         ],
     )
 
-    pt_by_task: dict[str, list[str]] = {}
-    for c in model.pt_conditions:
-        pt_by_task.setdefault(c.task, []).append(
-            f"{c.purpose}: {render_condition(c.condition)}"
-        )
+    conditions = _conditions_by_task(model)
     block(
         "task bindings",
         ["task", "attribute", "condition", "granularity"],
@@ -308,7 +300,7 @@ def emit_tables(model: PolicyModel) -> str:
             [
                 t.id,
                 t.reads,
-                "; ".join(sorted(pt_by_task.get(t.id, []))),
+                "; ".join(conditions.get(t.id, ())),
                 model.granularity(t.via).description if t.via is not None else "",
             ]
             for t in model.tasks

@@ -47,6 +47,28 @@ def test_check_non_utf8_file_is_a_usage_error(tmp_path, capsys):
     assert proc.returncode == 4 and b"Traceback" not in proc.stderr
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.pppm", tmp_path / "bom.pppm"
+    text = (FIXTURES / "imaginary_shop.pppm").read_bytes()
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert run_cli("check", str(marked)) == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli("render", str(plain)) == 0
+    expected = capsys.readouterr().out
+    assert run_cli("render", str(marked)) == 0
+    assert capsys.readouterr().out == expected
+    # A parse error keeps its column on the first line.
+    plain.write_bytes(b"policy x\n")
+    marked.write_bytes(b"\xef\xbb\xbfpolicy x\n")
+    assert run_cli("check", str(plain)) == 3
+    expected = capsys.readouterr().err
+    assert run_cli("check", str(marked)) == 3
+    err = capsys.readouterr().err
+    assert expected == f"{plain}:1:8: found 'x' (expected a string)\n"
+    assert err == expected.replace(str(plain), str(marked))
+
+
 def test_check_unparsable_file(tmp_path, capsys):
     bad = tmp_path / "bad.pppm"
     bad.write_text("this is not a policy\n", encoding="utf-8")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pppm import dsl
 from pppm.conditions import Chain, ConditionExpr, Var
 from pppm.dsl import (
     LoweringError,
@@ -68,6 +70,24 @@ def test_parse_and_lower_full_example():
     assert grant.condition == ConditionExpr((Chain((Var("age"), 18), (">",)),))
     assert model.pt_conditions[0].condition.chains[0].operands[1] == "gold"
     assert model.pg_grants[0].group == "g1"
+
+
+def test_the_section_table_describes_each_section_once():
+    sections = dsl._SECTIONS
+    # One row per tuple field of PolicyModel, in field order.
+    assert [s.field for s in sections] == [f.name for f in fields(PolicyModel)][1:]
+    assert len({s.keyword for s in sections}) == len({s.record for s in sections}) == 11
+    for section in sections:
+        leading = [f.name for f in fields(section.entity)][: len(section.record._fields) - 1]
+        assert section.record._fields == (*leading, "span"), section.keyword
+    # MINI uses every section: each yields its record and its entity, and
+    # serialize writes the sections in table order.
+    model = load_policy(MINI)
+    assert {type(d) for d in parse_policy(MINI).entries} == {s.record for s in sections}
+    for section in sections:
+        assert {type(e) for e in getattr(model, section.field)} == {section.entity}
+    headers = [line[:-2] for line in serialize(model).split("\n") if line.endswith(" {")]
+    assert headers == [s.keyword for s in sections]
 
 
 def test_sections_may_repeat_and_interleave():

@@ -53,12 +53,15 @@ def test_a_pass_validates_the_model_once(monkeypatch, shop_text):
 def test_invalid_model_is_rejected_on_every_call():
     broken = PolicyModel("x", rp_grants=(RolePurposeGrant("r9", "p9"),))
     for _ in range(2):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError) as info:
             run_lints(broken)
-        with pytest.raises(InvalidModelError):
-            emit_graph(broken)
-        with pytest.raises(InvalidModelError):
-            emit_tables(broken)
+        assert str(info.value) == "model has 2 validation error(s); lint requires a valid model"
+        for emit in (emit_graph, emit_tables):
+            with pytest.raises(InvalidModelError) as info:
+                emit(broken)
+            assert str(info.value) == (
+                "model has 2 validation error(s); rendering requires a valid model"
+            )
 
 
 def test_validate_returns_a_fresh_list(baby_model):

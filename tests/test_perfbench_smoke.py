@@ -4,7 +4,9 @@ No timing is asserted.  One author pass at the smallest setting compares
 every output with the digests in perfbench/expected.json, so it also gates
 byte-identical findings, DOT, tables and serialized text.  One second of the
 serve workload checks 200 of its `can_access` decisions on a generated
-n=2000 policy against the brute-force oracle.
+n=2000 policy against the brute-force oracle.  One second of the cli
+workload runs every `pppm` command as a subprocess on both fixtures and
+checks each exit code and stdout digest.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ def test_author_workload_runs_and_checks_its_outputs():
 
 def test_serve_workload_checks_its_decisions_against_the_oracle():
     result = _run("serve", "1")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+
+
+def test_cli_workload_checks_every_command_against_its_digest():
+    result = _run("cli", "1")
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
