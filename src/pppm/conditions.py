@@ -279,8 +279,13 @@ def _render_operand(operand: Operand) -> str:
         return f"{operand:.{places}f}" + ("" if places else ".0")
     if isinstance(operand, (int, TimeOfDay)):
         return str(operand)
-    escaped = operand.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return f'"{escape_string(operand)}"'
+
+
+def escape_string(text: str) -> str:
+    """`text` with backslashes and double quotes backslash-escaped: the body
+    of a double-quoted string in a condition, a policy file or DOT."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def evaluate(expr: ConditionExpr, ctx: EvalContext) -> TriBool:

@@ -58,6 +58,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from .conditions import (
     ConditionError,
     ConditionExpr,
+    escape_string,
     parse_condition,
     render_condition,
 )
@@ -491,8 +492,7 @@ def _parse_purpose_group(parser: _Parser, record: type) -> tuple:
 
 
 def _quote(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return f'"{escape_string(text)}"'
 
 
 def _when(condition: Optional[ConditionExpr]) -> str:

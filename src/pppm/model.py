@@ -9,9 +9,13 @@ and purpose-group grants.
 Models are immutable after construction and safe to share across threads.
 Lookup caches, the access index and the per-role closure memo are filled
 lazily on first use; sharing them stays safe because every fill is
-idempotent, so threads that race store equal values.  `validate` checks every
-structural invariant and returns a report instead of raising, so callers can
-show all problems at once.
+idempotent, so threads that race store equal values.  The six `*_by_id` maps
+resolve a duplicated id to its first declaration.
+
+`validate` checks every structural invariant and returns a report instead of
+raising, so callers can show all problems at once.  Each reference rule is a
+row of `_REFERENCES`, checked against the id maps, and each uniqueness rule a
+row of `_KEYS`; one loop walks each table.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from operator import attrgetter
+from typing import Container, Iterator, NamedTuple, Optional
 
 from .conditions import ConditionExpr
 
@@ -134,27 +139,27 @@ class PolicyModel:
     # Lookup caches live in __dict__ and do not take part in equality.
     @cached_property
     def roles_by_id(self) -> dict[str, Role]:
-        return {r.id: r for r in self.roles}
+        return _first_by_id(self.roles)
 
     @cached_property
     def groups_by_id(self) -> dict[str, AttributeGroup]:
-        return {g.id: g for g in self.groups}
+        return _first_by_id(self.groups)
 
     @cached_property
     def attributes_by_id(self) -> dict[str, Attribute]:
-        return {a.id: a for a in self.attributes}
+        return _first_by_id(self.attributes)
 
     @cached_property
     def granularities_by_id(self) -> dict[str, GranularityFn]:
-        return {g.id: g for g in self.granularities}
+        return _first_by_id(self.granularities)
 
     @cached_property
     def tasks_by_id(self) -> dict[str, Task]:
-        return {t.id: t for t in self.tasks}
+        return _first_by_id(self.tasks)
 
     @cached_property
     def purposes_by_id(self) -> dict[str, Purpose]:
-        return {p.id: p for p in self.purposes}
+        return _first_by_id(self.purposes)
 
     @cached_property
     def members_by_group(self) -> dict[str, tuple[str, ...]]:
@@ -296,6 +301,14 @@ class RoleClosure(NamedTuple):
         return tuple(reversed(chain))
 
 
+def _first_by_id(entities: tuple) -> dict:
+    """Each id's first declaration, in declaration order."""
+    by_id: dict = {}
+    for entity in entities:
+        by_id.setdefault(entity.id, entity)
+    return by_id
+
+
 def _lookup(table, key: str, kind: str):
     try:
         return table[key]
@@ -318,6 +331,63 @@ class ValidationError:
     where: tuple[str, int] = field(compare=False)
 
 
+# How a report names an entry; the entries of other fields are named by id.
+_SUBJECTS = {
+    "role_edges": "{e.superior}->{e.inferior}",
+    "aggregations": "({e.left},{e.right})->{e.product}",
+    "rp_grants": "{e.role}:{e.purpose}",
+    "pt_conditions": "{e.purpose}:{e.task}",
+    "pg_grants": "{e.purpose}:{e.group}",
+}
+
+_ID = attrgetter("id")
+
+# (rule, field, key, message): an entry whose key an earlier entry of the
+# field already has is reported.
+_KEYS = (
+    ("duplicate-id", "roles", _ID, "duplicate role id {e.id!r}"),
+    ("duplicate-id", "groups", _ID, "duplicate group id {e.id!r}"),
+    ("duplicate-id", "attributes", _ID, "duplicate attribute id {e.id!r}"),
+    ("duplicate-id", "granularities", _ID, "duplicate granularity function id {e.id!r}"),
+    ("duplicate-id", "tasks", _ID, "duplicate task id {e.id!r}"),
+    ("duplicate-id", "purposes", _ID, "duplicate purpose id {e.id!r}"),
+    ("duplicate-role-edge", "role_edges", attrgetter("superior", "inferior"),
+     "duplicate role edge {e.superior} -> {e.inferior}"),
+    ("duplicate-grant", "rp_grants", attrgetter("role", "purpose"),
+     "role {e.role!r} is granted purpose {e.purpose!r} more than once"),
+    ("duplicate-task-condition", "pt_conditions", attrgetter("purpose", "task"),
+     "purpose {e.purpose!r} conditions task {e.task!r} more than once"),
+    ("duplicate-group-grant", "pg_grants", attrgetter("purpose", "group"),
+     "purpose {e.purpose!r} is granted group {e.group!r} more than once"),
+)
+
+# (field, id map of the kind referred to, the ids an entry names, message):
+# each named id missing from the map is an `unknown-id` report.
+_REFERENCES = (
+    ("role_edges", "roles_by_id", attrgetter("superior", "inferior"),
+     "unknown role {ref!r} in role_hierarchy"),
+    ("attributes", "groups_by_id", attrgetter("groups"),
+     "attribute {e.id!r} references unknown group {ref!r}"),
+    ("aggregations", "attributes_by_id", attrgetter("left", "right", "product"),
+     "unknown attribute {ref!r} in aggregation"),
+    ("tasks", "attributes_by_id", lambda t: (t.reads,),
+     "task {e.id!r} reads unknown attribute {ref!r}"),
+    ("tasks", "granularities_by_id", lambda t: () if t.via is None else (t.via,),
+     "task {e.id!r} uses unknown granularity function {ref!r}"),
+    ("purposes", "tasks_by_id", attrgetter("tasks"), "purpose {e.id!r} lists unknown task {ref!r}"),
+    ("rp_grants", "roles_by_id", lambda g: (g.role,), "unknown role {ref!r} in role_purpose"),
+    ("rp_grants", "purposes_by_id", lambda g: (g.purpose,),
+     "unknown purpose {ref!r} in role_purpose"),
+    ("pt_conditions", "purposes_by_id", lambda c: (c.purpose,),
+     "unknown purpose {ref!r} in purpose_task_conditions"),
+    ("pt_conditions", "tasks_by_id", lambda c: (c.task,),
+     "unknown task {ref!r} in purpose_task_conditions"),
+    ("pg_grants", "purposes_by_id", lambda g: (g.purpose,),
+     "unknown purpose {ref!r} in purpose_group"),
+    ("pg_grants", "groups_by_id", lambda g: (g.group,), "unknown group {ref!r} in purpose_group"),
+)
+
+
 def validate(model: PolicyModel) -> list[ValidationError]:
     """Return every violated structural invariant; empty list iff valid.
 
@@ -329,165 +399,75 @@ def validate(model: PolicyModel) -> list[ValidationError]:
     """
     errors: list[ValidationError] = []
 
-    def err(rule: str, subject: str, message: str, where: tuple[str, int]) -> None:
-        errors.append(ValidationError(rule, subject, message, where))
+    def report(rule: str, name: str, i: int, message: str, ref: str = "") -> None:
+        entry = getattr(model, name)[i]
+        subject = _SUBJECTS.get(name, "{e.id}").format(e=entry)
+        errors.append(ValidationError(rule, subject, message.format(e=entry, ref=ref), (name, i)))
 
-    for kind, name, entities in (
-        ("role", "roles", model.roles),
-        ("group", "groups", model.groups),
-        ("attribute", "attributes", model.attributes),
-        ("granularity function", "granularities", model.granularities),
-        ("task", "tasks", model.tasks),
-        ("purpose", "purposes", model.purposes),
-    ):
-        seen: set[str] = set()
-        for i, entity in enumerate(entities):
-            if entity.id in seen:
-                err("duplicate-id", entity.id, f"duplicate {kind} id {entity.id!r}", (name, i))
-            seen.add(entity.id)
+    for rule, name, key, message in _KEYS:
+        seen: set = set()
+        for i, entry in enumerate(getattr(model, name)):
+            k = key(entry)
+            if k in seen:
+                report(rule, name, i, message)
+            seen.add(k)
 
-    role_ids = {r.id for r in model.roles}
-    group_ids = {g.id for g in model.groups}
-    attr_ids = {a.id for a in model.attributes}
-    gran_ids = {g.id for g in model.granularities}
-    task_ids = {t.id for t in model.tasks}
-    # Reversed, so that a duplicated purpose id maps to its first declaration.
-    purposes_by_id = {p.id: p for p in reversed(model.purposes)}
+    for name, by_id, ids, message in _REFERENCES:
+        known = getattr(model, by_id)
+        for i, entry in enumerate(getattr(model, name)):
+            for ref in ids(entry):
+                if ref not in known:
+                    report("unknown-id", name, i, message, ref)
 
     for i, role in enumerate(model.roles):
         if not role.label:
-            err("empty-label", role.id, f"role {role.id!r} has an empty label", ("roles", i))
+            report("empty-label", "roles", i, "role {e.id!r} has an empty label")
 
-    seen_edges: set[tuple[str, str]] = set()
     for i, edge in enumerate(model.role_edges):
-        subject = f"{edge.superior}->{edge.inferior}"
-        where = ("role_edges", i)
-        for endpoint in (edge.superior, edge.inferior):
-            if endpoint not in role_ids:
-                err("unknown-id", subject, f"unknown role {endpoint!r} in role_hierarchy", where)
         if edge.superior == edge.inferior:
-            err("role-self-edge", subject,
-                f"role {edge.superior!r} cannot be its own inferior", where)
-        if (edge.superior, edge.inferior) in seen_edges:
-            err("duplicate-role-edge", subject,
-                f"duplicate role edge {edge.superior} -> {edge.inferior}", where)
-        seen_edges.add((edge.superior, edge.inferior))
-
-    edge_sites = [(e.superior, e.inferior) if e.superior != e.inferior else () for e in model.role_edges]
-    role_sccs = _cycles(role_ids, [site for site in edge_sites if site])
-    for scc, i in zip(role_sccs, _first_sites(role_sccs, edge_sites)):
-        names = ", ".join(scc)
-        err("role-cycle", ",".join(scc), f"roles form a hierarchy cycle: {names}", ("role_edges", i))
-
-    for i, attribute in enumerate(model.attributes):
-        where = ("attributes", i)
-        for group_id in sorted(attribute.groups):
-            if group_id not in group_ids:
-                err("unknown-id", attribute.id,
-                    f"attribute {attribute.id!r} references unknown group {group_id!r}", where)
-        if attribute.collected_conflict and attribute.collected is not None:
-            err("collected-conflict-flag", attribute.id,
-                f"attribute {attribute.id!r} marks a collection conflict but also a definite flag",
-                where)
+            report("role-self-edge", "role_edges", i, "role {e.superior!r} cannot be its own inferior")
 
     products = {a.product for a in model.aggregations}
-    for i, aggregation in enumerate(model.aggregations):
-        subject = f"({aggregation.left},{aggregation.right})->{aggregation.product}"
-        where = ("aggregations", i)
-        for ref in (aggregation.left, aggregation.right, aggregation.product):
-            if ref not in attr_ids:
-                err("unknown-id", subject, f"unknown attribute {ref!r} in aggregation", where)
-        if aggregation.product in (aggregation.left, aggregation.right):
-            err("aggregation-self", subject,
-                f"aggregation product {aggregation.product!r} cannot be one of its sources", where)
-
-    agg_edges = [
-        (src, a.product)
-        for a in model.aggregations
-        for src in (a.left, a.right)
-        if src != a.product
-    ]
-    agg_sccs = _cycles(attr_ids | products, agg_edges)
-    product_sites = [(a.product,) for a in model.aggregations]
-    for scc, i in zip(agg_sccs, _first_sites(agg_sccs, product_sites)):
-        names = ", ".join(scc)
-        err("aggregation-cycle", ",".join(scc),
-            f"attributes form a derivation cycle: {names}", ("aggregations", i))
-
     for i, attribute in enumerate(model.attributes):
+        if attribute.collected_conflict and attribute.collected is not None:
+            report("collected-conflict-flag", "attributes", i,
+                   "attribute {e.id!r} marks a collection conflict but also a definite flag")
         if attribute.derived != (attribute.id in products):
-            err("derived-flag", attribute.id,
-                f"attribute {attribute.id!r} derived flag does not match the aggregations",
-                ("attributes", i))
+            report("derived-flag", "attributes", i,
+                   "attribute {e.id!r} derived flag does not match the aggregations")
 
-    for i, task in enumerate(model.tasks):
-        where = ("tasks", i)
-        if task.reads not in attr_ids:
-            err("unknown-id", task.id,
-                f"task {task.id!r} reads unknown attribute {task.reads!r}", where)
-        if task.via is not None and task.via not in gran_ids:
-            err("unknown-id", task.id,
-                f"task {task.id!r} uses unknown granularity function {task.via!r}", where)
+    for i, aggregation in enumerate(model.aggregations):
+        if aggregation.product in (aggregation.left, aggregation.right):
+            report("aggregation-self", "aggregations", i,
+                   "aggregation product {e.product!r} cannot be one of its sources")
+
+    edge_sites = [(e.superior, e.inferior) if e.superior != e.inferior else () for e in model.role_edges]
+    agg_edges = [(src, a.product) for a in model.aggregations for src in (a.left, a.right)
+                 if src != a.product]
+    for rule, name, nodes, edges, sites, message in (
+        ("role-cycle", "role_edges", model.roles_by_id, [site for site in edge_sites if site],
+         edge_sites, "roles form a hierarchy cycle: "),
+        ("aggregation-cycle", "aggregations", model.attributes_by_id.keys() | products, agg_edges,
+         [(a.product,) for a in model.aggregations], "attributes form a derivation cycle: "),
+    ):
+        sccs = _cycles(nodes, edges)
+        for scc, i in zip(sccs, _first_sites(sccs, sites)):
+            errors.append(ValidationError(rule, ",".join(scc), message + ", ".join(scc), (name, i)))
 
     for i, purpose in enumerate(model.purposes):
-        where = ("purposes", i)
         seen_tasks: set[str] = set()
         for task_id in purpose.tasks:
-            if task_id not in task_ids:
-                err("unknown-id", purpose.id,
-                    f"purpose {purpose.id!r} lists unknown task {task_id!r}", where)
             if task_id in seen_tasks:
-                err("duplicate-task-in-purpose", purpose.id,
-                    f"purpose {purpose.id!r} lists task {task_id!r} more than once", where)
+                report("duplicate-task-in-purpose", "purposes", i,
+                       "purpose {e.id!r} lists task {ref!r} more than once", task_id)
             seen_tasks.add(task_id)
 
-    seen_grants: set[tuple[str, str]] = set()
-    for i, grant in enumerate(model.rp_grants):
-        subject = f"{grant.role}:{grant.purpose}"
-        where = ("rp_grants", i)
-        if grant.role not in role_ids:
-            err("unknown-id", subject, f"unknown role {grant.role!r} in role_purpose", where)
-        if grant.purpose not in purposes_by_id:
-            err("unknown-id", subject,
-                f"unknown purpose {grant.purpose!r} in role_purpose", where)
-        if (grant.role, grant.purpose) in seen_grants:
-            err("duplicate-grant", subject,
-                f"role {grant.role!r} is granted purpose {grant.purpose!r} more than once", where)
-        seen_grants.add((grant.role, grant.purpose))
-
-    seen_ptc: set[tuple[str, str]] = set()
-    for i, ptc in enumerate(model.pt_conditions):
-        subject = f"{ptc.purpose}:{ptc.task}"
-        where = ("pt_conditions", i)
-        purpose = purposes_by_id.get(ptc.purpose)
-        if purpose is None:
-            err("unknown-id", subject,
-                f"unknown purpose {ptc.purpose!r} in purpose_task_conditions", where)
-        if ptc.task not in task_ids:
-            err("unknown-id", subject,
-                f"unknown task {ptc.task!r} in purpose_task_conditions", where)
-        elif purpose is not None and ptc.task not in purpose.tasks:
-            err("task-not-in-purpose", subject,
-                f"task {ptc.task!r} is not part of purpose {ptc.purpose!r}", where)
-        if (ptc.purpose, ptc.task) in seen_ptc:
-            err("duplicate-task-condition", subject,
-                f"purpose {ptc.purpose!r} conditions task {ptc.task!r} more than once", where)
-        seen_ptc.add((ptc.purpose, ptc.task))
-
-    seen_pg: set[tuple[str, str]] = set()
-    for i, grant in enumerate(model.pg_grants):
-        subject = f"{grant.purpose}:{grant.group}"
-        where = ("pg_grants", i)
-        if grant.purpose not in purposes_by_id:
-            err("unknown-id", subject,
-                f"unknown purpose {grant.purpose!r} in purpose_group", where)
-        if grant.group not in group_ids:
-            err("unknown-id", subject, f"unknown group {grant.group!r} in purpose_group", where)
-        if (grant.purpose, grant.group) in seen_pg:
-            err("duplicate-group-grant", subject,
-                f"purpose {grant.purpose!r} is granted group {grant.group!r} more than once",
-                where)
-        seen_pg.add((grant.purpose, grant.group))
+    for i, condition in enumerate(model.pt_conditions):
+        purpose = model.purposes_by_id.get(condition.purpose)
+        if purpose is not None and condition.task in model.tasks_by_id \
+                and condition.task not in purpose.tasks:
+            report("task-not-in-purpose", "pt_conditions", i,
+                   "task {e.task!r} is not part of purpose {e.purpose!r}")
 
     errors.sort(key=lambda e: (e.rule, e.subject, e.message))
     return errors
@@ -513,7 +493,7 @@ def _first_sites(sccs: list[list[str]], sites: list[tuple[str, ...]]) -> list[in
     return [first[k] for k in range(len(sccs))]
 
 
-def _cycles(nodes: set[str], edges: list[tuple[str, str]]) -> list[list[str]]:
+def _cycles(nodes: Container[str], edges: list[tuple[str, str]]) -> list[list[str]]:
     """Strongly connected components with more than one node, sorted.
 
     Self-edges are reported separately by the caller, so singleton SCCs are
@@ -527,48 +507,41 @@ def _cycles(nodes: set[str], edges: list[tuple[str, str]]) -> list[list[str]]:
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    counter = 0
     sccs: list[list[str]] = []
+    # (node, iterator over the children it has not yet looked at)
+    work: list[tuple[str, Iterator[str]]] = []
+
+    def visit(node: str) -> None:
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(adjacency.get(node, ()))))
 
     # A node without an outgoing edge is a singleton SCC, so only the
     # sources of edges start a search.
     for start in sorted(adjacency):
-        if start in index:
-            continue
-        work: list[tuple[str, int]] = [(start, 0)]
+        if start not in index:
+            visit(start)
         while work:
-            node, child_idx = work.pop()
-            if child_idx == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = adjacency.get(node, ())
-            for i in range(child_idx, len(children)):
-                child = children[i]
+            node, children = work[-1]
+            for child in children:
                 if child not in index:
-                    work.append((node, i + 1))
-                    work.append((child, 0))
-                    advanced = True
+                    visit(child)
                     break
                 if child in on_stack:
                     lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    sccs.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            else:
+                work.pop()
+                if lowlink[node] == index[node]:
+                    component = [stack.pop()]
+                    while component[-1] != node:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    if len(component) > 1:
+                        sccs.append(sorted(component))
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
     return sorted(sccs)
 
 

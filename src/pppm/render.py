@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conditions import render_condition
+from .conditions import escape_string, render_condition
 from .model import PolicyModel, require_valid
 
 COMPONENT_LAYERS = ("roles", "purposes", "attributes")
@@ -60,22 +60,18 @@ def _selected_layers(options: RenderOptions) -> frozenset[str]:
     return frozenset(selected)
 
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def _legend_label(title: str, entries: list[tuple[str, str]], show: bool) -> str:
     if not show or not entries:
-        return _dot_escape(title)
+        return escape_string(title)
     parts = [title] + [f"{eid} = {label}" for eid, label in entries]
-    return "\\l".join(_dot_escape(part) for part in parts) + "\\l"
+    return "\\l".join(escape_string(part) for part in parts) + "\\l"
 
 
 def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> str:
     """DOT text for the selected layers of a valid model."""
     require_valid(model, "rendering")
     layers = _selected_layers(options)
-    lines: list[str] = [f'digraph "{_dot_escape(model.name)}" {{']
+    lines: list[str] = [f'digraph "{escape_string(model.name)}" {{']
 
     if "roles" in layers:
         legend = _legend_label(
@@ -86,7 +82,7 @@ def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> 
         lines.append("  subgraph cluster_roles {")
         lines.append(f'    label="{legend}";')
         for role in sorted(model.roles, key=lambda r: r.id):
-            lines.append(f'    "role:{role.id}" [shape=ellipse, label="{_dot_escape(role.id)}"];')
+            lines.append(f'    "role:{role.id}" [shape=ellipse, label="{escape_string(role.id)}"];')
         lines.append("  }")
 
     if "purposes" in layers:
@@ -97,10 +93,10 @@ def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> 
         lines.append(f'    label="{legend}";')
         for purpose in sorted(model.purposes, key=lambda p: p.id):
             lines.append(
-                f'    "purpose:{purpose.id}" [shape=ellipse, label="{_dot_escape(purpose.id)}"];'
+                f'    "purpose:{purpose.id}" [shape=ellipse, label="{escape_string(purpose.id)}"];'
             )
         for task in sorted(model.tasks, key=lambda t: t.id):
-            lines.append(f'    "task:{task.id}" [shape=point, xlabel="{_dot_escape(task.id)}"];')
+            lines.append(f'    "task:{task.id}" [shape=point, xlabel="{escape_string(task.id)}"];')
         lines.append("  }")
 
     if "attributes" in layers:
@@ -127,10 +123,10 @@ def _attribute_cluster(
         extra = ""
         if tooltip_groups:
             tooltip = ", ".join(tooltip_groups)
-            extra = f', tooltip="{_dot_escape(tooltip)}"'
+            extra = f', tooltip="{escape_string(tooltip)}"'
         return (
             f'{indent}"attr:{attr.id}" [shape=ellipse, '
-            f'label="{_dot_escape(attr.id)}"{extra}];'
+            f'label="{escape_string(attr.id)}"{extra}];'
         )
 
     if options.cluster_groups:
@@ -144,11 +140,11 @@ def _attribute_cluster(
                 ungrouped.append(attr)
         for group_id in sorted(by_home.keys() | granted_groups):
             lines.append(f"    subgraph cluster_group_{group_id} {{")
-            lines.append(f'      label="{_dot_escape(group_id)}";')
+            lines.append(f'      label="{escape_string(group_id)}";')
             if group_id in granted_groups:
                 lines.append(
                     f'      "group:{group_id}" [shape=plaintext, '
-                    f'label="{_dot_escape(group_id)}"];'
+                    f'label="{escape_string(group_id)}"];'
                 )
             for attr in by_home.get(group_id, ()):
                 lines.append(node(attr, "      ", sorted(attr.groups - {group_id})))
@@ -158,7 +154,7 @@ def _attribute_cluster(
     else:
         for group_id in sorted(granted_groups):
             lines.append(
-                f'    "group:{group_id}" [shape=plaintext, label="{_dot_escape(group_id)}"];'
+                f'    "group:{group_id}" [shape=plaintext, label="{escape_string(group_id)}"];'
             )
         for attr in sorted(model.attributes, key=lambda a: a.id):
             lines.append(node(attr, "    ", sorted(attr.groups)))
@@ -205,7 +201,7 @@ def _edges(model: PolicyModel, layers: frozenset[str]) -> list[str]:
         for grant in sorted(model.rp_grants, key=lambda g: (g.role, g.purpose)):
             attrs = "style=dashed"
             if grant.condition is not None:
-                attrs += f', label="{_dot_escape(render_condition(grant.condition))}"'
+                attrs += f', label="{escape_string(render_condition(grant.condition))}"'
             lines.append(f'  "role:{grant.role}" -> "purpose:{grant.purpose}" [{attrs}];')
 
     if "purpose-attribute" in layers:
@@ -216,12 +212,12 @@ def _edges(model: PolicyModel, layers: frozenset[str]) -> list[str]:
                 parts.append(model.granularity(task.via).description)
             attrs = "style=dashed"
             if parts:
-                attrs += f', label="{_dot_escape("; ".join(parts))}"'
+                attrs += f', label="{escape_string("; ".join(parts))}"'
             lines.append(f'  "task:{task.id}" -> "attr:{task.reads}" [{attrs}];')
         for grant in sorted(model.pg_grants, key=lambda g: (g.purpose, g.group)):
             attrs = "style=dashed"
             if grant.condition is not None:
-                attrs += f', label="{_dot_escape(render_condition(grant.condition))}"'
+                attrs += f', label="{escape_string(render_condition(grant.condition))}"'
             lines.append(f'  "purpose:{grant.purpose}" -> "group:{grant.group}" [{attrs}];')
 
     return lines

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 
@@ -87,6 +88,20 @@ def test_check_dangling_reference(tmp_path, capsys):
     assert "unknown role 'r9'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, report", [
+    ('policy "x"\nattributes { d1: "A" }\ntasks { t1: "T" reads d1 }\n'
+     'purposes { p1: "P" = [t1] }\npurpose_task_conditions {\n'
+     '  p1 task t1 when "age > 18"\n  p1 task t1 when "age > 21"\n}\n',
+     "7:3: purpose 'p1' conditions task 't1' more than once"),
+    ('policy "x"\nroles { r1: "" }\n', "2:9: role 'r1' has an empty label"),
+])
+def test_check_reports_a_validation_error_at_its_declaration(tmp_path, capsys, text, report):
+    bad = tmp_path / "bad.pppm"
+    bad.write_text(text, encoding="utf-8")
+    assert run_cli("check", str(bad)) == 1
+    assert capsys.readouterr().err == f"{bad}:{report}\n"
+
+
 def test_no_command_is_a_usage_error(capsys):
     assert run_cli() == 4
     assert "command" in capsys.readouterr().err
@@ -135,6 +150,18 @@ def test_lint_text_format_is_plain_when_piped(capsys):
     run_cli("lint", BABY, "--rules", "L3")
     out = capsys.readouterr().out
     assert out == "L3 error r1:p24: role 'r1' may use the universal purpose 'p24' (Any)\n"
+
+
+def test_lint_text_format_colours_severities_on_a_terminal(monkeypatch, capsys):
+    run_cli("lint", BABY)
+    plain = capsys.readouterr().out
+    monkeypatch.delenv("PPPM_NO_COLOR", raising=False)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    run_cli("lint", BABY)
+    coloured = capsys.readouterr().out
+    for code, severity in (("31", "error"), ("33", "warning"), ("36", "info")):
+        assert f" \x1b[{code}m{severity}\x1b[0m " in coloured
+    assert re.sub(r"\x1b\[\d+m", "", coloured) == plain
 
 
 def test_query_conditional(capsys):

@@ -140,6 +140,8 @@ def test_evaluate_type_clash_raises():
         evaluate(parse_condition("age > 18"), {"age": "fifteen"})
     with pytest.raises(ConditionTypeError):
         evaluate(parse_condition("age == now"), {"age": 5, "now": make_time(1, 0)})
+    with pytest.raises(ConditionTypeError, match="unsupported value type list"):
+        evaluate(parse_condition("age > 18"), {"age": [19]})
 
 
 def test_evaluate_rejects_runtime_string_ordering():

@@ -19,13 +19,14 @@ from pppm.model import (
     Task,
     UnknownEntityError,
     ValidationError,
+    _cycles,
     aggregation_sources,
     inferiors,
     validate,
 )
 
 import gen
-from oracles import brute_aggregation_sources, brute_inferiors
+from oracles import brute_aggregation_sources, brute_cycles, brute_inferiors
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -228,3 +229,26 @@ def test_validation_error_equality_ignores_where():
     first = ValidationError("unknown-id", "t1", "m", ("tasks", 0))
     other = ValidationError("unknown-id", "t1", "m", ("tasks", 3))
     assert first == other and hash(first) == hash(other)
+
+
+@given(st.data())
+def test_cycles_match_mutual_reachability(data):
+    names = [f"n{i}" for i in range(data.draw(st.integers(1, 12)))]
+    endpoint = st.sampled_from(names)
+    edges = data.draw(st.lists(st.tuples(endpoint, endpoint), max_size=3 * len(names)))
+    # Endpoints left out of `nodes` dangle, as references of an invalid model do.
+    nodes = set(names) - data.draw(st.sets(endpoint, max_size=2))
+    assert _cycles(nodes, edges) == brute_cycles(nodes, edges)
+
+
+def test_a_hierarchy_deeper_than_the_recursion_limit():
+    n = 20_000
+    roles = _roles(*(f"r{i}" for i in range(n)))
+    chain = tuple(RoleEdge(f"r{i}", f"r{i + 1}") for i in range(n - 1))
+    model = PolicyModel("x", roles=roles, role_edges=chain)
+    assert validate(model) == []
+    assert len(inferiors(model, "r0")) == n - 1
+    ring = PolicyModel("x", roles=roles, role_edges=chain + (RoleEdge(f"r{n - 1}", "r0"),))
+    [error] = validate(ring)
+    assert (error.rule, error.where) == ("role-cycle", ("role_edges", 0))
+    assert error.subject == ",".join(sorted(r.id for r in roles))

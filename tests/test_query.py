@@ -181,6 +181,8 @@ def test_can_access_unknown_ids(shop_model):
 def test_can_access_reports_type_clashes(shop_model):
     with pytest.raises(QueryEvaluationError):
         can_access(shop_model, "r4", "d1", "p3", {"age": "fifteen", "now": make_time(9, 0)})
+    with pytest.raises(QueryEvaluationError, match="unsupported value type list"):
+        can_access(shop_model, "r4", "d1", "p3", {"age": [19], "now": make_time(9, 0)})
 
 
 def test_can_access_reports_non_finite_numbers(shop_model):
@@ -218,6 +220,25 @@ def test_a_task_and_a_group_sharing_an_id_keep_the_source_order():
     assert not validate(model)
     assert [s.kind for s in accessible_attributes(model, "p1")] == ["task", "group"]
     assert can_access(model, "r1", "d1").path.source_kind == "task"
+
+
+def test_a_duplicated_id_resolves_to_its_first_declaration():
+    model = PolicyModel(
+        "x",
+        roles=(Role("r1", "R"),),
+        attributes=(Attribute("d1", "A"), Attribute("d2", "B")),
+        tasks=(Task("t1", "T", "d1"), Task("t2", "U", "d2")),
+        purposes=(Purpose("p", "First", ("t1",)), Purpose("p", "Second", ("t2",))),
+        rp_grants=(RolePurposeGrant("r1", "p"),),
+    )
+    assert model.purpose("p").label == "First"
+    assert [s.attribute for s in accessible_attributes(model, "p")] == ["d1"]
+    assert can_access(model, "r1", "d1", "p").outcome is Outcome.ALLOW
+    assert can_access(model, "r1", "d2", "p").outcome is Outcome.DENY
+    [error] = validate(model)
+    assert (error.rule, error.subject, error.message, error.where) == (
+        "duplicate-id", "p", "duplicate purpose id 'p'", ("purposes", 1)
+    )
 
 
 def test_decisions_are_deterministic(shop_model):

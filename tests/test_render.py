@@ -110,18 +110,20 @@ def test_group_clustering_and_tooltips(shop_model):
 
 
 def test_group_anchor_nodes_only_for_granted_groups(baby_model):
-    text = emit_graph(baby_model)
-    anchors = set(nodes_of(text, "group"))
-    granted = {g.group for g in baby_model.pg_grants}
-    assert anchors == granted
-    assert "other" not in anchors  # never granted, so no anchor
-    pg_edges = [e for e in edges_of(text, '-> "group:')]
-    assert len(pg_edges) == len(baby_model.pg_grants)
-    conditional = [e for e in pg_edges if "label=" in e]
-    assert {e.split('"group:')[1].split('"')[0] for e in conditional} == {
-        "contact_information",
-        "data",
-    }
+    # Clustered and flat layouts draw the anchors in different places.
+    for options in (RenderOptions(), RenderOptions(cluster_groups=False)):
+        text = emit_graph(baby_model, options)
+        anchors = set(nodes_of(text, "group"))
+        granted = {g.group for g in baby_model.pg_grants}
+        assert anchors == granted
+        assert "other" not in anchors  # never granted, so no anchor
+        pg_edges = [e for e in edges_of(text, '-> "group:')]
+        assert len(pg_edges) == len(baby_model.pg_grants)
+        conditional = [e for e in pg_edges if "label=" in e]
+        assert {e.split('"group:')[1].split('"')[0] for e in conditional} == {
+            "contact_information",
+            "data",
+        }
 
 
 def test_legend_lives_in_cluster_labels(shop_model):
