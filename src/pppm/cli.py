@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .conditions import ConditionError, ConditionSyntaxError, Value, parse_literal
 from .dsl import LoweringError, ParseError, lower, parse_policy
-from .lints import LintConfig, RULES_BY_ID, format_findings, run_lints
+from .lints import LintConfig, format_findings, run_lints
 from .model import PolicyModel, UnknownEntityError
 from .query import QueryEvaluationError, can_access
 from .render import RenderOptions, emit_graph, emit_tables
@@ -169,12 +169,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
     enabled = None
     if args.rules is not None:
-        ids = [r for chunk in args.rules for r in chunk.split(",") if r]
-        for rule_id in ids:
-            if rule_id not in RULES_BY_ID:
-                raise UsageError(f"unknown lint rule {rule_id!r}")
-        enabled = frozenset(ids)
-    findings = run_lints(model, LintConfig(enabled=enabled))
+        enabled = frozenset(r for chunk in args.rules for r in chunk.split(",") if r)
+    try:
+        config = LintConfig(enabled=enabled)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    findings = run_lints(model, config)
     if args.fmt == "tsv":
         sys.stdout.write(format_findings(findings))
     else:

@@ -28,7 +28,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 
 class ConditionError(ValueError):
@@ -286,6 +286,27 @@ def escape_string(text: str) -> str:
     """`text` with backslashes and double quotes backslash-escaped: the body
     of a double-quoted string in a condition, a policy file or DOT."""
     return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+_TSV_ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})
+
+
+def tsv(rows: Sequence[Sequence[str]]) -> str:
+    """`rows`, each as many cells as the first, as tab-separated lines ending in LF.
+
+    A tab, CR or LF inside a cell is written as \\t, \\r or \\n, so every
+    line keeps its number of fields; backslashes are written as they are.
+    Cells are rewritten only when the joined text's tab or line count
+    disagrees with its shape, or it holds a CR.
+    """
+    if not rows:
+        return ""
+    text = "\n".join(map("\t".join, rows)) + "\n"
+    tabs = len(rows) * (len(rows[0]) - 1)
+    if text.count("\n") != len(rows) or text.count("\t") != tabs or "\r" in text:
+        cells = [[cell.translate(_TSV_ESCAPES) for cell in row] for row in rows]
+        text = "\n".join(map("\t".join, cells)) + "\n"
+    return text
 
 
 def evaluate(expr: ConditionExpr, ctx: EvalContext) -> TriBool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
+from .conditions import tsv
 from .model import PolicyModel, require_valid
 
 SEVERITIES = ("error", "warning", "info")
@@ -205,12 +206,11 @@ class LintConfig:
     severity_overrides: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for rule_id in (self.enabled or ()):
+        # Sorted, so the unknown id named is the same on every run.
+        for rule_id in sorted({*(self.enabled or ()), *self.severity_overrides}):
             if rule_id not in RULES_BY_ID:
                 raise ValueError(f"unknown lint rule {rule_id!r}")
-        for rule_id, severity in self.severity_overrides.items():
-            if rule_id not in RULES_BY_ID:
-                raise ValueError(f"unknown lint rule {rule_id!r}")
+        for severity in self.severity_overrides.values():
             if severity not in SEVERITIES:
                 raise ValueError(f"unknown severity {severity!r}")
 
@@ -241,7 +241,8 @@ def run_lints(model: PolicyModel, config: Optional[LintConfig] = None) -> list[F
 
 
 def format_findings(findings: Iterable[Finding]) -> str:
-    """One line per finding: RULE<TAB>SEVERITY<TAB>SUBJECT<TAB>MESSAGE."""
-    return "".join(
-        f"{f.rule}\t{f.severity}\t{f.subject}\t{f.message}\n" for f in findings
-    )
+    """One line per finding: RULE<TAB>SEVERITY<TAB>SUBJECT<TAB>MESSAGE.
+
+    A tab, CR or LF inside a field is written as \\t, \\r or \\n.
+    """
+    return tsv([(f.rule, f.severity, f.subject, f.message) for f in findings])

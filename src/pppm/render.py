@@ -6,20 +6,34 @@ sub-clusters, solid aggregation arrows into the derived attribute, and dashed
 permission edges labeled with their conditions.  All iteration is sorted and
 line endings are LF, so output is byte-stable for a given model + options.
 
+Each drawn element is the DOT node named by its kind and id: `"role:ID"`,
+`"purpose:ID"`, `"task:ID"`, `"attr:ID"`, and `"group:ID"` for a group that a
+drawn purpose-group grant points at.  Every edge joins two such nodes.
+
 `emit_tables` produces a tab-separated report with one block per entity or
-connection kind, mirroring the layout policies are usually tabulated in.
+connection kind, mirroring the layout policies are usually tabulated in.  A
+tab, CR or LF inside a cell is written as `\\t`, `\\r` or `\\n`, so each row
+has as many fields as its header; backslashes are written as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Optional, Sequence
 
-from .conditions import escape_string, render_condition
-from .model import PolicyModel, require_valid
+from .conditions import escape_string, render_condition, tsv
+from .model import Attribute, PolicyModel, Task, require_valid
 
 COMPONENT_LAYERS = ("roles", "purposes", "attributes")
 CONNECTION_LAYERS = ("role-purpose", "purpose-attribute")
 ALL_LAYERS = COMPONENT_LAYERS + CONNECTION_LAYERS
+
+# The component layers whose nodes each connection layer's edges join.
+_ENDPOINTS = {
+    "role-purpose": ("roles", "purposes"),
+    "purpose-attribute": ("purposes", "attributes"),
+}
 
 # Fixed palette cycled by purpose position for task-sequence edges.
 PALETTE = (
@@ -32,6 +46,8 @@ PALETTE = (
     "#a6761d",
     "#666666",
 )
+
+_BY_ID = attrgetter("id")
 
 
 @dataclass(frozen=True)
@@ -49,118 +65,36 @@ def _selected_layers(options: RenderOptions) -> frozenset[str]:
         if layer == "all":
             selected.update(ALL_LAYERS)
         elif layer in ALL_LAYERS:
-            selected.add(layer)
+            selected.update((layer, *_ENDPOINTS.get(layer, ())))
         else:
             raise ValueError(f"unknown layer {layer!r}")
-    # Connection layers need their endpoints drawn.
-    if "role-purpose" in selected:
-        selected.update(("roles", "purposes"))
-    if "purpose-attribute" in selected:
-        selected.update(("purposes", "attributes"))
     return frozenset(selected)
 
 
-def _legend_label(title: str, entries: list[tuple[str, str]], show: bool) -> str:
-    if not show or not entries:
-        return escape_string(title)
-    parts = [title] + [f"{eid} = {label}" for eid, label in entries]
-    return "\\l".join(escape_string(part) for part in parts) + "\\l"
-
-
-def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> str:
-    """DOT text for the selected layers of a valid model."""
-    require_valid(model, "rendering")
-    layers = _selected_layers(options)
-    lines: list[str] = [f'digraph "{escape_string(model.name)}" {{']
-
-    if "roles" in layers:
-        legend = _legend_label(
-            "Roles",
-            sorted((r.id, r.label) for r in model.roles),
-            options.show_legend,
-        )
-        lines.append("  subgraph cluster_roles {")
-        lines.append(f'    label="{legend}";')
-        for role in sorted(model.roles, key=lambda r: r.id):
-            lines.append(f'    "role:{role.id}" [shape=ellipse, label="{escape_string(role.id)}"];')
-        lines.append("  }")
-
-    if "purposes" in layers:
-        entries = sorted((p.id, p.label) for p in model.purposes)
-        entries += sorted((t.id, t.label) for t in model.tasks)
-        legend = _legend_label("Purposes", entries, options.show_legend)
-        lines.append("  subgraph cluster_purposes {")
-        lines.append(f'    label="{legend}";')
-        for purpose in sorted(model.purposes, key=lambda p: p.id):
-            lines.append(
-                f'    "purpose:{purpose.id}" [shape=ellipse, label="{escape_string(purpose.id)}"];'
-            )
-        for task in sorted(model.tasks, key=lambda t: t.id):
-            lines.append(f'    "task:{task.id}" [shape=point, xlabel="{escape_string(task.id)}"];')
-        lines.append("  }")
-
-    if "attributes" in layers:
-        lines.extend(_attribute_cluster(model, options, layers))
-
-    lines.extend(_edges(model, layers))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _attribute_cluster(
-    model: PolicyModel, options: RenderOptions, layers: frozenset[str]
+def _cluster(
+    name: str, title: str, entities: list, show_legend: bool, body: list[str]
 ) -> list[str]:
-    entries = sorted((a.id, a.label) for a in model.attributes)
-    entries += sorted((g.id, g.label) for g in model.groups)
-    legend = _legend_label("Attributes", entries, options.show_legend)
-    lines = ["  subgraph cluster_attributes {", f'    label="{legend}";']
+    """One component cluster; its label lists `entities` as "id = label" when shown."""
+    label = title
+    if show_legend and entities:
+        legend = [title] + [escape_string(f"{e.id} = {e.label}") for e in entities]
+        label = "\\l".join(legend) + "\\l"
+    return [f"  subgraph cluster_{name} {{", f'    label="{label}";', *body, "  }"]
 
-    granted_groups = (
-        {g.group for g in model.pg_grants} if "purpose-attribute" in layers else set()
-    )
 
-    def node(attr, indent: str, tooltip_groups: list[str]) -> str:
-        extra = ""
-        if tooltip_groups:
-            tooltip = ", ".join(tooltip_groups)
-            extra = f', tooltip="{escape_string(tooltip)}"'
-        return (
-            f'{indent}"attr:{attr.id}" [shape=ellipse, '
-            f'label="{escape_string(attr.id)}"{extra}];'
-        )
+def _edge(src: str, dst: str, attrs: str, label: Optional[str] = None) -> str:
+    """A DOT edge with `attrs`; `label` None draws none, "" an empty one."""
+    if label is not None:
+        attrs += f', label="{escape_string(label)}"'
+    return f'  "{src}" -> "{dst}" [{attrs}];'
 
-    if options.cluster_groups:
-        # Each attribute is drawn in its first group (lexicographic).
-        by_home: dict[str, list] = {}
-        ungrouped = []
-        for attr in sorted(model.attributes, key=lambda a: a.id):
-            if attr.groups:
-                by_home.setdefault(min(attr.groups), []).append(attr)
-            else:
-                ungrouped.append(attr)
-        for group_id in sorted(by_home.keys() | granted_groups):
-            lines.append(f"    subgraph cluster_group_{group_id} {{")
-            lines.append(f'      label="{escape_string(group_id)}";')
-            if group_id in granted_groups:
-                lines.append(
-                    f'      "group:{group_id}" [shape=plaintext, '
-                    f'label="{escape_string(group_id)}"];'
-                )
-            for attr in by_home.get(group_id, ()):
-                lines.append(node(attr, "      ", sorted(attr.groups - {group_id})))
-            lines.append("    }")
-        for attr in ungrouped:
-            lines.append(node(attr, "    ", []))
-    else:
-        for group_id in sorted(granted_groups):
-            lines.append(
-                f'    "group:{group_id}" [shape=plaintext, label="{escape_string(group_id)}"];'
-            )
-        for attr in sorted(model.attributes, key=lambda a: a.id):
-            lines.append(node(attr, "    ", sorted(attr.groups)))
 
-    lines.append("  }")
-    return lines
+def _condition_text(grant) -> Optional[str]:
+    return None if grant.condition is None else render_condition(grant.condition)
+
+
+def _granularity_text(model: PolicyModel, task: Task) -> Optional[str]:
+    return None if task.via is None else model.granularity(task.via).description
 
 
 def _conditions_by_task(model: PolicyModel) -> dict[str, list[str]]:
@@ -171,136 +105,131 @@ def _conditions_by_task(model: PolicyModel) -> dict[str, list[str]]:
     return {task: sorted(texts) for task, texts in by_task.items()}
 
 
-def _edges(model: PolicyModel, layers: frozenset[str]) -> list[str]:
-    lines: list[str] = []
+def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> str:
+    """DOT text for the selected layers of a valid model."""
+    require_valid(model, "rendering")
+    layers = _selected_layers(options)
+    legend = options.show_legend
+    purposes = sorted(model.purposes, key=_BY_ID)
+    tasks = sorted(model.tasks, key=_BY_ID)
+    lines = [f'digraph "{escape_string(model.name)}" {{']
 
     if "roles" in layers:
-        for edge in sorted(model.role_edges, key=lambda e: (e.superior, e.inferior)):
-            lines.append(f'  "role:{edge.superior}" -> "role:{edge.inferior}";')
-
+        roles = sorted(model.roles, key=_BY_ID)
+        body = [f'    "role:{r.id}" [shape=ellipse, label="{escape_string(r.id)}"];'
+                for r in roles]
+        lines += _cluster("roles", "Roles", roles, legend, body)
     if "purposes" in layers:
-        palette_index = {p.id: i % len(PALETTE) for i, p in enumerate(model.purposes)}
-        for purpose in sorted(model.purposes, key=lambda p: p.id):
-            if not purpose.tasks:
-                continue
-            color = PALETTE[palette_index[purpose.id]]
-            chain = [f'"purpose:{purpose.id}"'] + [f'"task:{t}"' for t in purpose.tasks]
-            for src, dst in zip(chain, chain[1:]):
-                lines.append(f'  {src} -> {dst} [color="{color}"];')
-
+        body = [f'    "purpose:{p.id}" [shape=ellipse, label="{escape_string(p.id)}"];'
+                for p in purposes]
+        body += [f'    "task:{t.id}" [shape=point, xlabel="{escape_string(t.id)}"];'
+                 for t in tasks]
+        lines += _cluster("purposes", "Purposes", purposes + tasks, legend, body)
     if "attributes" in layers:
-        pairs = sorted(
-            (src, a.product)
-            for a in model.aggregations
-            for src in (a.left, a.right)
-        )
-        for src, product in pairs:
-            lines.append(f'  "attr:{src}" -> "attr:{product}" [style=solid];')
+        attributes = sorted(model.attributes, key=_BY_ID)
+        granted = {g.group for g in model.pg_grants} if "purpose-attribute" in layers else set()
+        body = _attribute_cluster(attributes, granted, options.cluster_groups)
+        entities = attributes + sorted(model.groups, key=_BY_ID)
+        lines += _cluster("attributes", "Attributes", entities, legend, body)
 
+    if "roles" in layers:
+        for e in sorted(model.role_edges, key=attrgetter("superior", "inferior")):
+            lines.append(f'  "role:{e.superior}" -> "role:{e.inferior}";')
+    if "purposes" in layers:
+        colors = {p.id: PALETTE[i % len(PALETTE)] for i, p in enumerate(model.purposes)}
+        for purpose in purposes:
+            chain = [f"purpose:{purpose.id}"] + [f"task:{t}" for t in purpose.tasks]
+            color = f'color="{colors[purpose.id]}"'
+            lines.extend(_edge(src, dst, color) for src, dst in zip(chain, chain[1:]))
+    if "attributes" in layers:
+        pairs = sorted((src, a.product) for a in model.aggregations for src in (a.left, a.right))
+        lines.extend(_edge(f"attr:{src}", f"attr:{dst}", "style=solid") for src, dst in pairs)
     if "role-purpose" in layers:
-        for grant in sorted(model.rp_grants, key=lambda g: (g.role, g.purpose)):
-            attrs = "style=dashed"
-            if grant.condition is not None:
-                attrs += f', label="{escape_string(render_condition(grant.condition))}"'
-            lines.append(f'  "role:{grant.role}" -> "purpose:{grant.purpose}" [{attrs}];')
-
+        for g in sorted(model.rp_grants, key=attrgetter("role", "purpose")):
+            lines.append(
+                _edge(f"role:{g.role}", f"purpose:{g.purpose}", "style=dashed", _condition_text(g))
+            )
     if "purpose-attribute" in layers:
         conditions = _conditions_by_task(model)
-        for task in sorted(model.tasks, key=lambda t: t.id):
-            parts = list(conditions.get(task.id, ()))
-            if task.via is not None:
-                parts.append(model.granularity(task.via).description)
-            attrs = "style=dashed"
-            if parts:
-                attrs += f', label="{escape_string("; ".join(parts))}"'
-            lines.append(f'  "task:{task.id}" -> "attr:{task.reads}" [{attrs}];')
-        for grant in sorted(model.pg_grants, key=lambda g: (g.purpose, g.group)):
-            attrs = "style=dashed"
-            if grant.condition is not None:
-                attrs += f', label="{escape_string(render_condition(grant.condition))}"'
-            lines.append(f'  "purpose:{grant.purpose}" -> "group:{grant.group}" [{attrs}];')
+        for task in tasks:
+            parts = conditions.get(task.id, [])
+            via = _granularity_text(model, task)
+            if via is not None:
+                parts = parts + [via]
+            label = "; ".join(parts) if parts else None
+            lines.append(_edge(f"task:{task.id}", f"attr:{task.reads}", "style=dashed", label))
+        for g in sorted(model.pg_grants, key=attrgetter("purpose", "group")):
+            lines.append(_edge(
+                f"purpose:{g.purpose}", f"group:{g.group}", "style=dashed", _condition_text(g)
+            ))
 
-    return lines
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _attribute_node(attr: Attribute, indent: str, groups: Sequence[str]) -> str:
+    """An attribute node; `groups`, when any, are its tooltip."""
+    tooltip = f', tooltip="{escape_string(", ".join(groups))}"' if groups else ""
+    return f'{indent}"attr:{attr.id}" [shape=ellipse, label="{escape_string(attr.id)}"{tooltip}];'
+
+
+def _group_anchor(group_id: str, indent: str) -> str:
+    return f'{indent}"group:{group_id}" [shape=plaintext, label="{escape_string(group_id)}"];'
+
+
+def _attribute_cluster(
+    attributes: list[Attribute], granted: set[str], clustered: bool
+) -> list[str]:
+    """The attributes cluster's body: group anchors for `granted` and one node per attribute."""
+    if not clustered:
+        lines = [_group_anchor(group_id, "    ") for group_id in sorted(granted)]
+        return lines + [_attribute_node(a, "    ", sorted(a.groups)) for a in attributes]
+    # Each attribute is drawn in its first group (lexicographic).
+    by_home: dict[str, list[Attribute]] = {}
+    for attr in attributes:
+        if attr.groups:
+            by_home.setdefault(min(attr.groups), []).append(attr)
+    lines = []
+    for group_id in sorted(by_home.keys() | granted):
+        lines.append(f"    subgraph cluster_group_{group_id} {{")
+        lines.append(f'      label="{escape_string(group_id)}";')
+        if group_id in granted:
+            lines.append(_group_anchor(group_id, "      "))
+        for attr in by_home.get(group_id, ()):
+            lines.append(_attribute_node(attr, "      ", sorted(attr.groups - {group_id})))
+        lines.append("    }")
+    return lines + [_attribute_node(a, "    ", ()) for a in attributes if not a.groups]
+
+
+def _collected_text(attr: Attribute) -> str:
+    if attr.collected_conflict:
+        return "conflict"
+    if attr.collected is None:
+        return ""
+    return "yes" if attr.collected else "no"
 
 
 def emit_tables(model: PolicyModel) -> str:
     """Tab-separated report: eight blocks, header row then data rows."""
     require_valid(model, "rendering")
-    blocks: list[str] = []
-
-    def block(title: str, header: list[str], rows: list[list[str]]) -> None:
-        lines = [f"== {title} ==", "\t".join(header)]
-        lines.extend("\t".join(row) for row in rows)
-        blocks.append("\n".join(lines))
-
-    block("roles", ["id", "label"], [[r.id, r.label] for r in model.roles])
-
-    block(
-        "purposes",
-        ["id", "label", "universal"],
-        [[p.id, p.label, "yes" if p.universal else ""] for p in model.purposes],
-    )
-
-    def collected_text(attr) -> str:
-        if attr.collected_conflict:
-            return "conflict"
-        if attr.collected is None:
-            return ""
-        return "yes" if attr.collected else "no"
-
-    block(
-        "attributes",
-        ["id", "label", "groups", "collected"],
-        [
-            [a.id, a.label, ", ".join(sorted(a.groups)), collected_text(a)]
-            for a in model.attributes
-        ],
-    )
-
-    block(
-        "role hierarchy",
-        ["superior", "inferior"],
-        [[e.superior, e.inferior] for e in model.role_edges],
-    )
-
-    block(
-        "purpose tasks",
-        ["purpose", "tasks"],
-        [[p.id, ", ".join(p.tasks)] for p in model.purposes if p.tasks],
-    )
-
-    block(
-        "aggregations",
-        ["left", "right", "product"],
-        [[a.left, a.right, a.product] for a in model.aggregations],
-    )
-
-    block(
-        "role-purpose grants",
-        ["role", "purpose", "condition"],
-        [
-            [
-                g.role,
-                g.purpose,
-                render_condition(g.condition) if g.condition is not None else "",
-            ]
-            for g in model.rp_grants
-        ],
-    )
-
     conditions = _conditions_by_task(model)
-    block(
-        "task bindings",
-        ["task", "attribute", "condition", "granularity"],
-        [
-            [
-                t.id,
-                t.reads,
-                "; ".join(conditions.get(t.id, ())),
-                model.granularity(t.via).description if t.via is not None else "",
-            ]
-            for t in model.tasks
-        ],
+    blocks = (
+        ("roles", ("id", "label"), [(r.id, r.label) for r in model.roles]),
+        ("purposes", ("id", "label", "universal"),
+         [(p.id, p.label, "yes" if p.universal else "") for p in model.purposes]),
+        ("attributes", ("id", "label", "groups", "collected"),
+         [(a.id, a.label, ", ".join(sorted(a.groups)), _collected_text(a))
+          for a in model.attributes]),
+        ("role hierarchy", ("superior", "inferior"),
+         [(e.superior, e.inferior) for e in model.role_edges]),
+        ("purpose tasks", ("purpose", "tasks"),
+         [(p.id, ", ".join(p.tasks)) for p in model.purposes if p.tasks]),
+        ("aggregations", ("left", "right", "product"),
+         [(a.left, a.right, a.product) for a in model.aggregations]),
+        ("role-purpose grants", ("role", "purpose", "condition"),
+         [(g.role, g.purpose, _condition_text(g) or "") for g in model.rp_grants]),
+        ("task bindings", ("task", "attribute", "condition", "granularity"),
+         [(t.id, t.reads, "; ".join(conditions.get(t.id, ())), _granularity_text(model, t) or "")
+          for t in model.tasks]),
     )
-
-    return "\n\n".join(blocks) + "\n"
+    return "\n".join(f"== {title} ==\n" + tsv([header, *rows]) for title, header, rows in blocks)

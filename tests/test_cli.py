@@ -146,6 +146,36 @@ def test_lint_tsv_format(capsys):
     assert "\x1b[" not in out
 
 
+# Labels holding a tab, which the policy language lets a string contain.
+TAB_POLICY = (
+    'policy "tab"\nroles {\n  r1: "Man\tager"\n}\nattributes {\n  d1: "Na\tme"\n}\n'
+    'tasks {\n  t1: "Look" reads d1\n}\npurposes {\n  p1: "Sell\tstuff" = [t1]\n}\n'
+)
+
+
+def test_report_escapes_a_tab_inside_a_cell(tmp_path, capsys):
+    path = tmp_path / "tab.pppm"
+    path.write_text(TAB_POLICY, encoding="utf-8")
+    assert run_cli("report", str(path)) == 0
+    out = capsys.readouterr().out
+    assert "\nr1\tMan\\tager\n" in out
+    assert "\np1\tSell\\tstuff\t\n" in out
+    for block in out.split("\n\n"):
+        header, *rows = block.splitlines()[1:]
+        assert [row.count("\t") for row in rows] == [header.count("\t")] * len(rows), block
+
+
+def test_lint_tsv_escapes_a_tab_inside_a_field(tmp_path, capsys):
+    path = tmp_path / "tab.pppm"
+    path.write_text(TAB_POLICY, encoding="utf-8")
+    assert run_cli("lint", str(path), "--format", "tsv") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "L1\twarning\tp1\tno role is allowed to use purpose 'p1' (Sell\\tstuff)",
+        "L2\twarning\tr1\trole 'r1' (Man\\tager) has no direct or inherited purpose",
+    ]
+
+
 def test_lint_text_format_is_plain_when_piped(capsys):
     run_cli("lint", BABY, "--rules", "L3")
     out = capsys.readouterr().out

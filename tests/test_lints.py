@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pppm.dsl import load_policy
 from pppm.lints import (
     RULES,
+    Finding,
     RULES_BY_ID,
     LintConfig,
     format_findings,
@@ -87,6 +88,12 @@ def test_format_findings_is_tab_separated(baby_model):
         "L9\terror\td7\tattribute 'd7' (Credit card information) "
         "is declared both collected and not collected\n"
     )
+
+
+def test_format_findings_escapes_tabs_and_line_breaks():
+    finding = Finding("L1", "warning", "p\t1", "a\tb\r\nc \\ d")
+    assert format_findings([finding]) == "L1\twarning\tp\\t1\ta\\tb\\r\\nc \\ d\n"
+    assert format_findings([]) == ""
 
 
 def test_enabled_subset_filters_exactly(baby_model):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from pppm.model import InvalidModelError, PolicyModel, RolePurposeGrant
+from pppm.model import InvalidModelError, PolicyModel, Role, RolePurposeGrant
 from pppm.render import (
     ALL_LAYERS,
     PALETTE,
@@ -223,3 +223,12 @@ def test_tables_skip_taskless_purposes_in_the_task_block(baby_model):
     block = text.split("== purpose tasks ==\n")[1].split("\n\n")[0]
     rows = block.splitlines()[1:]
     assert [r.split("\t")[0] for r in rows] == ["p5", "p6", "p12", "p19", "p20", "p23"]
+
+
+def test_tables_escape_tabs_and_line_breaks_inside_cells():
+    model = PolicyModel("x", roles=(Role("r1", "a\tb\r\nc \\ d"), Role("r2", "cr\ronly")))
+    block = emit_tables(model).split("\n\n")[0]
+    assert block == "== roles ==\nid\tlabel\nr1\ta\\tb\\r\\nc \\ d\nr2\tcr\\ronly"
+    # A CR alone leaves the tab and line counts as they are; it is escaped too.
+    lone = PolicyModel("x", roles=(Role("r1", "cr\ronly"),))
+    assert "\nr1\tcr\\ronly\n" in emit_tables(lone)
