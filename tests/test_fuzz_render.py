@@ -127,7 +127,7 @@ def test_edge_cases_are_valid():
 
 
 # sha256 over every graph (each option set in `OPTIONS` order) and the report
-# of every model in `corpus`, recorded before render.py was restructured.
+# of every model in `corpus`.
 RENDER_DIGEST = "66396d6bc59acd276bfd205cb8407fa7e6a8cd6477cf4ef3abb97b7b22f28de5"
 
 
