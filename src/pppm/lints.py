@@ -5,15 +5,20 @@ purposes nobody may use, catch-all grants, group grants wider than the tasks
 that justify them, attributes nothing touches, and contradictory collection
 statements.  Rules only ever read the model; severities are defaults that a
 LintConfig can override.
+
+Each rule is a row of `RULES` that reports entries of one PolicyModel field,
+its `field`.  A finding's subject names its entry the way a `validate` report
+does (`model.subject`): a role, purpose or attribute by its id, a role-purpose
+grant as `role:purpose` and a purpose-group grant as `purpose:group`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from .conditions import tsv
-from .model import PolicyModel, require_valid
+from .model import PolicyModel, PurposeGroupGrant, require_valid, subject
 
 SEVERITIES = ("error", "warning", "info")
 
@@ -32,164 +37,131 @@ class LintRule:
     name: str
     severity: str
     summary: str
-    check: Callable[[PolicyModel], list[tuple[str, str]]]  # (subject, message)
+    field: str  # the PolicyModel field whose entries the rule reports
+    find: Callable[[PolicyModel], Iterable[tuple[Any, str]]]  # (entry, message)
+
+    def check(self, model: PolicyModel) -> list[tuple[str, str]]:
+        """The rule's (subject, message) pairs, in the order it finds them."""
+        return [(subject(self.field, entry), message) for entry, message in self.find(model)]
 
 
-def _orphan_purposes(model: PolicyModel) -> list[tuple[str, str]]:
-    granted = {g.purpose for g in model.rp_grants}
-    return [
-        (p.id, f"no role is allowed to use purpose {p.id!r} ({p.label})")
-        for p in model.purposes
-        if p.id not in granted
-    ]
+def _granted_purposes(model: PolicyModel) -> set[str]:
+    return {g.purpose for g in model.rp_grants}
 
 
-def _orphan_roles(model: PolicyModel) -> list[tuple[str, str]]:
+def _read_attributes(model: PolicyModel) -> set[str]:
+    return {t.reads for t in model.tasks}
+
+
+def _spans_every_attribute(model: PolicyModel, grant: PurposeGroupGrant) -> bool:
+    # A valid model's group members are distinct attribute ids, so a group
+    # spans every attribute exactly when it has as many members.
+    return 0 < len(model.members_by_group[grant.group]) == len(model.attributes)
+
+
+def _orphan_purposes(model: PolicyModel) -> Iterator[tuple[Any, str]]:
+    granted = _granted_purposes(model)
+    for p in model.purposes:
+        if p.id not in granted:
+            yield p, f"no role is allowed to use purpose {p.id!r} ({p.label})"
+
+
+def _orphan_roles(model: PolicyModel) -> Iterator[tuple[Any, str]]:
     # A role with a grant of its own needs no closure.
-    return [
-        (role.id, f"role {role.id!r} ({role.label}) has no direct or inherited purpose")
-        for role in model.roles
-        if role.id not in model.grants_by_role and not model.role_closure(role.id).grants
-    ]
+    for role in model.roles:
+        if role.id not in model.grants_by_role and not model.role_closure(role.id).grants:
+            yield role, f"role {role.id!r} ({role.label}) has no direct or inherited purpose"
 
 
-def _universal_purpose_grants(model: PolicyModel) -> list[tuple[str, str]]:
-    out = []
+def _universal_purpose_grants(model: PolicyModel) -> Iterator[tuple[Any, str]]:
     for grant in model.rp_grants:
-        purpose = model.purpose(grant.purpose)
+        purpose = model.purposes_by_id[grant.purpose]
         if purpose.universal:
-            out.append(
-                (
-                    f"{grant.role}:{grant.purpose}",
-                    f"role {grant.role!r} may use the universal purpose {grant.purpose!r} ({purpose.label})",
-                )
-            )
-    return out
+            yield grant, (f"role {grant.role!r} may use the universal purpose "
+                          f"{grant.purpose!r} ({purpose.label})")
 
 
-def _universal_data_grants(model: PolicyModel) -> list[tuple[str, str]]:
-    all_attrs = {a.id for a in model.attributes}
-    out = []
+def _universal_data_grants(model: PolicyModel) -> Iterator[tuple[Any, str]]:
     for grant in model.pg_grants:
-        purpose = model.purpose(grant.purpose)
-        subject = f"{grant.purpose}:{grant.group}"
-        if purpose.universal:
-            out.append(
-                (subject, f"universal purpose {grant.purpose!r} holds a grant to group {grant.group!r}")
-            )
-        elif all_attrs and set(model.group_members(grant.group)) == all_attrs:
-            out.append(
-                (
-                    subject,
-                    f"group {grant.group!r} granted to {grant.purpose!r} spans every attribute in the model",
-                )
-            )
-    return out
+        if model.purposes_by_id[grant.purpose].universal:
+            yield grant, (f"universal purpose {grant.purpose!r} holds a grant to group "
+                          f"{grant.group!r}")
+        elif _spans_every_attribute(model, grant):
+            yield grant, (f"group {grant.group!r} granted to {grant.purpose!r} spans every "
+                          "attribute in the model")
 
 
-def _unjustified_group_grants(model: PolicyModel) -> list[tuple[str, str]]:
-    out = []
+def _unjustified_group_grants(model: PolicyModel) -> Iterator[tuple[Any, str]]:
     for grant in model.pg_grants:
-        members = set(model.group_members(grant.group))
-        purpose = model.purpose(grant.purpose)
+        members = set(model.members_by_group[grant.group])
         # Only the purpose's own tasks can justify its group grant.
-        reads = {model.task(t).reads for t in purpose.tasks}
+        reads = {model.tasks_by_id[t].reads for t in model.purposes_by_id[grant.purpose].tasks}
         needed = reads & members
         if needed and needed != members:
-            unused = len(members - needed)
-            out.append(
-                (
-                    f"{grant.purpose}:{grant.group}",
-                    f"purpose {grant.purpose!r} tasks need only "
-                    f"{len(needed)} of group {grant.group!r}; "
-                    f"{unused} granted attribute(s) are unjustified",
-                )
-            )
-    return out
+            yield grant, (f"purpose {grant.purpose!r} tasks need only {len(needed)} of group "
+                          f"{grant.group!r}; {len(members - needed)} granted attribute(s) "
+                          "are unjustified")
 
 
-def _unused_attributes(model: PolicyModel) -> list[tuple[str, str]]:
-    all_attrs = {a.id for a in model.attributes}
-    read = {t.reads for t in model.tasks}
-    covered: set[str] = set()
+def _unused_attributes(model: PolicyModel) -> Iterator[tuple[Any, str]]:
+    used = _read_attributes(model)
     for grant in model.pg_grants:
-        members = set(model.group_members(grant.group))
         # A grant of the entire attribute universe is a catch-all, not
         # evidence that any particular attribute is used.
-        if members == all_attrs:
-            continue
-        covered |= members
-    return [
-        (a.id, f"attribute {a.id!r} ({a.label}) is read by no task and covered by no group grant")
-        for a in model.attributes
-        if a.id not in read and a.id not in covered
-    ]
+        if not _spans_every_attribute(model, grant):
+            used.update(model.members_by_group[grant.group])
+    for a in model.attributes:
+        if a.id not in used:
+            yield a, (f"attribute {a.id!r} ({a.label}) is read by no task and covered by no "
+                      "group grant")
 
 
-def _taskless_granted_purposes(model: PolicyModel) -> list[tuple[str, str]]:
-    granted = {g.purpose for g in model.rp_grants}
-    return [
-        (
-            p.id,
-            f"purpose {p.id!r} ({p.label}) is granted to a role but declares no tasks",
-        )
-        for p in model.purposes
-        if p.id in granted and not p.tasks
-    ]
+def _taskless_granted_purposes(model: PolicyModel) -> Iterator[tuple[Any, str]]:
+    granted = _granted_purposes(model)
+    for p in model.purposes:
+        if p.id in granted and not p.tasks:
+            yield p, f"purpose {p.id!r} ({p.label}) is granted to a role but declares no tasks"
 
 
-def _dangling_empty_groups(model: PolicyModel) -> list[tuple[str, str]]:
-    return [
-        (
-            f"{grant.purpose}:{grant.group}",
-            f"group {grant.group!r} is granted to {grant.purpose!r} but contains no attributes",
-        )
-        for grant in model.pg_grants
-        if not model.group_members(grant.group)
-    ]
+def _dangling_empty_groups(model: PolicyModel) -> Iterator[tuple[Any, str]]:
+    for grant in model.pg_grants:
+        if not model.members_by_group[grant.group]:
+            yield grant, (f"group {grant.group!r} is granted to {grant.purpose!r} but contains "
+                          "no attributes")
 
 
-def _collection_conflicts(model: PolicyModel) -> list[tuple[str, str]]:
-    read = {t.reads for t in model.tasks}
-    out = []
-    for attr in model.attributes:
-        if attr.collected_conflict:
-            out.append(
-                (
-                    attr.id,
-                    f"attribute {attr.id!r} ({attr.label}) is declared both collected and not collected",
-                )
-            )
-        elif attr.collected is False and attr.id in read:
-            out.append(
-                (
-                    attr.id,
-                    f"attribute {attr.id!r} ({attr.label}) is read by a task but declared not collected",
-                )
-            )
-    return out
+def _collection_conflicts(model: PolicyModel) -> Iterator[tuple[Any, str]]:
+    read = _read_attributes(model)
+    for a in model.attributes:
+        if a.collected_conflict:
+            yield a, f"attribute {a.id!r} ({a.label}) is declared both collected and not collected"
+        elif a.collected is False and a.id in read:
+            yield a, f"attribute {a.id!r} ({a.label}) is read by a task but declared not collected"
 
 
 RULES: tuple[LintRule, ...] = (
-    LintRule("L1", "orphan-purpose", "warning",
-             "purpose with no role-purpose grant", _orphan_purposes),
-    LintRule("L2", "orphan-role", "warning",
-             "role with no direct or inherited grant", _orphan_roles),
-    LintRule("L3", "universal-purpose", "error",
-             "grant of a universal (catch-all) purpose", _universal_purpose_grants),
+    LintRule("L1", "orphan-purpose", "warning", "purpose with no role-purpose grant",
+             "purposes", _orphan_purposes),
+    LintRule("L2", "orphan-role", "warning", "role with no direct or inherited grant",
+             "roles", _orphan_roles),
+    LintRule("L3", "universal-purpose", "error", "grant of a universal (catch-all) purpose",
+             "rp_grants", _universal_purpose_grants),
     LintRule("L4", "universal-data-grant", "error",
              "group grant on a universal purpose, or a grant spanning all attributes",
-             _universal_data_grants),
+             "pg_grants", _universal_data_grants),
     LintRule("L5", "unjustified-group-grant", "warning",
-             "group grant wider than what the purpose's tasks read", _unjustified_group_grants),
+             "group grant wider than what the purpose's tasks read",
+             "pg_grants", _unjustified_group_grants),
     LintRule("L6", "unused-attribute", "warning",
-             "attribute read by no task and covered by no group grant", _unused_attributes),
-    LintRule("L7", "taskless-granted-purpose", "info",
-             "granted purpose with an empty task list", _taskless_granted_purposes),
-    LintRule("L8", "dangling-empty-group", "warning",
-             "granted group containing zero attributes", _dangling_empty_groups),
+             "attribute read by no task and covered by no group grant",
+             "attributes", _unused_attributes),
+    LintRule("L7", "taskless-granted-purpose", "info", "granted purpose with an empty task list",
+             "purposes", _taskless_granted_purposes),
+    LintRule("L8", "dangling-empty-group", "warning", "granted group containing zero attributes",
+             "pg_grants", _dangling_empty_groups),
     LintRule("L9", "collection-conflict", "error",
-             "contradictory or violated collection statements", _collection_conflicts),
+             "contradictory or violated collection statements",
+             "attributes", _collection_conflicts),
 )
 
 RULES_BY_ID: Mapping[str, LintRule] = {rule.id: rule for rule in RULES}
@@ -199,13 +171,16 @@ RULES_BY_ID: Mapping[str, LintRule] = {rule.id: rule for rule in RULES}
 class LintConfig:
     """Which rules run and with what severity.
 
-    `enabled` of None means all rules.  Unknown rule ids are rejected.
+    `enabled` of None means all rules.  Unknown rule ids and an empty
+    selection are rejected.
     """
 
     enabled: Optional[frozenset[str]] = None
     severity_overrides: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.enabled is not None and not self.enabled:
+            raise ValueError("no lint rule selected")
         # Sorted, so the unknown id named is the same on every run.
         for rule_id in sorted({*(self.enabled or ()), *self.severity_overrides}):
             if rule_id not in RULES_BY_ID:
@@ -234,8 +209,8 @@ def run_lints(model: PolicyModel, config: Optional[LintConfig] = None) -> list[F
         if not config.is_enabled(rule):
             continue
         severity = config.severity_for(rule)
-        for subject, message in rule.check(model):
-            findings.append(Finding(rule.id, severity, subject, message))
+        for name, message in rule.check(model):
+            findings.append(Finding(rule.id, severity, name, message))
     findings.sort(key=lambda f: (f.rule, f.subject, f.message))
     return findings
 

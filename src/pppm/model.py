@@ -15,7 +15,8 @@ resolve a duplicated id to its first declaration.
 `validate` checks every structural invariant and returns a report instead of
 raising, so callers can show all problems at once.  Each reference rule is a
 row of `_REFERENCES`, checked against the id maps, and each uniqueness rule a
-row of `_KEYS`; one loop walks each table.
+row of `_KEYS`; one loop walks each table.  `subject` names an entry for its
+report, and the lint findings name theirs the same way.
 """
 
 from __future__ import annotations
@@ -340,6 +341,13 @@ _SUBJECTS = {
     "pg_grants": "{e.purpose}:{e.group}",
 }
 
+
+
+def subject(name: str, entry) -> str:
+    """How a report names `entry` of the PolicyModel field `name`."""
+    return _SUBJECTS.get(name, "{e.id}").format(e=entry)
+
+
 _ID = attrgetter("id")
 
 # (rule, field, key, message): an entry whose key an earlier entry of the
@@ -401,8 +409,8 @@ def validate(model: PolicyModel) -> list[ValidationError]:
 
     def report(rule: str, name: str, i: int, message: str, ref: str = "") -> None:
         entry = getattr(model, name)[i]
-        subject = _SUBJECTS.get(name, "{e.id}").format(e=entry)
-        errors.append(ValidationError(rule, subject, message.format(e=entry, ref=ref), (name, i)))
+        message = message.format(e=entry, ref=ref)
+        errors.append(ValidationError(rule, subject(name, entry), message, (name, i)))
 
     for rule, name, key, message in _KEYS:
         seen: set = set()

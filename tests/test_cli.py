@@ -139,6 +139,15 @@ def test_lint_unknown_rule(capsys):
     assert "unknown lint rule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rules", ("", ","))
+def test_lint_empty_rule_selection_is_a_usage_error(capsys, rules):
+    # An unset variable passed as --rules must not turn a failing lint green.
+    assert run_cli("lint", BABY, "--rules", rules) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no lint rule selected" in captured.err
+
+
 def test_lint_tsv_format(capsys):
     assert run_cli("lint", BABY, "--rules", "L9", "--format", "tsv") == 2
     out = capsys.readouterr().out

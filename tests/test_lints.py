@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,11 @@ from pppm.model import (
     Role,
     RolePurposeGrant,
     Task,
+    subject,
 )
 
 import gen
+from conftest import FIXTURES
 from oracles import brute_inferiors
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -114,6 +117,59 @@ def test_config_rejects_unknown_rule_and_severity():
         LintConfig(enabled=frozenset({"L99"}))
     with pytest.raises(ValueError):
         LintConfig(severity_overrides={"L1": "fatal"})
+
+
+def test_config_rejects_an_empty_selection():
+    # Otherwise an empty selection runs no rule and reports a clean policy.
+    with pytest.raises(ValueError, match="no lint rule selected"):
+        LintConfig(enabled=frozenset())
+
+
+# What the README's subject column says each rule field's entries are named by.
+README_SUBJECTS = {
+    "purposes": "purpose id",
+    "roles": "role id",
+    "rp_grants": "`role:purpose` grant",
+    "pg_grants": "`purpose:group` grant",
+    "attributes": "attribute id",
+}
+
+
+def test_readme_lint_table_matches_the_catalog():
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Lint rules\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if re.match(r"\| L\d ", line)
+    ]
+    assert [row[:3] for row in rows] == [
+        [r.id, r.severity, README_SUBJECTS[r.field]] for r in RULES
+    ]
+
+
+def assert_findings_name_entries_of_the_rule_field(model):
+    findings = run_lints(model)
+    for rule in RULES:
+        named = {subject(rule.field, entry) for entry in getattr(model, rule.field)}
+        pairs = [(f.subject, f.message) for f in findings if f.rule == rule.id]
+        assert {s for s, _ in pairs} <= named, rule.id
+        # perfbench times each rule through `check`, so it must do the
+        # rule's work when called, not hand back a lazy iterator.
+        found = rule.check(model)
+        assert isinstance(found, list), rule.id
+        assert sorted(found) == pairs, rule.id
+
+
+def test_fixture_findings_name_entries_of_the_rule_field(shop_model, baby_model):
+    assert_findings_name_entries_of_the_rule_field(shop_model)
+    assert_findings_name_entries_of_the_rule_field(baby_model)
+
+
+@given(seeds)
+@settings(max_examples=200)
+def test_findings_name_entries_of_the_rule_field(seed):
+    assert_findings_name_entries_of_the_rule_field(gen.random_model(random.Random(seed)))
 
 
 def test_run_lints_requires_a_valid_model():
