@@ -41,7 +41,7 @@ class LintRule:
     find: Callable[[PolicyModel], Iterable[tuple[Any, str]]]  # (entry, message)
 
     def check(self, model: PolicyModel) -> list[tuple[str, str]]:
-        """The rule's (subject, message) pairs, in the order it finds them."""
+        """The rule's (subject, message) pairs on a valid model, in the order found."""
         return [(subject(self.field, entry), message) for entry, message in self.find(model)]
 
 

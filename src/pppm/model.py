@@ -332,23 +332,22 @@ class ValidationError:
     where: tuple[str, int] = field(compare=False)
 
 
+_ID = attrgetter("id")
+
 # How a report names an entry; the entries of other fields are named by id.
 _SUBJECTS = {
-    "role_edges": "{e.superior}->{e.inferior}",
-    "aggregations": "({e.left},{e.right})->{e.product}",
-    "rp_grants": "{e.role}:{e.purpose}",
-    "pt_conditions": "{e.purpose}:{e.task}",
-    "pg_grants": "{e.purpose}:{e.group}",
+    "role_edges": lambda e: f"{e.superior}->{e.inferior}",
+    "aggregations": lambda e: f"({e.left},{e.right})->{e.product}",
+    "rp_grants": lambda e: f"{e.role}:{e.purpose}",
+    "pt_conditions": lambda e: f"{e.purpose}:{e.task}",
+    "pg_grants": lambda e: f"{e.purpose}:{e.group}",
 }
-
 
 
 def subject(name: str, entry) -> str:
     """How a report names `entry` of the PolicyModel field `name`."""
-    return _SUBJECTS.get(name, "{e.id}").format(e=entry)
+    return _SUBJECTS.get(name, _ID)(entry)
 
-
-_ID = attrgetter("id")
 
 # (rule, field, key, message): an entry whose key an earlier entry of the
 # field already has is reported.
