@@ -12,6 +12,9 @@ it shifts no line or column.  Output is UTF-8 with LF endings and contains no
 timestamps or absolute paths, so repeated invocations are byte-identical.
 Setting PPPM_NO_COLOR (or piping stdout) disables the severity coloring of
 `lint`.
+
+Each command imports the modules it needs when it runs (`check` loads only
+the parser and the model), because start-up dominates a one-shot run.
 """
 
 from __future__ import annotations
@@ -23,10 +26,7 @@ from typing import Optional, Sequence
 
 from .conditions import ConditionError, ConditionSyntaxError, Value, parse_literal
 from .dsl import LoweringError, ParseError, lower, parse_policy
-from .lints import LintConfig, format_findings, run_lints
 from .model import PolicyModel, UnknownEntityError
-from .query import QueryEvaluationError, can_access
-from .render import RenderOptions, emit_graph, emit_tables
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -166,6 +166,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from .lints import LintConfig, format_findings, run_lints
+
     model = _load_model(args.file)
     enabled = None
     if args.rules is not None:
@@ -192,6 +194,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from .query import QueryEvaluationError, can_access
+
     model = _load_model(args.file)
     ctx = _parse_ctx(args.ctx)
     try:
@@ -203,6 +207,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import RenderOptions, emit_graph
+
     model = _load_model(args.file)
     layers = tuple(part for part in args.layers.split(",") if part)
     options = RenderOptions(
@@ -219,6 +225,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .render import emit_tables
+
     model = _load_model(args.file)
     _write_output(emit_tables(model), args.out)
     return EXIT_OK

@@ -27,8 +27,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 
 class ConditionError(ValueError):
@@ -65,8 +64,25 @@ def tri_and(a: TriBool, b: TriBool) -> TriBool:
     return TriBool.TRUE
 
 
-@dataclass(frozen=True, order=True)
-class TimeOfDay:
+def value_type(cls: type, compared: Optional[int] = None) -> type:
+    """Give the NamedTuple `cls` a value type's equality: an instance equals
+    only an instance of its own class with equal fields, never a plain tuple
+    or another NamedTuple.  With `compared`, only the first `compared` fields
+    take part in equality and the hash.  The methods are assigned after the
+    class exists, which keeps tuple's hash; a class-body `__eq__` unsets it.
+    """
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self[:compared] == other[:compared]  # type: ignore
+
+    cls.__eq__ = __eq__  # type: ignore[assignment]
+    cls.__ne__ = lambda self, other: not __eq__(self, other)  # type: ignore[assignment]
+    if compared is not None:
+        cls.__hash__ = lambda self: hash(self[:compared])  # type: ignore[assignment]
+    return cls
+
+
+@value_type
+class TimeOfDay(NamedTuple):
     """Minutes past midnight; compares chronologically."""
 
     minutes: int
@@ -75,8 +91,8 @@ class TimeOfDay:
         return f"{self.minutes // 60:02d}:{self.minutes % 60:02d}"
 
 
-@dataclass(frozen=True)
-class Var:
+@value_type
+class Var(NamedTuple):
     name: str
 
 
@@ -91,8 +107,8 @@ RELOPS = ("<", "<=", ">", ">=", "==", "!=")
 ORDER_OPS = frozenset(("<", "<=", ">", ">="))
 
 
-@dataclass(frozen=True)
-class Chain:
+@value_type
+class Chain(NamedTuple):
     """operand relop operand [relop operand ...] -- pairwise conjunction."""
 
     operands: tuple[Operand, ...]
@@ -103,8 +119,8 @@ class Chain:
             yield self.operands[i], op, self.operands[i + 1]
 
 
-@dataclass(frozen=True)
-class ConditionExpr:
+@value_type
+class ConditionExpr(NamedTuple):
     """Conjunction of comparison chains."""
 
     chains: tuple[Chain, ...]

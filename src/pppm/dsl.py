@@ -52,7 +52,6 @@ collection-conflict lint rather than rejected here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from typing import Any, Callable, NamedTuple, Optional
 
 from .conditions import (
@@ -61,6 +60,7 @@ from .conditions import (
     escape_string,
     parse_condition,
     render_condition,
+    value_type,
 )
 from .model import (
     Aggregation,
@@ -191,8 +191,8 @@ class PurposeGroupDecl(NamedTuple):
     span: Span
 
 
-@dataclass(frozen=True)
-class Declarations:
+@value_type
+class Declarations(NamedTuple):
     """Parsed policy file: name plus section entries in source order."""
 
     name: str
@@ -610,8 +610,7 @@ def lower(decls: Declarations) -> PolicyModel:
                     conflict = True
                 elif collected is None:
                     collected = decl.collected
-            attributes[attr_index[decl.id]] = replace(
-                existing,
+            attributes[attr_index[decl.id]] = existing._replace(
                 groups=existing.groups | frozenset(decl.groups),
                 collected=collected,
                 collected_conflict=conflict,
@@ -619,7 +618,7 @@ def lower(decls: Declarations) -> PolicyModel:
 
     derived = {a.product for a in entries["aggregations"]}
     entries["attributes"] = [
-        replace(attr, derived=True) if attr.id in derived else attr for attr in attributes
+        attr._replace(derived=True) if attr.id in derived else attr for attr in attributes
     ]
     model = PolicyModel(decls.name, **{name: tuple(e) for name, e in entries.items()})
 

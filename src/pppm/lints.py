@@ -14,25 +14,24 @@ grant as `role:purpose` and a purpose-group grant as `purpose:group`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .conditions import tsv
+from .conditions import tsv, value_type
 from .model import PolicyModel, PurposeGroupGrant, require_valid, subject
 
 SEVERITIES = ("error", "warning", "info")
 
 
-@dataclass(frozen=True)
-class Finding:
+@value_type
+class Finding(NamedTuple):
     rule: str
     severity: str
     subject: str
     message: str
 
 
-@dataclass(frozen=True)
-class LintRule:
+@value_type
+class LintRule(NamedTuple):
     id: str
     name: str
     severity: str
@@ -167,27 +166,41 @@ RULES: tuple[LintRule, ...] = (
 RULES_BY_ID: Mapping[str, LintRule] = {rule.id: rule for rule in RULES}
 
 
-@dataclass(frozen=True)
-class LintConfig:
+class _LintSelection(NamedTuple):
+    enabled: Optional[frozenset[str]]
+    severity_overrides: Mapping[str, str]
+
+
+@value_type
+class LintConfig(_LintSelection):
     """Which rules run and with what severity.
 
-    `enabled` of None means all rules.  Unknown rule ids and an empty
-    selection are rejected.
+    `enabled` of None means all rules, and `severity_overrides` of None no
+    overrides.  Unknown rule ids and an empty selection are rejected.
     """
 
-    enabled: Optional[frozenset[str]] = None
-    severity_overrides: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.enabled is not None and not self.enabled:
+    def __new__(
+        cls,
+        enabled: Optional[frozenset[str]] = None,
+        severity_overrides: Optional[Mapping[str, str]] = None,
+    ) -> LintConfig:
+        if enabled is not None and not enabled:
             raise ValueError("no lint rule selected")
+        overrides = {} if severity_overrides is None else severity_overrides
         # Sorted, so the unknown id named is the same on every run.
-        for rule_id in sorted({*(self.enabled or ()), *self.severity_overrides}):
+        for rule_id in sorted({*(enabled or ()), *overrides}):
             if rule_id not in RULES_BY_ID:
                 raise ValueError(f"unknown lint rule {rule_id!r}")
-        for severity in self.severity_overrides.values():
+        for severity in overrides.values():
             if severity not in SEVERITIES:
                 raise ValueError(f"unknown severity {severity!r}")
+        return super().__new__(cls, enabled, overrides)
+
+    def _replace(self, **changes: Any) -> LintConfig:
+        """A copy with `changes`, checked as a new config is."""
+        return LintConfig(**{**self._asdict(), **changes})
 
     def severity_for(self, rule: LintRule) -> str:
         return self.severity_overrides.get(rule.id, rule.severity)

@@ -22,12 +22,11 @@ report, and the lint findings name theirs the same way.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Container, Iterator, NamedTuple, Optional
 
-from .conditions import ConditionExpr
+from .conditions import ConditionExpr, value_type
 
 
 class UnknownEntityError(LookupError):
@@ -38,26 +37,26 @@ class InvalidModelError(ValueError):
     """The requested operation needs a model that passes validation."""
 
 
-@dataclass(frozen=True)
-class Role:
+@value_type
+class Role(NamedTuple):
     id: str
     label: str
 
 
-@dataclass(frozen=True)
-class RoleEdge:
+@value_type
+class RoleEdge(NamedTuple):
     superior: str
     inferior: str
 
 
-@dataclass(frozen=True)
-class AttributeGroup:
+@value_type
+class AttributeGroup(NamedTuple):
     id: str
     label: str
 
 
-@dataclass(frozen=True)
-class Attribute:
+@value_type
+class Attribute(NamedTuple):
     id: str
     label: str
     groups: frozenset[str] = frozenset()
@@ -70,60 +69,59 @@ class Attribute:
     derived: bool = False
 
 
-@dataclass(frozen=True)
-class Aggregation:
+@value_type
+class Aggregation(NamedTuple):
     left: str
     right: str
     product: str
 
 
-@dataclass(frozen=True)
-class GranularityFn:
+@value_type
+class GranularityFn(NamedTuple):
     """Named precision conversion (e.g. a date-to-age reduction); opaque."""
 
     id: str
     description: str
 
 
-@dataclass(frozen=True)
-class Task:
+@value_type
+class Task(NamedTuple):
     id: str
     label: str
     reads: str
     via: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Purpose:
+@value_type
+class Purpose(NamedTuple):
     id: str
     label: str
     tasks: tuple[str, ...] = ()
     universal: bool = False
 
 
-@dataclass(frozen=True)
-class RolePurposeGrant:
+@value_type
+class RolePurposeGrant(NamedTuple):
     role: str
     purpose: str
     condition: Optional[ConditionExpr] = None
 
 
-@dataclass(frozen=True)
-class PurposeTaskCondition:
+@value_type
+class PurposeTaskCondition(NamedTuple):
     purpose: str
     task: str
     condition: ConditionExpr
 
 
-@dataclass(frozen=True)
-class PurposeGroupGrant:
+@value_type
+class PurposeGroupGrant(NamedTuple):
     purpose: str
     group: str
     condition: Optional[ConditionExpr] = None
 
 
-@dataclass(frozen=True)
-class PolicyModel:
+class _PolicyModelFields(NamedTuple):
     name: str
     roles: tuple[Role, ...] = ()
     role_edges: tuple[RoleEdge, ...] = ()
@@ -137,7 +135,16 @@ class PolicyModel:
     pt_conditions: tuple[PurposeTaskCondition, ...] = ()
     pg_grants: tuple[PurposeGroupGrant, ...] = ()
 
-    # Lookup caches live in __dict__ and do not take part in equality.
+
+@value_type
+class PolicyModel(_PolicyModelFields):
+    """A policy's entities and connections, each field a tuple in declaration
+    order.  The class has no `__slots__`: its lookup caches live in the
+    instance's `__dict__` and take no part in equality."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a PolicyModel is immutable")
+
     @cached_property
     def roles_by_id(self) -> dict[str, Role]:
         return _first_by_id(self.roles)
@@ -317,8 +324,7 @@ def _lookup(table, key: str, kind: str):
         raise UnknownEntityError(f"unknown {kind} {key!r}") from None
 
 
-@dataclass(frozen=True)
-class ValidationError:
+class ValidationError(NamedTuple):
     """One violated invariant.
 
     `where` is the (PolicyModel field, index) of the entry the error is
@@ -329,7 +335,10 @@ class ValidationError:
     rule: str
     subject: str
     message: str
-    where: tuple[str, int] = field(compare=False)
+    where: tuple[str, int]
+
+
+value_type(ValidationError, compared=3)
 
 
 _ID = attrgetter("id")

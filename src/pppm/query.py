@@ -11,8 +11,7 @@ the most permissive verdict: Allow > Conditional > Deny.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .conditions import (
     ConditionExpr,
@@ -21,6 +20,7 @@ from .conditions import (
     TriBool,
     evaluate,
     render_condition,
+    value_type,
 )
 from .model import PolicyModel
 
@@ -29,15 +29,15 @@ class QueryEvaluationError(ValueError):
     """A condition on an inspected path could not be evaluated."""
 
 
-@dataclass(frozen=True)
-class EffectiveGrant:
+@value_type
+class EffectiveGrant(NamedTuple):
     purpose: str
     condition: Optional[ConditionExpr]
     via: str  # role whose grant supplies this entry
 
 
-@dataclass(frozen=True)
-class AttributeSource:
+@value_type
+class AttributeSource(NamedTuple):
     attribute: str
     source: str  # task id or group id
     kind: str  # "task" | "group"
@@ -51,14 +51,14 @@ class Outcome(enum.Enum):
     CONDITIONAL = "Conditional"
 
 
-@dataclass(frozen=True)
-class PathCondition:
+@value_type
+class PathCondition(NamedTuple):
     origin: str  # "grant" (role-purpose) | "source" (task or group binding)
     condition: ConditionExpr
 
 
-@dataclass(frozen=True)
-class AccessPath:
+@value_type
+class AccessPath(NamedTuple):
     """One structural way a role reaches an attribute."""
 
     role: str
@@ -71,8 +71,8 @@ class AccessPath:
     conditions: tuple[PathCondition, ...]
 
 
-@dataclass(frozen=True)
-class Decision:
+@value_type
+class Decision(NamedTuple):
     outcome: Outcome
     residual: tuple[ConditionExpr, ...]  # non-empty iff Conditional
     path: Optional[AccessPath]  # None only for a structural Deny

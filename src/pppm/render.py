@@ -8,7 +8,8 @@ line endings are LF, so output is byte-stable for a given model + options.
 
 Each drawn element is the DOT node named by its kind and id: `"role:ID"`,
 `"purpose:ID"`, `"task:ID"`, `"attr:ID"`, and `"group:ID"` for a group that a
-drawn purpose-group grant points at.  Every edge joins two such nodes.
+drawn purpose-group grant points at, with the id escaped as in a quoted DOT
+string.  Every edge joins two such nodes.
 
 `emit_tables` produces a tab-separated report with one block per entity or
 connection kind, mirroring the layout policies are usually tabulated in.  A
@@ -18,11 +19,10 @@ has as many fields as its header; backslashes are written as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .conditions import escape_string, render_condition, tsv
+from .conditions import escape_string, render_condition, tsv, value_type
 from .model import Attribute, PolicyModel, Task, require_valid
 
 COMPONENT_LAYERS = ("roles", "purposes", "attributes")
@@ -50,8 +50,8 @@ PALETTE = (
 _BY_ID = attrgetter("id")
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+@value_type
+class RenderOptions(NamedTuple):
     layers: tuple[str, ...] = ("all",)
     show_legend: bool = True
     cluster_groups: bool = True
@@ -82,11 +82,17 @@ def _cluster(
     return [f"  subgraph cluster_{name} {{", f'    label="{label}";', *body, "  }"]
 
 
+def _node(kind: str, entity_id: str) -> str:
+    """The quoted DOT name of the `kind` node drawn for `entity_id`."""
+    return f'"{kind}:{escape_string(entity_id)}"'
+
+
 def _edge(src: str, dst: str, attrs: str, label: Optional[str] = None) -> str:
-    """A DOT edge with `attrs`; `label` None draws none, "" an empty one."""
+    """A DOT edge between node names with `attrs`; `label` None draws none,
+    "" an empty one."""
     if label is not None:
         attrs += f', label="{escape_string(label)}"'
-    return f'  "{src}" -> "{dst}" [{attrs}];'
+    return f"  {src} -> {dst} [{attrs}];"
 
 
 def _condition_text(grant) -> Optional[str]:
@@ -116,13 +122,13 @@ def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> 
 
     if "roles" in layers:
         roles = sorted(model.roles, key=_BY_ID)
-        body = [f'    "role:{r.id}" [shape=ellipse, label="{escape_string(r.id)}"];'
+        body = [f'    {_node("role", r.id)} [shape=ellipse, label="{escape_string(r.id)}"];'
                 for r in roles]
         lines += _cluster("roles", "Roles", roles, legend, body)
     if "purposes" in layers:
-        body = [f'    "purpose:{p.id}" [shape=ellipse, label="{escape_string(p.id)}"];'
+        body = [f'    {_node("purpose", p.id)} [shape=ellipse, label="{escape_string(p.id)}"];'
                 for p in purposes]
-        body += [f'    "task:{t.id}" [shape=point, xlabel="{escape_string(t.id)}"];'
+        body += [f'    {_node("task", t.id)} [shape=point, xlabel="{escape_string(t.id)}"];'
                  for t in tasks]
         lines += _cluster("purposes", "Purposes", purposes + tasks, legend, body)
     if "attributes" in layers:
@@ -134,21 +140,21 @@ def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> 
 
     if "roles" in layers:
         for e in sorted(model.role_edges, key=attrgetter("superior", "inferior")):
-            lines.append(f'  "role:{e.superior}" -> "role:{e.inferior}";')
+            lines.append(f'  {_node("role", e.superior)} -> {_node("role", e.inferior)};')
     if "purposes" in layers:
         colors = {p.id: PALETTE[i % len(PALETTE)] for i, p in enumerate(model.purposes)}
         for purpose in purposes:
-            chain = [f"purpose:{purpose.id}"] + [f"task:{t}" for t in purpose.tasks]
+            chain = [_node("purpose", purpose.id)] + [_node("task", t) for t in purpose.tasks]
             color = f'color="{colors[purpose.id]}"'
             lines.extend(_edge(src, dst, color) for src, dst in zip(chain, chain[1:]))
     if "attributes" in layers:
         pairs = sorted((src, a.product) for a in model.aggregations for src in (a.left, a.right))
-        lines.extend(_edge(f"attr:{src}", f"attr:{dst}", "style=solid") for src, dst in pairs)
+        lines.extend(_edge(_node("attr", src), _node("attr", dst), "style=solid")
+                     for src, dst in pairs)
     if "role-purpose" in layers:
         for g in sorted(model.rp_grants, key=attrgetter("role", "purpose")):
-            lines.append(
-                _edge(f"role:{g.role}", f"purpose:{g.purpose}", "style=dashed", _condition_text(g))
-            )
+            lines.append(_edge(_node("role", g.role), _node("purpose", g.purpose),
+                               "style=dashed", _condition_text(g)))
     if "purpose-attribute" in layers:
         conditions = _conditions_by_task(model)
         for task in tasks:
@@ -157,11 +163,11 @@ def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> 
             if via is not None:
                 parts = parts + [via]
             label = "; ".join(parts) if parts else None
-            lines.append(_edge(f"task:{task.id}", f"attr:{task.reads}", "style=dashed", label))
+            lines.append(_edge(_node("task", task.id), _node("attr", task.reads),
+                               "style=dashed", label))
         for g in sorted(model.pg_grants, key=attrgetter("purpose", "group")):
-            lines.append(_edge(
-                f"purpose:{g.purpose}", f"group:{g.group}", "style=dashed", _condition_text(g)
-            ))
+            lines.append(_edge(_node("purpose", g.purpose), _node("group", g.group),
+                               "style=dashed", _condition_text(g)))
 
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -170,11 +176,13 @@ def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> 
 def _attribute_node(attr: Attribute, indent: str, groups: Sequence[str]) -> str:
     """An attribute node; `groups`, when any, are its tooltip."""
     tooltip = f', tooltip="{escape_string(", ".join(groups))}"' if groups else ""
-    return f'{indent}"attr:{attr.id}" [shape=ellipse, label="{escape_string(attr.id)}"{tooltip}];'
+    label = escape_string(attr.id)
+    return f'{indent}{_node("attr", attr.id)} [shape=ellipse, label="{label}"{tooltip}];'
 
 
 def _group_anchor(group_id: str, indent: str) -> str:
-    return f'{indent}"group:{group_id}" [shape=plaintext, label="{escape_string(group_id)}"];'
+    label = escape_string(group_id)
+    return f'{indent}{_node("group", group_id)} [shape=plaintext, label="{label}"];'
 
 
 def _attribute_cluster(
@@ -191,7 +199,11 @@ def _attribute_cluster(
             by_home.setdefault(min(attr.groups), []).append(attr)
     lines = []
     for group_id in sorted(by_home.keys() | granted):
-        lines.append(f"    subgraph cluster_group_{group_id} {{")
+        # A Python identifier is also a DOT identifier; any other name is quoted.
+        name = f"cluster_group_{group_id}"
+        if not name.isidentifier():
+            name = f'"{escape_string(name)}"'
+        lines.append(f"    subgraph {name} {{")
         lines.append(f'      label="{escape_string(group_id)}";')
         if group_id in granted:
             lines.append(_group_anchor(group_id, "      "))

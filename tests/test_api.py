@@ -2,10 +2,52 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
+import pytest
+
 import pppm
+
+from conftest import FIXTURES
 
 
 def test_every_exported_name_resolves():
     assert len(set(pppm.__all__)) == len(pppm.__all__)
     missing = [name for name in pppm.__all__ if not hasattr(pppm, name)]
     assert missing == []
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from pppm import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(pppm.__all__)
+
+
+# What each command may load beyond the parser and the model: the lazy
+# package and the per-command imports in the CLI keep start-up to these.
+OPTIONAL = ("pppm.lints", "pppm.query", "pppm.render", "dataclasses", "inspect")
+COMMANDS = {
+    "check": (),
+    "lint": ("pppm.lints",),
+    "query": ("pppm.query",),
+    "render": ("pppm.render",),
+    "report": ("pppm.render",),
+}
+PROBE = """\
+import contextlib, io, sys
+import pppm.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pppm.cli.main(sys.argv[1:])
+print(code, *sorted(m for m in {optional} if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_the_modules_it_uses(command):
+    argv = [command, str(FIXTURES / "imaginary_shop.pppm")]
+    if command == "query":
+        argv += ["--role", "r1", "--attribute", "d1"]
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(optional=OPTIONAL), *argv],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", *COMMANDS[command]]

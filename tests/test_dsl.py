@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -75,10 +74,10 @@ def test_parse_and_lower_full_example():
 def test_the_section_table_describes_each_section_once():
     sections = dsl._SECTIONS
     # One row per tuple field of PolicyModel, in field order.
-    assert [s.field for s in sections] == [f.name for f in fields(PolicyModel)][1:]
+    assert [s.field for s in sections] == list(PolicyModel._fields)[1:]
     assert len({s.keyword for s in sections}) == len({s.record for s in sections}) == 11
     for section in sections:
-        leading = [f.name for f in fields(section.entity)][: len(section.record._fields) - 1]
+        leading = list(section.entity._fields)[: len(section.record._fields) - 1]
         assert section.record._fields == (*leading, "span"), section.keyword
     # MINI uses every section: each yields its record and its entity, and
     # serialize writes the sections in table order.

@@ -12,9 +12,9 @@ vacuous.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
+from typing import get_type_hints
 
 from pppm.model import Aggregation, PolicyModel, PurposeTaskCondition, RoleEdge, validate
 
@@ -33,7 +33,7 @@ RULES = frozenset((
 # Ids of every kind `gen.random_model` uses, plus ids it never does.
 ID_POOL = ("r0", "r1", "r2", "g0", "g1", "d0", "d1", "d2", "fn0", "t0", "t1", "p0", "p1",
            "x9", "", "a:b")
-FIELDS = tuple(f.name for f in dataclasses.fields(PolicyModel) if f.name != "name")
+FIELDS = tuple(f for f in PolicyModel._fields if f != "name")
 
 # sha256 of every corrupted model's report, recorded before `validate` was
 # rewritten as tables.
@@ -42,7 +42,7 @@ REPORT_DIGEST = "38ddf489070d298d41dc12079b130da3428c42492994868fa741b7ed158e481
 
 def _replace_entry(model: PolicyModel, name: str, i: int, entry) -> PolicyModel:
     entries = getattr(model, name)
-    return dataclasses.replace(model, **{name: entries[:i] + (entry,) + entries[i + 1:]})
+    return model._replace(**{name: entries[:i] + (entry,) + entries[i + 1:]})
 
 
 def _corrupt(rng: random.Random, model: PolicyModel) -> PolicyModel:
@@ -54,21 +54,20 @@ def _corrupt(rng: random.Random, model: PolicyModel) -> PolicyModel:
     if kind == "duplicate" and entries:
         j = rng.randrange(len(entries) + 1)
         entries = entries[:j] + (rng.choice(entries),) + entries[j:]
-        return dataclasses.replace(model, **{name: entries})
+        return model._replace(**{name: entries})
     if kind == "retarget" and entries:
         i = rng.randrange(len(entries))
-        strings = [f.name for f in dataclasses.fields(entries[i]) if f.type == "str"]
+        strings = [f for f, t in get_type_hints(type(entries[i])).items() if t is str]
         value = rng.choice(ID_POOL)
         return _replace_entry(model, name, i,
-                              dataclasses.replace(entries[i], **{rng.choice(strings): value}))
+                              entries[i]._replace(**{rng.choice(strings): value}))
     if kind == "delete" and entries:
         i = rng.randrange(len(entries))
-        return dataclasses.replace(model, **{name: entries[:i] + entries[i + 1:]})
+        return model._replace(**{name: entries[:i] + entries[i + 1:]})
     if kind == "attribute" and model.attributes:
         i = rng.randrange(len(model.attributes))
         groups = frozenset(g for g in ("g0", "g1", "g9") if rng.random() < 0.4)
-        attribute = dataclasses.replace(
-            model.attributes[i],
+        attribute = model.attributes[i]._replace(
             groups=groups,
             collected=rng.choice((None, True, False)),
             collected_conflict=rng.random() < 0.3,
@@ -80,24 +79,24 @@ def _corrupt(rng: random.Random, model: PolicyModel) -> PolicyModel:
         pool = [t.id for t in model.tasks] + ["t9"]
         tasks = tuple(rng.choice(pool) for _ in range(rng.randrange(0, 4)))
         return _replace_entry(model, "purposes", i,
-                              dataclasses.replace(model.purposes[i], tasks=tasks))
+                              model.purposes[i]._replace(tasks=tasks))
     if kind == "via" and model.tasks:
         i = rng.randrange(len(model.tasks))
         via = rng.choice((None, "fn0", "fn9", ""))
-        return _replace_entry(model, "tasks", i, dataclasses.replace(model.tasks[i], via=via))
+        return _replace_entry(model, "tasks", i, model.tasks[i]._replace(via=via))
     if kind == "append":
         if rng.random() < 0.5:
             pool = [r.id for r in model.roles] + ["x9"]
             edge = RoleEdge(rng.choice(pool), rng.choice(pool))
-            return dataclasses.replace(model, role_edges=model.role_edges + (edge,))
+            return model._replace(role_edges=model.role_edges + (edge,))
         pool = [a.id for a in model.attributes] + ["x9"]
         if rng.random() < 0.2 and model.purposes:
             purpose = rng.choice(model.purposes)
             pair = PurposeTaskCondition(purpose.id, rng.choice(ID_POOL),
                                         gen.random_condition(rng))
-            return dataclasses.replace(model, pt_conditions=model.pt_conditions + (pair,))
+            return model._replace(pt_conditions=model.pt_conditions + (pair,))
         aggregation = Aggregation(rng.choice(pool), rng.choice(pool), rng.choice(pool))
-        return dataclasses.replace(model, aggregations=model.aggregations + (aggregation,))
+        return model._replace(aggregations=model.aggregations + (aggregation,))
     return model
 
 

@@ -4,7 +4,18 @@ import re
 
 import pytest
 
-from pppm.model import InvalidModelError, PolicyModel, Role, RolePurposeGrant
+from pppm.model import (
+    Attribute,
+    AttributeGroup,
+    InvalidModelError,
+    PolicyModel,
+    Purpose,
+    PurposeGroupGrant,
+    Role,
+    RoleEdge,
+    RolePurposeGrant,
+    Task,
+)
 from pppm.render import (
     ALL_LAYERS,
     PALETTE,
@@ -232,3 +243,30 @@ def test_tables_escape_tabs_and_line_breaks_inside_cells():
     # A CR alone leaves the tab and line counts as they are; it is escaped too.
     lone = PolicyModel("x", roles=(Role("r1", "cr\ronly"),))
     assert "\nr1\tcr\\ronly\n" in emit_tables(lone)
+
+
+def test_ids_outside_the_policy_language_are_escaped_in_dot():
+    # A directly built model may hold ids that a policy file cannot: quotes,
+    # backslashes and spaces.
+    model = PolicyModel(
+        "x",
+        roles=(Role('a"b', "A"), Role("c\\d", "C")),
+        role_edges=(RoleEdge('a"b', "c\\d"),),
+        groups=(AttributeGroup("g x", "G"),),
+        attributes=(Attribute('d"1', "D", frozenset({"g x"})),),
+        tasks=(Task('t"1', "T", 'd"1'),),
+        purposes=(Purpose('p"1', "P", ('t"1',)),),
+        rp_grants=(RolePurposeGrant('a"b', 'p"1'),),
+        pg_grants=(PurposeGroupGrant('p"1', "g x"),),
+    )
+    lines = emit_graph(model).splitlines()
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    edges = [line for line in lines if " -> " in line]
+    assert len(edges) == 5
+    for line in edges:
+        assert re.fullmatch(rf"  {quoted} -> {quoted}( \[.*\])?;", line), line
+    assert '    "role:a\\"b" [shape=ellipse, label="a\\"b"];' in lines
+    assert '  "role:a\\"b" -> "role:c\\\\d";' in lines
+    assert '  "purpose:p\\"1" -> "group:g x" [style=dashed];' in lines
+    assert '    subgraph "cluster_group_g x" {' in lines
+    assert '      "group:g x" [shape=plaintext, label="g x"];' in lines
