@@ -139,8 +139,11 @@ def _parse_ctx(bindings: list[str]) -> dict[str, Value]:
         name, eq, value = binding.partition("=")
         if not eq or not name:
             raise UsageError(f"invalid context binding {binding!r} (expected NAME=VALUE)")
+        name = name.lower()
+        if name in ctx:
+            raise UsageError(f"context variable {name!r} bound twice")
         try:
-            ctx[name.lower()] = parse_literal(value)
+            ctx[name] = parse_literal(value)
         except ConditionSyntaxError:
             raise UsageError(
                 f"invalid context value {value!r} "

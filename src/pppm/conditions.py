@@ -35,7 +35,7 @@ class ConditionError(ValueError):
 
 
 class ConditionSyntaxError(ConditionError):
-    """Malformed condition text; `offset` is the byte offset of the fault."""
+    """Malformed condition text; `offset` is the character index of the fault."""
 
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (at offset {offset})")
@@ -193,7 +193,8 @@ def _token(kind: str, raw: str, pos: int) -> tuple[str, object, int]:
         # Variable names are case-insensitive; canonical form is lower.
         return ("var", word, pos)
     if kind == "string":
-        return ("lit", re.sub(r"\\(.)", lambda e: _unescape(e.group(1), pos), raw[1:-1]), pos)
+        text = re.sub(r"\\(.)", lambda e: _unescape(e.group(1), pos + e.start()), raw)
+        return ("lit", text[1:-1], pos)
     return ("op", raw, pos)
 
 

@@ -19,12 +19,14 @@ A policy file names the policy and then lists sections in any order:
 `#` starts a comment running to end of line.  Ids match
 [A-Za-z_][A-Za-z0-9_]*; strings are double-quoted with \\" and \\\\ escapes.
 
-The lexer turns each line into plain tuples (kind, text, line, col, end_col):
-`kind` is "ident", "string", "eof" or the punctuation text itself ("{",
-"->", ...), and a string's `text` is its unescaped content.  The list ends
-with end-of-input sentinels, so lookahead is a plain index.  A Span is built
-only for a declaration or an error, and each distinct condition text is
-parsed once per `parse_policy` call.
+The lexer fills five parallel lists indexed by token number: kind, text,
+line, column and end column.  `kind` is "ident", "string", "eof" or the
+punctuation text itself ("{", "->", ...), and a string's text is its
+unescaped content.  Every element is a str or an int, so a token is no object
+of its own and the garbage collector tracks none of them.  The lists end with
+end-of-input sentinels, so lookahead is a plain index.  A Span is built only
+for a declaration (from its first token to its last) or an error, and each
+distinct condition text is parsed once per `parse_policy` call.
 
 Each section is described once, by its row in `_SECTIONS`: its keyword, the
 PolicyModel field it fills, its declaration record, the function that parses
@@ -216,39 +218,48 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r'\\(["\\])')
-# Lookahead reaches two tokens past the current one, so the token list ends
-# with three end-of-input sentinels and `peek` never runs off it.
+# Lookahead reaches two tokens past the current one, so the token lists end
+# with three end-of-input sentinels and a lookahead never runs off them.
 _EOF_PAD = 3
 
 
-def _lex(text: str) -> list[tuple]:
-    tokens: list[tuple] = []
-    append = tokens.append
+def _lex(text: str) -> tuple[list[str], list[str], list[int], list[int], list[int]]:
+    """The tokens of `text` as the lists kinds, texts, lines, cols and ends."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    linenos: list[int] = []
+    cols: list[int] = []
+    ends: list[int] = []
     lines = text.split("\n")
     for lineno, line in enumerate(lines, 1):
         col = 1
         for space, ident, punct, string, comment, bad in _TOKEN_RE.findall(line):
             col += len(space)
             if ident:
-                end = col + len(ident)
-                append(("ident", ident, lineno, col, end))
+                kind, word, end = "ident", ident, col + len(ident)
             elif punct:
-                end = col + len(punct)
-                append((punct, punct, lineno, col, end))
+                kind, word, end = punct, punct, col + len(punct)
             elif string:
-                end = col + len(string)
-                word = string[1:-1]
+                kind, word, end = "string", string[1:-1], col + len(string)
                 if "\\" in word:
                     word = _ESCAPE_RE.sub(r"\1", word)
-                append(("string", word, lineno, col, end))
             elif bad:
                 raise _lex_error(line, lineno, col - 1)
             else:
                 break  # a comment runs to the end of the line
+            kinds.append(kind)
+            texts.append(word)
+            linenos.append(lineno)
+            cols.append(col)
+            ends.append(end)
             col = end
     col = len(lines[-1]) + 1
-    tokens.extend([("eof", "", len(lines), col, col)] * _EOF_PAD)
-    return tokens
+    kinds += ["eof"] * _EOF_PAD
+    texts += [""] * _EOF_PAD
+    linenos += [len(lines)] * _EOF_PAD
+    cols += [col] * _EOF_PAD
+    ends += [col] * _EOF_PAD
+    return kinds, texts, linenos, cols, ends
 
 
 def _lex_error(line: str, lineno: int, start: int) -> ParseError:
@@ -270,81 +281,75 @@ _EXPECTED = {"ident": "an identifier", "string": "a string"}
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple]) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str) -> None:
+        self.kinds, self.texts, self.lines, self.cols, self.ends = _lex(text)
         self.pos = 0
         # Condition text -> ConditionExpr: each distinct text is parsed once.
         self.conditions: dict[str, ConditionExpr] = {}
 
-    def peek(self, ahead: int = 0) -> tuple:
-        return self.tokens[self.pos + ahead]
-
-    def next(self) -> tuple:
-        """The current token, which the caller has checked is not eof."""
+    def next(self) -> str:
+        """The current token's text; the caller has checked it is not eof."""
         self.pos += 1
-        return self.tokens[self.pos - 1]
+        return self.texts[self.pos - 1]
 
-    def expect(self, kind: str, expected: Optional[str] = None) -> tuple:
-        """The current token if it is of `kind` (a punctuation text, "ident"
-        or "string"), else a ParseError naming `expected` or else `kind`."""
-        token = self.tokens[self.pos]
-        if token[0] != kind:
-            raise _unexpected(token, expected or _EXPECTED.get(kind, repr(kind)))
-        self.pos += 1
-        return token
+    def expect(self, kind: str, expected: Optional[str] = None) -> str:
+        """The current token's text if it is of `kind` (a punctuation text,
+        "ident" or "string"), else a ParseError naming `expected` or `kind`."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.unexpected(pos, expected or _EXPECTED.get(kind, repr(kind)))
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def expect_keyword(self, word: str) -> tuple:
-        token = self.tokens[self.pos]
-        if token[1] != word or token[0] != "ident":
-            raise _unexpected(token, repr(word))
+    def expect_keyword(self, word: str) -> None:
+        if not self.at_keyword(word):
+            raise self.unexpected(self.pos, repr(word))
         self.pos += 1
-        return token
 
     def at_keyword(self, word: str) -> bool:
-        token = self.tokens[self.pos]
-        return token[1] == word and token[0] == "ident"
+        pos = self.pos
+        return self.texts[pos] == word and self.kinds[pos] == "ident"
 
-    def at_punct(self, text: str, ahead: int = 0) -> bool:
-        return self.tokens[self.pos + ahead][0] == text
+    def at(self, kind: str, ahead: int = 0) -> bool:
+        """Whether the token `ahead` past the current one is of `kind`."""
+        return self.kinds[self.pos + ahead] == kind
 
+    def span(self, pos: int) -> Span:
+        """The span of the token at `pos`."""
+        return Span(self.lines[pos], self.cols[pos], self.lines[pos], self.ends[pos])
 
-def _span(token: tuple) -> Span:
-    return Span(token[2], token[3], token[2], token[4])
+    def span_from(self, start: int) -> Span:
+        """From the token at `start` to the last token consumed."""
+        end = self.pos - 1
+        return Span(self.lines[start], self.cols[start], self.lines[end], self.ends[end])
 
-
-def _span_between(start: tuple, end: tuple) -> Span:
-    return Span(start[2], start[3], end[2], end[4])
-
-
-def _unexpected(token: tuple, expected: str) -> ParseError:
-    kind = token[0]
-    if kind == "eof":
-        found = "end of input"
-    elif kind == "string":
-        found = "a string"
-    else:
-        found = repr(token[1])
-    return ParseError(f"found {found}", _span(token), expected=expected)
+    def unexpected(self, pos: int, expected: str) -> ParseError:
+        kind = self.kinds[pos]
+        if kind == "eof":
+            found = "end of input"
+        elif kind == "string":
+            found = "a string"
+        else:
+            found = repr(self.texts[pos])
+        return ParseError(f"found {found}", self.span(pos), expected=expected)
 
 
 def parse_policy(text: str) -> Declarations:
     """Parse policy text into declarations; raises ParseError on bad input."""
-    parser = _Parser(_lex(text))
+    parser = _Parser(text)
     parser.expect_keyword("policy")
-    name = parser.expect("string")[1]
+    name = parser.expect("string")
     entries: list[tuple] = []
-    while True:
-        token = parser.peek()
-        if token[0] == "eof":
-            break
-        section = _SECTION_BY_KEYWORD.get(token[1])
-        if section is None or token[0] != "ident":
-            raise _unexpected(token, "a section name")
+    while not parser.at("eof"):
+        section = _SECTION_BY_KEYWORD.get(parser.texts[parser.pos])
+        if section is None or not parser.at("ident"):
+            raise parser.unexpected(parser.pos, "a section name")
         parser.next()
         parser.expect("{")
         parse, record = section.parse, section.record
-        while not parser.at_punct("}"):
-            entries.append(parse(parser, record))
+        while not parser.at("}"):
+            start = parser.pos
+            entries.append(record(*parse(parser), parser.span_from(start)))
         parser.expect("}")
     return Declarations(name, tuple(entries))
 
@@ -354,141 +359,131 @@ def load_policy(text: str) -> PolicyModel:
     return lower(parse_policy(text))
 
 
-def _parse_head(parser: _Parser) -> tuple[tuple, tuple]:
-    """The `id: "label"` that starts most declarations; its two tokens."""
+# Each declaration parser reads one declaration and returns its record's
+# fields except the span, which `parse_policy` adds.
+
+
+def _parse_named(parser: _Parser) -> tuple[str, str]:
+    """`id: "label"`, which also starts attributes, tasks and purposes."""
     ident = parser.expect("ident")
     parser.expect(":")
     return ident, parser.expect("string")
 
 
-def _parse_named(parser: _Parser, record: type) -> tuple:
-    ident, label = _parse_head(parser)
-    return record(ident[1], label[1], _span_between(ident, label))
-
-
-def _parse_role_edge(parser: _Parser, record: type) -> tuple:
+def _parse_role_edge(parser: _Parser) -> tuple[str, str]:
     superior = parser.expect("ident")
     parser.expect("->")
-    inferior = parser.expect("ident")
-    return record(superior[1], inferior[1], _span_between(superior, inferior))
+    return superior, parser.expect("ident")
 
 
-def _parse_id_list(parser: _Parser, close: str) -> tuple[tuple[str, ...], tuple]:
-    """`id (, id)*` then `close`; the ids and the closing token."""
-    members = [parser.expect("ident")[1]]
-    while parser.at_punct(","):
+def _parse_id_list(parser: _Parser, close: str) -> tuple[str, ...]:
+    """`id (, id)*` then `close`."""
+    members = [parser.expect("ident")]
+    while parser.at(","):
         parser.next()
-        members.append(parser.expect("ident")[1])
-    return tuple(members), parser.expect(close)
+        members.append(parser.expect("ident"))
+    parser.expect(close)
+    return tuple(members)
 
 
-def _parse_attribute(parser: _Parser, record: type) -> tuple:
-    ident, end = _parse_head(parser)
-    label = end[1]
+def _parse_attribute(parser: _Parser) -> tuple:
+    ident, label = _parse_named(parser)
     groups: tuple[str, ...] = ()
     collected: Optional[bool] = None
     # Both trailers are optional; two-token lookahead separates them from the
     # next declaration, whose id is always followed by ':'.
-    if parser.at_keyword("groups") and parser.at_punct("(", 1):
+    if parser.at_keyword("groups") and parser.at("(", 1):
         parser.next()
         parser.next()
-        groups, end = _parse_id_list(parser, ")")
-    if parser.at_keyword("collected") and parser.at_punct("=", 1):
+        groups = _parse_id_list(parser, ")")
+    if parser.at_keyword("collected") and parser.at("=", 1):
         parser.next()
         parser.next()
-        end = parser.expect("ident", "'yes' or 'no'")
-        if end[1] not in ("yes", "no"):
-            raise _unexpected(end, "'yes' or 'no'")
-        collected = end[1] == "yes"
-    return record(ident[1], label, groups, collected, _span_between(ident, end))
+        flag = parser.expect("ident", "'yes' or 'no'")
+        if flag not in ("yes", "no"):
+            raise parser.unexpected(parser.pos - 1, "'yes' or 'no'")
+        collected = flag == "yes"
+    return ident, label, groups, collected
 
 
-def _parse_aggregation(parser: _Parser, record: type) -> tuple:
-    start = parser.expect("(")
+def _parse_aggregation(parser: _Parser) -> tuple[str, str, str]:
+    parser.expect("(")
     left = parser.expect("ident")
     parser.expect(",")
     right = parser.expect("ident")
     parser.expect(")")
     parser.expect("->")
-    product = parser.expect("ident")
-    return record(left[1], right[1], product[1], _span_between(start, product))
+    return left, right, parser.expect("ident")
 
 
-def _parse_task(parser: _Parser, record: type) -> tuple:
-    ident, label = _parse_head(parser)
+def _parse_task(parser: _Parser) -> tuple:
+    ident, label = _parse_named(parser)
     parser.expect_keyword("reads")
-    end = parser.expect("ident")
-    reads = end[1]
+    reads = parser.expect("ident")
     via: Optional[str] = None
-    if parser.at_keyword("via") and parser.peek(1)[0] == "ident" and not parser.at_punct(":", 2):
+    if parser.at_keyword("via") and parser.at("ident", 1) and not parser.at(":", 2):
         parser.next()
-        end = parser.next()
-        via = end[1]
-    return record(ident[1], label[1], reads, via, _span_between(ident, end))
+        via = parser.next()
+    return ident, label, reads, via
 
 
-def _parse_purpose(parser: _Parser, record: type) -> tuple:
-    ident, end = _parse_head(parser)
-    label = end[1]
+def _parse_purpose(parser: _Parser) -> tuple:
+    ident, label = _parse_named(parser)
     tasks: tuple[str, ...] = ()
     universal = False
-    if parser.at_punct("="):
+    if parser.at("="):
         parser.next()
         parser.expect("[")
-        tasks, end = _parse_id_list(parser, "]")
+        tasks = _parse_id_list(parser, "]")
     # 'universal' could also start the next declaration as an id; a following
     # ':' disambiguates.
-    if parser.at_keyword("universal") and not parser.at_punct(":", 1):
-        end = parser.next()
+    if parser.at_keyword("universal") and not parser.at(":", 1):
+        parser.next()
         universal = True
-    return record(ident[1], label, tasks, universal, _span_between(ident, end))
+    return ident, label, tasks, universal
 
 
-def _parse_condition_string(parser: _Parser) -> tuple[ConditionExpr, tuple]:
-    """A condition string, parsed once per distinct text; and its token."""
-    token = parser.expect("string")
-    condition = parser.conditions.get(token[1])
+def _parse_condition_string(parser: _Parser) -> ConditionExpr:
+    """A condition string, parsed once per distinct text."""
+    text = parser.expect("string")
+    condition = parser.conditions.get(text)
     if condition is None:
         try:
-            condition = parser.conditions[token[1]] = parse_condition(token[1])
+            condition = parser.conditions[text] = parse_condition(text)
         except ConditionError as exc:
-            raise ParseError(f"invalid condition: {exc}", _span(token)) from exc
-    return condition, token
+            raise ParseError(f"invalid condition: {exc}", parser.span(parser.pos - 1)) from exc
+    return condition
 
 
-def _parse_optional_condition(parser: _Parser, end: tuple):
-    """The condition of a following `when "..."`, or None; and the last
-    token of the declaration, which is `end` when there is no condition."""
-    if parser.at_keyword("when") and parser.peek(1)[0] == "string":
+def _parse_optional_condition(parser: _Parser) -> Optional[ConditionExpr]:
+    """The condition of a following `when "..."`, or None."""
+    if parser.at_keyword("when") and parser.at("string", 1):
         parser.next()
         return _parse_condition_string(parser)
-    return None, end
+    return None
 
 
-def _parse_role_purpose(parser: _Parser, record: type) -> tuple:
+def _parse_role_purpose(parser: _Parser) -> tuple:
     role = parser.expect("ident")
     parser.expect_keyword("allowed")
     purpose = parser.expect("ident")
-    condition, end = _parse_optional_condition(parser, purpose)
-    return record(role[1], purpose[1], condition, _span_between(role, end))
+    return role, purpose, _parse_optional_condition(parser)
 
 
-def _parse_purpose_task_condition(parser: _Parser, record: type) -> tuple:
+def _parse_purpose_task_condition(parser: _Parser) -> tuple:
     purpose = parser.expect("ident")
     parser.expect_keyword("task")
     task = parser.expect("ident")
     parser.expect_keyword("when")
-    condition, end = _parse_condition_string(parser)
-    return record(purpose[1], task[1], condition, _span_between(purpose, end))
+    return purpose, task, _parse_condition_string(parser)
 
 
-def _parse_purpose_group(parser: _Parser, record: type) -> tuple:
+def _parse_purpose_group(parser: _Parser) -> tuple:
     purpose = parser.expect("ident")
     parser.expect_keyword("allowed")
     parser.expect_keyword("group")
     group = parser.expect("ident")
-    condition, end = _parse_optional_condition(parser, group)
-    return record(purpose[1], group[1], condition, _span_between(purpose, end))
+    return purpose, group, _parse_optional_condition(parser)
 
 
 def _quote(text: str) -> str:
@@ -528,7 +523,7 @@ class _Section(NamedTuple):
     keyword: str  # the section's name in a policy file
     field: str  # the PolicyModel field its entries lower into
     record: type  # its declaration record
-    parse: Callable[[_Parser, type], tuple]  # reads one declaration as a `record`
+    parse: Callable[[_Parser], tuple]  # reads one declaration's fields but its span
     entity: type  # the model entry a declaration becomes
     write: Callable[[Any], tuple[str, ...]]  # an entry's canonical row(s)
 

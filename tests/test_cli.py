@@ -244,13 +244,23 @@ def test_query_ctx_value_forms(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "binding",
-    ["age", "=5", "age=25:99", "age=twenty", "age="],
+    "bindings",
+    ["age", "=5", "age=25:99", "age=twenty", "age=", "age=25 AGE=10"],
 )
-def test_query_bad_ctx_binding(binding, capsys):
-    code = run_cli("query", SHOP, "--role", "r4", "--attribute", "d1", "--ctx", binding)
+def test_query_bad_ctx_binding(bindings, capsys):
+    ctx = [arg for binding in bindings.split(" ") for arg in ("--ctx", binding)]
+    code = run_cli("query", SHOP, "--role", "r4", "--attribute", "d1", *ctx)
     assert code == 4
     assert "pppm: error" in capsys.readouterr().err
+
+
+def test_query_ctx_variable_bound_twice(capsys):
+    # Names are case-insensitive, so neither binding may silently win.
+    args = ("query", SHOP, "--role", "r4", "--attribute", "d1", "--purpose", "p3")
+    for first, second in (("age=25", "AGE=10"), ("AGE=10", "age=25")):
+        code = run_cli(*args, "--ctx", first, "--ctx", second, "--ctx", "now=10:00")
+        assert code == 4
+        assert capsys.readouterr().err == "pppm: error: context variable 'age' bound twice\n"
 
 
 def test_query_unknown_entities(capsys):

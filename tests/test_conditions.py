@@ -94,6 +94,11 @@ def test_syntax_error_carries_offset():
     with pytest.raises(ConditionSyntaxError) as info:
         parse_condition("age > 18 &")
     assert info.value.offset == 9
+    # An unsupported escape is reported at its backslash, not at the quote.
+    with pytest.raises(ConditionSyntaxError) as info:
+        parse_condition('name == "ab\\q"')
+    assert info.value.offset == 11
+    assert str(info.value) == "unsupported escape \\q (at offset 11)"
 
 
 def test_tri_and_truth_table():

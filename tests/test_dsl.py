@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -129,6 +130,28 @@ def test_parse_error_spans_are_one_based():
     with pytest.raises(ParseError) as info:
         parse_policy('policy "x"\nroles {\n  r1 "oops"\n}')
     assert (info.value.span.line, info.value.span.col) == (3, 6)
+
+
+def test_lexed_tokens_are_no_objects_the_collector_tracks(shop_text, baby_text):
+    # The lexer keeps its tokens in parallel lists of str and int, so a large
+    # policy's tens of thousands of tokens add nothing for the garbage
+    # collector to walk.  Collection stays off until they are checked, since
+    # a collection untracks a tuple of atoms and would hide per-token tuples.
+    text = "\n".join([shop_text, baby_text] + [
+        serialize(gen.random_model(random.Random(seed))) for seed in range(300)
+    ])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fields = dsl._lex(text)
+        tracked = [sum(map(gc.is_tracked, values)) for values in fields]
+    finally:
+        if enabled:
+            gc.enable()
+    assert [type(values) for values in fields] == [list] * 5
+    assert len({len(values) for values in fields}) == 1
+    assert len(fields[0]) > 30_000
+    assert tracked == [0] * 5
 
 
 def test_lowering_reports_unknown_reference_once():
