@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 
 class ConditionError(ValueError):
@@ -54,14 +55,6 @@ class TriBool(enum.Enum):
     @staticmethod
     def from_bool(value: bool) -> "TriBool":
         return TriBool.TRUE if value else TriBool.FALSE
-
-
-def tri_and(a: TriBool, b: TriBool) -> TriBool:
-    if a is TriBool.FALSE or b is TriBool.FALSE:
-        return TriBool.FALSE
-    if a is TriBool.UNKNOWN or b is TriBool.UNKNOWN:
-        return TriBool.UNKNOWN
-    return TriBool.TRUE
 
 
 def value_type(cls: type, compared: Optional[int] = None) -> type:
@@ -113,10 +106,6 @@ class Chain(NamedTuple):
 
     operands: tuple[Operand, ...]
     ops: tuple[str, ...]
-
-    def pairs(self) -> Iterator[tuple[Operand, str, Operand]]:
-        for i, op in enumerate(self.ops):
-            yield self.operands[i], op, self.operands[i + 1]
 
 
 @value_type
@@ -327,38 +316,41 @@ def tsv(rows: Sequence[Sequence[str]]) -> str:
 
 
 def evaluate(expr: ConditionExpr, ctx: EvalContext) -> TriBool:
-    """Three-valued evaluation of `expr` under the bindings in `ctx`."""
-    result = TriBool.TRUE
-    for chain in expr.chains:
-        for left, op, right in chain.pairs():
-            result = tri_and(result, _evaluate_pair(left, op, right, ctx))
-    return result
+    """Three-valued evaluation of `expr` under the bindings in `ctx`.
+
+    Every pair is evaluated, even after a False one, so a type clash anywhere
+    in `expr` raises.
+    """
+    unknown = false = False
+    for operands, ops in expr.chains:
+        for i, op in enumerate(ops):
+            lv, rv = operands[i], operands[i + 1]
+            if isinstance(lv, Var):
+                lv = ctx.get(lv.name, _MISSING)
+            if isinstance(rv, Var):
+                rv = ctx.get(rv.name, _MISSING)
+            if lv is _MISSING or rv is _MISSING:
+                unknown = True
+                continue
+            for value in (lv, rv):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConditionTypeError(f"cannot compare the non-finite number {value!r}")
+            lt = _TYPE_CLASSES.get(type(lv)) or _type_class(lv)
+            rt = _TYPE_CLASSES.get(type(rv)) or _type_class(rv)
+            if lt != rt:
+                raise ConditionTypeError(f"cannot compare {lt} to {rt}")
+            if op in ORDER_OPS and lt in ("string", "bool"):
+                raise ConditionTypeError(f"ordering comparison {op!r} is not defined for {lt}s")
+            # An op outside RELOPS, which only a hand-built Chain can hold,
+            # compares as >=, as the six-way comparison always did.
+            if not _COMPARE.get(op, operator.ge)(lv, rv):
+                false = True
+    return TriBool.FALSE if false else TriBool.UNKNOWN if unknown else TriBool.TRUE
 
 
 _MISSING = object()
-
-
-def _evaluate_pair(left: Operand, op: str, right: Operand, ctx: EvalContext) -> TriBool:
-    lv = ctx.get(left.name, _MISSING) if isinstance(left, Var) else left
-    rv = ctx.get(right.name, _MISSING) if isinstance(right, Var) else right
-    if lv is _MISSING or rv is _MISSING:
-        return TriBool.UNKNOWN
-    for value in (lv, rv):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConditionTypeError(f"cannot compare the non-finite number {value!r}")
-    lt, rt = _type_class(lv), _type_class(rv)
-    if lt != rt:
-        raise ConditionTypeError(f"cannot compare {lt} to {rt}")
-    if op in ORDER_OPS and lt in ("string", "bool"):
-        raise ConditionTypeError(f"ordering comparison {op!r} is not defined for {lt}s")
-    if op == "==":
-        return TriBool.from_bool(lv == rv)
-    if op == "!=":
-        return TriBool.from_bool(lv != rv)
-    if op == "<":
-        return TriBool.from_bool(lv < rv)  # type: ignore[operator]
-    if op == "<=":
-        return TriBool.from_bool(lv <= rv)  # type: ignore[operator]
-    if op == ">":
-        return TriBool.from_bool(lv > rv)  # type: ignore[operator]
-    return TriBool.from_bool(lv >= rv)  # type: ignore[operator]
+# `_type_class` of a value of exactly one of these types; any other type,
+# a subclass included, goes through `_type_class` itself.
+_TYPE_CLASSES = {bool: "bool", int: "number", float: "number", TimeOfDay: "time", str: "string"}
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}

@@ -4,13 +4,17 @@ A role reaches a purpose through its own grants or those of any transitive
 inferior (a superior holds at least all the access of its inferiors, with the
 inferior's conditions kept unchanged).  A purpose reaches attributes through
 its tasks and through granted groups.  `can_access` joins the two sides into
-concrete access paths, conjoins all conditions found along a path, and picks
-the most permissive verdict: Allow > Conditional > Deny.
+candidate paths, one per (attribute source, usable grant) pair, conjoins the
+conditions found along each, and picks the most permissive verdict: Allow >
+Conditional > Deny.  Candidates are plain tuples, evaluated in (purpose,
+source, via) order up to the first Allow; only the path the decision carries
+is built as an `AccessPath`.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .conditions import (
@@ -23,6 +27,8 @@ from .conditions import (
     value_type,
 )
 from .model import PolicyModel
+
+_BY_PURPOSE_SOURCE_VIA = itemgetter(0, 1, 2)
 
 
 class QueryEvaluationError(ValueError):
@@ -121,43 +127,6 @@ def accessible_attributes(model: PolicyModel, purpose_id: str) -> list[Attribute
     ]
 
 
-def _paths(
-    model: PolicyModel,
-    role_id: str,
-    attribute_id: str,
-    purpose_id: Optional[str],
-) -> list[AccessPath]:
-    closure = model.role_closure(role_id)
-    paths: list[AccessPath] = []
-    for _, purpose, source, kind, granularity, condition in model.sources_by_attribute.get(
-        attribute_id, ()
-    ):
-        if purpose_id is not None and purpose != purpose_id:
-            continue
-        for grant in closure.grants.get(purpose, ()):
-            conditions: list[PathCondition] = []
-            if grant.condition is not None:
-                conditions.append(PathCondition("grant", grant.condition))
-            if condition is not None:
-                conditions.append(PathCondition("source", condition))
-            paths.append(
-                AccessPath(
-                    role=role_id,
-                    via=grant.role,
-                    hops=closure.hops(grant.role),
-                    purpose=purpose,
-                    source=source,
-                    source_kind=kind,
-                    granularity=granularity,
-                    conditions=tuple(conditions),
-                )
-            )
-    # Equally permissive paths tie-break by (purpose, source, via); a task
-    # and a group sharing an id stay in source order, the task first.
-    paths.sort(key=lambda p: (p.purpose, p.source, p.via))
-    return paths
-
-
 def can_access(
     model: PolicyModel,
     role_id: str,
@@ -173,39 +142,53 @@ def can_access(
     Conditional decision.  A type clash while evaluating raises
     QueryEvaluationError naming the grant.
     """
-    model.role(role_id)
-    model.attribute(attribute_id)
-    if purpose_id is not None:
+    if role_id not in model.roles_by_id:
+        model.role(role_id)
+    if attribute_id not in model.attributes_by_id:
+        model.attribute(attribute_id)
+    if purpose_id is not None and purpose_id not in model.purposes_by_id:
         model.purpose(purpose_id)
     ctx = ctx or {}
-
-    best_conditional: Optional[tuple[AccessPath, tuple[ConditionExpr, ...]]] = None
-    first_path: Optional[AccessPath] = None
-    for path in _paths(model, role_id, attribute_id, purpose_id):
-        if first_path is None:
-            first_path = path
-        verdict = TriBool.TRUE
+    closure = model.role_closure(role_id)
+    # One candidate per (source entry, usable grant) pair.  Equally
+    # permissive paths tie-break by (purpose, source, via); a task and a
+    # group sharing an id stay in source order, the task first.
+    candidates = [
+        (entry[1], entry[2], grant.role, entry, grant)
+        for entry in model.sources_by_attribute.get(attribute_id, ())
+        if purpose_id is None or entry[1] == purpose_id
+        for grant in closure.grants.get(entry[1], ())
+    ]
+    if not candidates:
+        return Decision(Outcome.DENY, (), None)
+    candidates.sort(key=_BY_PURPOSE_SOURCE_VIA)
+    outcome, residual, chosen = Outcome.DENY, (), candidates[0]
+    for candidate in candidates:
+        purpose, _, via, entry, grant = candidate
         unknowns: list[ConditionExpr] = []
-        for pc in path.conditions:
+        for origin, condition in (("grant", grant.condition), ("source", entry[5])):
+            if condition is None:
+                continue
             try:
-                status = evaluate(pc.condition, ctx)
+                status = evaluate(condition, ctx)
             except ConditionTypeError as exc:
                 raise QueryEvaluationError(
-                    f"cannot evaluate the {pc.origin} condition "
-                    f"{render_condition(pc.condition)!r} on grant "
-                    f"{path.via}->{path.purpose}: {exc}"
+                    f"cannot evaluate the {origin} condition "
+                    f"{render_condition(condition)!r} on grant {via}->{purpose}: {exc}"
                 ) from exc
             if status is TriBool.FALSE:
-                verdict = TriBool.FALSE
                 break
             if status is TriBool.UNKNOWN:
-                verdict = TriBool.UNKNOWN
-                unknowns.append(pc.condition)
-        if verdict is TriBool.TRUE:
-            return Decision(Outcome.ALLOW, (), path)
-        if verdict is TriBool.UNKNOWN and best_conditional is None:
-            best_conditional = (path, tuple(unknowns))
-    if best_conditional is not None:
-        path, residual = best_conditional
-        return Decision(Outcome.CONDITIONAL, residual, path)
-    return Decision(Outcome.DENY, (), first_path)
+                unknowns.append(condition)
+        else:
+            if not unknowns:
+                outcome, residual, chosen = Outcome.ALLOW, (), candidate
+                break
+            if outcome is Outcome.DENY:
+                outcome, residual, chosen = Outcome.CONDITIONAL, tuple(unknowns), candidate
+    purpose, source, via, (_, _, _, kind, granularity, condition), grant = chosen
+    conditions = () if grant.condition is None else (PathCondition("grant", grant.condition),)
+    if condition is not None:
+        conditions += (PathCondition("source", condition),)
+    path = AccessPath(role_id, via, closure.hops(via), purpose, source, kind, granularity, conditions)
+    return Decision(outcome, residual, path)

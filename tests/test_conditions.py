@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import enum
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from pppm.conditions import (
     parse_condition,
     parse_literal,
     render_condition,
-    tri_and,
 )
 
 import gen
@@ -101,16 +102,14 @@ def test_syntax_error_carries_offset():
     assert str(info.value) == "unsupported escape \\q (at offset 11)"
 
 
-def test_tri_and_truth_table():
+def test_conjunction_follows_the_kleene_table():
     T, F, U = TriBool.TRUE, TriBool.FALSE, TriBool.UNKNOWN
-    assert tri_and(T, T) is T
-    assert tri_and(T, U) is U
-    assert tri_and(U, T) is U
-    assert tri_and(U, U) is U
+    text = {T: "1 < 2", F: "2 < 1", U: "x < 1"}
     # False dominates Unknown from either side.
-    assert tri_and(F, U) is F
-    assert tri_and(U, F) is F
-    assert tri_and(F, T) is F
+    table = {(T, T): T, (T, U): U, (U, T): U, (U, U): U,
+             (F, U): F, (U, F): F, (F, T): F, (T, F): F, (F, F): F}
+    for (a, b), want in table.items():
+        assert evaluate(parse_condition(f"{text[a]} and {text[b]}"), {}) is want, (a, b)
 
 
 def test_time_of_day_ordering_and_str():
@@ -163,6 +162,43 @@ def test_evaluate_rejects_non_finite_numbers(text, value):
 
 def test_non_finite_number_left_unbound_stays_unknown():
     assert evaluate(parse_condition("age > 18"), {"now": math.nan}) is TriBool.UNKNOWN
+
+
+def test_a_clash_after_a_false_pair_still_raises():
+    # Every pair is evaluated: a definite False does not hide a later clash.
+    with pytest.raises(ConditionTypeError, match="cannot compare string to number"):
+        evaluate(parse_condition("1 > 2 and age > 18"), {"age": "x"})
+
+
+class _Level(enum.IntEnum):
+    HIGH = 20
+
+
+class _Name(str):
+    pass
+
+
+def test_a_bool_is_not_a_number():
+    with pytest.raises(ConditionTypeError, match="cannot compare bool to number"):
+        evaluate(parse_condition("age > 18"), {"age": True})
+
+
+def test_subclasses_compare_as_their_base_type():
+    assert evaluate(parse_condition("age > 18"), {"age": _Level.HIGH}) is TriBool.TRUE
+    assert evaluate(parse_condition('tier == "gold"'), {"tier": _Name("gold")}) is TriBool.TRUE
+    with pytest.raises(ConditionTypeError, match="ordering comparison '<' is not defined for strings"):
+        evaluate(parse_condition("tier < name"), {"tier": _Name("basic"), "name": "gold"})
+
+
+def test_an_unsupported_value_type_is_named():
+    with pytest.raises(ConditionTypeError, match="^unsupported value type Decimal$"):
+        evaluate(parse_condition("age > 18"), {"age": Decimal(19)})
+
+
+def test_a_non_finite_number_is_reported_before_a_clash():
+    for text in ('tier == "gold"', '"gold" == tier'):
+        with pytest.raises(ConditionTypeError, match="^cannot compare the non-finite number nan$"):
+            evaluate(parse_condition(text), {"tier": math.nan})
 
 
 @given(seeds)

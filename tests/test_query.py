@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pppm.conditions import parse_condition
+from pppm.conditions import ConditionTypeError, parse_condition
 from pppm.model import (
     Attribute,
     AttributeGroup,
     PolicyModel,
     Purpose,
     PurposeGroupGrant,
+    PurposeTaskCondition,
     Role,
     RolePurposeGrant,
     Task,
@@ -189,6 +192,54 @@ def test_can_access_reports_non_finite_numbers(shop_model):
         can_access(shop_model, "r4", "d1", "p3", {"age": math.nan, "now": make_time(10, 0)})
 
 
+def _two_purposes(grant_condition=None, source_condition=None):
+    """r1 holds p1 and p2, each reaching d1 through one task; p1 sorts first."""
+    conditions = ()
+    if source_condition is not None:
+        conditions = (PurposeTaskCondition("p1", "t1", parse_condition(source_condition)),)
+    return PolicyModel(
+        "x",
+        roles=(Role("r1", "R"),),
+        attributes=(Attribute("d1", "D"),),
+        tasks=(Task("t1", "T", "d1"), Task("t2", "U", "d1")),
+        purposes=(Purpose("p2", "Q", ("t2",)), Purpose("p1", "P", ("t1",))),
+        rp_grants=(
+            RolePurposeGrant("r1", "p2", parse_condition("age > 18")),
+            RolePurposeGrant(
+                "r1", "p1", None if grant_condition is None else parse_condition(grant_condition)
+            ),
+        ),
+        pt_conditions=conditions,
+    )
+
+
+def test_a_clash_after_the_deciding_allow_is_not_raised():
+    decision = can_access(_two_purposes(), "r1", "d1", None, {"age": "x"})
+    assert (decision.outcome, decision.path.purpose) == (Outcome.ALLOW, "p1")
+
+
+def test_a_clash_on_the_first_candidate_names_its_grant():
+    with pytest.raises(QueryEvaluationError) as info:
+        can_access(_two_purposes("tier == 1"), "r1", "d1", None, {"tier": "gold"})
+    assert str(info.value) == (
+        "cannot evaluate the grant condition 'tier == 1' on grant r1->p1: "
+        "cannot compare string to number"
+    )
+    assert isinstance(info.value.__cause__, ConditionTypeError)
+
+
+def test_a_false_grant_condition_hides_a_clash_in_the_source_condition():
+    model = _two_purposes("flag == true", "tier == 1")
+    decision = can_access(model, "r1", "d1", "p1", {"flag": False, "tier": "gold"})
+    assert (decision.outcome, decision.path.purpose) == (Outcome.DENY, "p1")
+    with pytest.raises(QueryEvaluationError) as info:
+        can_access(model, "r1", "d1", "p1", {"flag": True, "tier": "gold"})
+    assert str(info.value) == (
+        "cannot evaluate the source condition 'tier == 1' on grant r1->p1: "
+        "cannot compare string to number"
+    )
+
+
 def test_decision_describe_is_stable(shop_model):
     decision = can_access(shop_model, "r4", "d1", "p3")
     assert decision.describe() == (
@@ -351,3 +402,44 @@ def test_answers_do_not_depend_on_query_history(seed):
         assert accessible_attributes(twin, purpose.id) == accessible_attributes(model, purpose.id)
     backward = [can_access(twin, *req).describe() for req in reversed(requests)]
     assert backward[::-1] == forward
+
+
+# Fixed contexts for the fixtures: empty, partial, and one that binds every
+# variable either fixture uses (`now`, `age`, `consent`, `subscription`).
+FIXTURE_CONTEXTS = (
+    {},
+    {"age": 25, "consent": True},
+    {"now": make_time(10, 0), "age": 15, "consent": False, "subscription": True},
+)
+DIGEST_SEEDS = 200
+
+# sha256 over repr(can_access(...)) for every role x attribute x purpose
+# (None, then each declared purpose) on both fixtures under FIXTURE_CONTEXTS,
+# then on gen models 0-199 under three gen contexts each; recorded before
+# can_access was rewritten as one fold over candidate tuples.
+DECISION_DIGEST = "e9b2aabdd6681a80e25c76f42a6229783f74c99810cf0bd38608b40d5f6bfdb8"
+
+
+def _decisions(model, contexts):
+    for ctx in contexts:
+        for role in model.roles:
+            for attribute in model.attributes:
+                for purpose in [None, *(p.id for p in model.purposes)]:
+                    yield can_access(model, role.id, attribute.id, purpose, ctx)
+
+
+def test_whole_decisions_are_pinned(shop_model, baby_model):
+    digest = hashlib.sha256()
+    outcomes: Counter = Counter()
+    models = [(shop_model, FIXTURE_CONTEXTS), (baby_model, FIXTURE_CONTEXTS)]
+    for seed in range(DIGEST_SEEDS):
+        rng = random.Random(seed)
+        model = gen.random_model(rng)
+        models.append((model, [gen.random_ctx(rng) for _ in range(3)]))
+    for model, contexts in models:
+        for decision in _decisions(model, contexts):
+            digest.update(repr(decision).encode("utf-8") + b"\n")
+            outcomes[decision.outcome] += 1
+        digest.update(b"--\n")
+    assert len(outcomes) == 3, outcomes
+    assert digest.hexdigest() == DECISION_DIGEST, outcomes
