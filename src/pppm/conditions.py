@@ -25,10 +25,12 @@ that is not finite: nan would make both `x > c` and `x <= c` false.
 from __future__ import annotations
 
 import enum
+import functools
+import gc
 import math
 import operator
 import re
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, TypeVar, Union
 
 
 class ConditionError(ValueError):
@@ -74,6 +76,26 @@ def value_type(cls: type, compared: Optional[int] = None) -> type:
     return cls
 
 
+def collector_paused(func: _F) -> _F:
+    """Run `func` with the cyclic garbage collector disabled, unless it is
+    already.  For builders that allocate many tracked objects (NamedTuples
+    stay tracked for life) and create no reference cycles, so collecting
+    during the call frees nothing.  The pause is process-wide, and a
+    `gc.disable()` made by another thread during the call is undone when it
+    returns.
+    """
+    @functools.wraps(func)
+    def paused(*args: Any, **kwargs: Any) -> Any:
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused  # type: ignore[return-value]
+
+
 @value_type
 class TimeOfDay(NamedTuple):
     """Minutes past midnight; compares chronologically."""
@@ -95,6 +117,7 @@ Operand = Union[Var, int, float, str, bool, TimeOfDay]
 
 # Bindings supplied by the caller when evaluating.
 EvalContext = Mapping[str, Value]
+_F = TypeVar("_F", bound=Callable[..., Any])
 
 RELOPS = ("<", "<=", ">", ">=", "==", "!=")
 ORDER_OPS = frozenset(("<", "<=", ">", ">="))
@@ -318,12 +341,15 @@ def tsv(rows: Sequence[Sequence[str]]) -> str:
 def evaluate(expr: ConditionExpr, ctx: EvalContext) -> TriBool:
     """Three-valued evaluation of `expr` under the bindings in `ctx`.
 
-    Every pair is evaluated, even after a False one, so a type clash anywhere
-    in `expr` raises.
+    Every pair is evaluated, even after a False one, so a type clash or an
+    operator outside RELOPS anywhere in `expr` raises ConditionTypeError.
     """
     unknown = false = False
     for operands, ops in expr.chains:
         for i, op in enumerate(ops):
+            compare = _COMPARE.get(op)
+            if compare is None:  # only a hand-built Chain can hold one
+                raise ConditionTypeError(f"unknown comparison operator {op!r}")
             lv, rv = operands[i], operands[i + 1]
             if isinstance(lv, Var):
                 lv = ctx.get(lv.name, _MISSING)
@@ -341,9 +367,7 @@ def evaluate(expr: ConditionExpr, ctx: EvalContext) -> TriBool:
                 raise ConditionTypeError(f"cannot compare {lt} to {rt}")
             if op in ORDER_OPS and lt in ("string", "bool"):
                 raise ConditionTypeError(f"ordering comparison {op!r} is not defined for {lt}s")
-            # An op outside RELOPS, which only a hand-built Chain can hold,
-            # compares as >=, as the six-way comparison always did.
-            if not _COMPARE.get(op, operator.ge)(lv, rv):
+            if not compare(lv, rv):
                 false = True
     return TriBool.FALSE if false else TriBool.UNKNOWN if unknown else TriBool.TRUE
 

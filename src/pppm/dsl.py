@@ -59,6 +59,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from .conditions import (
     ConditionError,
     ConditionExpr,
+    collector_paused,
     escape_string,
     parse_condition,
     render_condition,
@@ -334,6 +335,7 @@ class _Parser:
         return ParseError(f"found {found}", self.span(pos), expected=expected)
 
 
+@collector_paused
 def parse_policy(text: str) -> Declarations:
     """Parse policy text into declarations; raises ParseError on bad input."""
     parser = _Parser(text)
@@ -558,6 +560,7 @@ _SECTION_BY_KEYWORD = {section.keyword: section for section in _SECTIONS}
 _SECTION_BY_RECORD = {section.record: section for section in _SECTIONS}
 
 
+@collector_paused
 def lower(decls: Declarations) -> PolicyModel:
     """Resolve declarations into a validated PolicyModel.
 

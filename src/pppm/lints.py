@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .conditions import tsv, value_type
+from .conditions import collector_paused, tsv, value_type
 from .model import PolicyModel, PurposeGroupGrant, require_valid, subject
 
 SEVERITIES = ("error", "warning", "info")
@@ -209,6 +209,7 @@ class LintConfig(_LintSelection):
         return self.enabled is None or rule.id in self.enabled
 
 
+@collector_paused
 def run_lints(model: PolicyModel, config: Optional[LintConfig] = None) -> list[Finding]:
     """All findings from the enabled rules, sorted by (rule, subject).
 

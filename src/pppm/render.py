@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .conditions import escape_string, render_condition, tsv, value_type
+from .conditions import collector_paused, escape_string, render_condition, tsv, value_type
 from .model import Attribute, PolicyModel, Task, require_valid
 
 COMPONENT_LAYERS = ("roles", "purposes", "attributes")
@@ -221,6 +221,7 @@ def _collected_text(attr: Attribute) -> str:
     return "yes" if attr.collected else "no"
 
 
+@collector_paused
 def emit_tables(model: PolicyModel) -> str:
     """Tab-separated report: eight blocks, header row then data rows."""
     require_valid(model, "rendering")

@@ -195,6 +195,14 @@ def test_an_unsupported_value_type_is_named():
         evaluate(parse_condition("age > 18"), {"age": Decimal(19)})
 
 
+def test_an_operator_outside_relops_raises():
+    # Only a hand-built Chain can hold one; it used to compare as >=.
+    expr = ConditionExpr((Chain((Var("age"), 18), ("=>",)),))
+    for ctx in ({"age": 20}, {"age": 2}, {}):
+        with pytest.raises(ConditionTypeError, match="^unknown comparison operator '=>'$"):
+            evaluate(expr, ctx)
+
+
 def test_a_non_finite_number_is_reported_before_a_clash():
     for text in ('tier == "gold"', '"gold" == tier'):
         with pytest.raises(ConditionTypeError, match="^cannot compare the non-finite number nan$"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pppm.conditions import ConditionTypeError, parse_condition
+from pppm.conditions import Chain, ConditionExpr, ConditionTypeError, Var, parse_condition
 from pppm.model import (
     Attribute,
     AttributeGroup,
@@ -238,6 +238,19 @@ def test_a_false_grant_condition_hides_a_clash_in_the_source_condition():
         "cannot evaluate the source condition 'tier == 1' on grant r1->p1: "
         "cannot compare string to number"
     )
+
+
+def test_an_operator_outside_relops_names_its_grant():
+    model = _two_purposes()
+    hand_built = ConditionExpr((Chain((Var("age"), 18), ("=>",)),))
+    model = model._replace(rp_grants=(RolePurposeGrant("r1", "p1", hand_built),))
+    with pytest.raises(QueryEvaluationError) as info:
+        can_access(model, "r1", "d1", "p1", {"age": 20})
+    assert str(info.value) == (
+        "cannot evaluate the grant condition 'age => 18' on grant r1->p1: "
+        "unknown comparison operator '=>'"
+    )
+    assert isinstance(info.value.__cause__, ConditionTypeError)
 
 
 def test_decision_describe_is_stable(shop_model):
