@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 
 import pytest
@@ -213,6 +214,25 @@ def test_attribute_redeclaration_with_contradicting_collected_is_a_conflict():
     attr = load_policy(text).attribute("d1")
     assert attr.collected is None
     assert attr.collected_conflict
+
+
+# Every sequence of one to three declarations of one attribute, each flag
+# `yes`, `no` or absent.
+FLAG_SEQUENCES = [seq for n in (1, 2, 3) for seq in itertools.product((True, False, None), repeat=n)]
+
+
+@pytest.mark.parametrize("flags", FLAG_SEQUENCES)
+def test_attribute_redeclarations_merge_collected_flags(flags):
+    # The README's rule: both `yes` and `no` make a recorded conflict;
+    # otherwise the attribute has the flag that was stated, if any.
+    rows = "".join(
+        '  d1: "Card"' + ("" if flag is None else f" collected = {'yes' if flag else 'no'}") + "\n"
+        for flag in flags
+    )
+    attr = load_policy(f'policy "x"\nattributes {{\n{rows}}}\n').attribute("d1")
+    stated = set(flags) - {None}
+    assert attr.collected_conflict == (len(stated) == 2)
+    assert attr.collected == (stated.pop() if len(stated) == 1 else None)
 
 
 def test_attribute_redeclaration_with_other_label_is_an_error():

@@ -5,11 +5,13 @@ whatever their shape only ConditionError subclasses may escape
 `parse_condition`, `parse_literal` and `evaluate`, and `pppm query --ctx`
 exits 0 or 4 (a usage error), never 1 and never with a traceback.  A
 condition that parses renders back to text that parses to the same
-expression.
+expression.  What each mutated text parses to, or the error it raises, is
+pinned by one digest per entry point.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -23,6 +25,8 @@ from pppm.conditions import (
     parse_literal,
     render_condition,
 )
+
+import pytest
 
 import gen
 from conftest import FIXTURES
@@ -52,6 +56,23 @@ ALPHABET = (
 FRAGMENTS = (" and ", "nan", "inf", "1e3", "1_000", "9" * 5000, "9" * 400 + ".5",
              "24:00", "7:5", "==", "<=<", '"', "\\q", "now", "true")
 
+# sha256 over one line per mutated text: the repr of what it parses to, or
+# the ConditionError's class and message (offset included).  Recorded before
+# `parse_condition` was rewritten as one flat loop over the tokens.
+CONDITION_DIGEST = {
+    "condition": "8a69edb8a3eb176c1218631cb1c97fc8ae975ef863be64a574a81f59ff1693f2",
+    "literal": "157ce642f81e98c9a02a7e74ba78739744bcf9136f4cf2db347a5dd17668bf98",
+}
+# Each parse message, by a fragment only it contains; every one must occur.
+MESSAGES = {
+    "condition": ("unexpected character", "expected an operand", "expected a comparison operator",
+                  "expected 'and' or end of condition", "number out of range",
+                  "invalid time of day", "unsupported escape", "cannot compare",
+                  "ordering comparison"),
+    "literal": ("expected a literal", "number out of range", "invalid time of day",
+                "unsupported escape"),
+}
+
 
 def mutate(rng: random.Random, text: str) -> str:
     """One to three random character- or fragment-level edits of `text`."""
@@ -79,6 +100,26 @@ def _parsed_or_none(parse, text: str):
         return parse(text)
     except ConditionError:
         return None
+
+
+@pytest.mark.parametrize("kind, parse, seed, cases, sources", [
+    ("condition", parse_condition, SEED, CONDITION_CASES, CONDITIONS),
+    ("literal", parse_literal, SEED + 1, LITERAL_CASES, LITERALS),
+])
+def test_mutated_parse_outcomes_are_pinned(kind, parse, seed, cases, sources):
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    seen = set()
+    for _ in range(cases):
+        text = mutate(rng, rng.choice(sources))
+        try:
+            line = repr(parse(text))
+        except ConditionError as exc:
+            line = f"{type(exc).__name__}: {exc}"
+            seen.update(part for part in MESSAGES[kind] if part in str(exc))
+        digest.update(f"{line}\n".encode("utf-8"))
+    assert sorted(seen) == sorted(MESSAGES[kind])
+    assert digest.hexdigest() == CONDITION_DIGEST[kind], seen
 
 
 def test_mutated_conditions_raise_only_condition_errors():
