@@ -25,7 +25,7 @@ import sys
 from typing import Optional, Sequence
 
 from .conditions import ConditionError, ConditionSyntaxError, Value, parse_literal
-from .dsl import LoweringError, ParseError, lower, parse_policy
+from .dsl import LoweringError, ParseError, load_policy
 from .model import PolicyModel, UnknownEntityError
 
 EXIT_OK = 0
@@ -116,11 +116,9 @@ def _load_model(path: str) -> PolicyModel:
     except UnicodeDecodeError as exc:
         raise _CliExit(EXIT_USAGE, f"cannot read {path}: {exc}")
     try:
-        decls = parse_policy(text)
+        return load_policy(text)
     except ParseError as exc:
         raise _CliExit(EXIT_PARSE, f"{path}:{exc}")
-    try:
-        return lower(decls)
     except LoweringError as exc:
         lines = [f"{path}:{d.span}: {d.message}" for d in exc.diagnostics]
         raise _CliExit(EXIT_VALIDATION, "\n".join(lines))

@@ -54,10 +54,6 @@ class TriBool(enum.Enum):
     FALSE = "false"
     UNKNOWN = "unknown"
 
-    @staticmethod
-    def from_bool(value: bool) -> "TriBool":
-        return TriBool.TRUE if value else TriBool.FALSE
-
 
 def value_type(cls: type, compared: Optional[int] = None) -> type:
     """Give the NamedTuple `cls` a value type's equality: an instance equals
@@ -153,18 +149,19 @@ _TOKEN_RE = re.compile(
 )
 
 
+# The type class of each value type, `bool` before its base `int`.  A value of
+# exactly one of these types is looked up; any other, a subclass included, is
+# walked with isinstance by `_type_class`.
+_TYPE_CLASSES = {bool: "bool", int: "number", float: "number", TimeOfDay: "time", str: "string"}
+
+
 def _type_class(value: Operand) -> str | None:
     """Static type of an operand; None when not statically known."""
     if isinstance(value, Var):
         return "time" if value.name == "now" else None
-    if type(value) is bool:
-        return "bool"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, TimeOfDay):
-        return "time"
-    if isinstance(value, str):
-        return "string"
+    for cls, type_class in _TYPE_CLASSES.items():
+        if isinstance(value, cls):
+            return type_class
     raise ConditionTypeError(f"unsupported value type {type(value).__name__}")
 
 
@@ -231,43 +228,27 @@ def _unescape(ch: str, offset: int) -> str:
 
 def parse_condition(text: str) -> ConditionExpr:
     """Parse condition text; raises ConditionSyntaxError / ConditionTypeError."""
-    tokens = _lex(text)
-    idx = 0
-
-    def peek() -> tuple[str, object, int]:
-        return tokens[idx]
-
-    def take_operand() -> Operand:
-        nonlocal idx
-        kind, value, pos = tokens[idx]
-        if kind == "var":
-            idx += 1
-            return Var(value)  # type: ignore[arg-type]
-        if kind == "lit":
-            idx += 1
-            return value  # type: ignore[return-value]
-        raise ConditionSyntaxError("expected an operand", pos)
-
     chains: list[Chain] = []
-    while True:
-        operands = [take_operand()]
-        ops: list[str] = []
-        kind, value, pos = peek()
-        if kind != "op":
-            raise ConditionSyntaxError("expected a comparison operator", pos)
-        while kind == "op":
-            idx += 1
+    operands: list[Operand] = []
+    ops: list[str] = []
+    op_pos = 0
+    for kind, value, pos in _lex(text):
+        if len(operands) == len(ops):  # an operand is due
+            if kind not in ("var", "lit"):
+                raise ConditionSyntaxError("expected an operand", pos)
+            operands.append(Var(value) if kind == "var" else value)  # type: ignore[arg-type]
+            if ops:
+                _check_pair_types(operands[-2], ops[-1], operands[-1], op_pos)
+        elif kind == "op":
             ops.append(value)  # type: ignore[arg-type]
-            operands.append(take_operand())
-            _check_pair_types(operands[-2], value, operands[-1], pos)  # type: ignore[arg-type]
-            kind, value, pos = peek()
-        chains.append(Chain(tuple(operands), tuple(ops)))
-        if kind == "and":
-            idx += 1
-            continue
-        if kind == "eof":
-            break
-        raise ConditionSyntaxError("expected 'and' or end of condition", pos)
+            op_pos = pos
+        elif not ops:
+            raise ConditionSyntaxError("expected a comparison operator", pos)
+        elif kind in ("and", "eof"):
+            chains.append(Chain(tuple(operands), tuple(ops)))
+            operands, ops = [], []
+        else:
+            raise ConditionSyntaxError("expected 'and' or end of condition", pos)
     return ConditionExpr(tuple(chains))
 
 
@@ -373,8 +354,5 @@ def evaluate(expr: ConditionExpr, ctx: EvalContext) -> TriBool:
 
 
 _MISSING = object()
-# `_type_class` of a value of exactly one of these types; any other type,
-# a subclass included, goes through `_type_class` itself.
-_TYPE_CLASSES = {bool: "bool", int: "number", float: "number", TimeOfDay: "time", str: "string"}
 _COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}

@@ -600,17 +600,11 @@ def lower(decls: Declarations) -> PolicyModel:
                 # Ordered among the duplicate-id errors, as a kind of one.
                 problems.append(("duplicate-id", decl.span, message))
                 continue
-            collected = existing.collected
-            conflict = existing.collected_conflict
-            if decl.collected is not None:
-                if conflict or (collected is not None and collected != decl.collected):
-                    collected = None
-                    conflict = True
-                elif collected is None:
-                    collected = decl.collected
+            votes = {existing.collected, decl.collected} - {None}
+            conflict = existing.collected_conflict or len(votes) > 1
             attributes[attr_index[decl.id]] = existing._replace(
                 groups=existing.groups | frozenset(decl.groups),
-                collected=collected,
+                collected=None if conflict else next(iter(votes), None),
                 collected_conflict=conflict,
             )
 
