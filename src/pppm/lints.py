@@ -66,9 +66,20 @@ def _orphan_purposes(model: PolicyModel) -> Iterator[tuple[Any, str]]:
 
 
 def _orphan_roles(model: PolicyModel) -> Iterator[tuple[Any, str]]:
-    # A role with a grant of its own needs no closure.
+    # A role holds a purpose iff it is or lies above a role with a grant of
+    # its own: one search up the superior edges from those roles finds them.
+    superiors: dict[str, list[str]] = {}
+    for edge in model.role_edges:
+        superiors.setdefault(edge.inferior, []).append(edge.superior)
+    holding = set(model.grants_by_role)
+    frontier = list(holding)
+    while frontier:
+        for superior in superiors.get(frontier.pop(), ()):
+            if superior not in holding:
+                holding.add(superior)
+                frontier.append(superior)
     for role in model.roles:
-        if role.id not in model.grants_by_role and not model.role_closure(role.id).grants:
+        if role.id not in holding:
             yield role, f"role {role.id!r} ({role.label}) has no direct or inherited purpose"
 
 

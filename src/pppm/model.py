@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from operator import attrgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Container, Iterator, NamedTuple, Optional
 
 from .conditions import ConditionExpr, value_type
@@ -215,13 +216,15 @@ class PolicyModel(_PolicyModelFields):
         return {p: tuple(entries) for p, entries in sources.items()}
 
     @cached_property
-    def sources_by_attribute(self) -> dict[str, tuple[SourceEntry, ...]]:
-        """`sources_by_purpose` inverted, each purpose's entries kept in order."""
+    def sources_by_attribute(self) -> dict[str, tuple[tuple[SourceEntry, ...], ...]]:
+        """`sources_by_purpose` inverted, each attribute's entries grouped by (purpose,
+        source id) in order; a group keeps source order, a task before a group."""
         index: dict[str, list[SourceEntry]] = {}
         for entries in self.sources_by_purpose.values():
             for entry in entries:
                 index.setdefault(entry[0], []).append(entry)
-        return {a: tuple(entries) for a, entries in index.items()}
+        return {a: tuple(tuple(group) for _, group in groupby(sorted(entries, key=_TIE), _TIE))
+                for a, entries in index.items()}
 
     @cached_property
     def _role_closures(self) -> dict[str, RoleClosure]:
@@ -290,6 +293,7 @@ class PolicyModel(_PolicyModelFields):
 
 # (attribute, purpose, source id, "task" | "group", granularity, condition)
 SourceEntry = tuple[str, str, str, str, Optional[str], Optional[ConditionExpr]]
+_TIE = itemgetter(1, 2)  # the (purpose, source id) a source entry ties on
 
 
 class RoleClosure(NamedTuple):

@@ -6,15 +6,14 @@ inferior's conditions kept unchanged).  A purpose reaches attributes through
 its tasks and through granted groups.  `can_access` joins the two sides into
 candidate paths, one per (attribute source, usable grant) pair, conjoins the
 conditions found along each, and picks the most permissive verdict: Allow >
-Conditional > Deny.  Candidates are plain tuples, evaluated in (purpose,
-source, via) order up to the first Allow; only the path the decision carries
-is built as an `AccessPath`.
+Conditional > Deny.  The access index keeps the sources in (purpose, source)
+order, so a query sorts nothing: it meets the candidates in (purpose, source,
+via) order, stops at the first Allow and builds only the deciding path.
 """
 
 from __future__ import annotations
 
 import enum
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .conditions import (
@@ -26,9 +25,7 @@ from .conditions import (
     render_condition,
     value_type,
 )
-from .model import PolicyModel
-
-_BY_PURPOSE_SOURCE_VIA = itemgetter(0, 1, 2)
+from .model import PolicyModel, RoleClosure, RolePurposeGrant, SourceEntry
 
 
 class QueryEvaluationError(ValueError):
@@ -100,6 +97,9 @@ class Decision(NamedTuple):
         return "\n".join(lines)
 
 
+_STRUCTURAL_DENY = Decision(Outcome.DENY, (), None)
+
+
 def effective_purposes(model: PolicyModel, role_id: str) -> list[EffectiveGrant]:
     """Grants usable by `role_id`: its own plus every inferior's.
 
@@ -150,45 +150,50 @@ def can_access(
         model.purpose(purpose_id)
     ctx = ctx or {}
     closure = model.role_closure(role_id)
-    # One candidate per (source entry, usable grant) pair.  Equally
-    # permissive paths tie-break by (purpose, source, via); a task and a
-    # group sharing an id stay in source order, the task first.
-    candidates = [
-        (entry[1], entry[2], grant.role, entry, grant)
-        for entry in model.sources_by_attribute.get(attribute_id, ())
-        if purpose_id is None or entry[1] == purpose_id
-        for grant in closure.grants.get(entry[1], ())
-    ]
-    if not candidates:
-        return Decision(Outcome.DENY, (), None)
-    candidates.sort(key=_BY_PURPOSE_SOURCE_VIA)
-    outcome, residual, chosen = Outcome.DENY, (), candidates[0]
-    for candidate in candidates:
-        purpose, _, via, entry, grant = candidate
-        unknowns: list[ConditionExpr] = []
-        for origin, condition in (("grant", grant.condition), ("source", entry[5])):
-            if condition is None:
-                continue
-            try:
-                status = evaluate(condition, ctx)
-            except ConditionTypeError as exc:
-                raise QueryEvaluationError(
-                    f"cannot evaluate the {origin} condition "
-                    f"{render_condition(condition)!r} on grant {via}->{purpose}: {exc}"
-                ) from exc
-            if status is TriBool.FALSE:
-                break
-            if status is TriBool.UNKNOWN:
-                unknowns.append(condition)
-        else:
-            if not unknowns:
-                outcome, residual, chosen = Outcome.ALLOW, (), candidate
-                break
-            if outcome is Outcome.DENY:
-                outcome, residual, chosen = Outcome.CONDITIONAL, tuple(unknowns), candidate
-    purpose, source, via, (_, _, _, kind, granularity, condition), grant = chosen
+    # The index groups the attribute's sources by (purpose, source id) in
+    # order and a purpose's grants come by supplying role, so this walk meets
+    # the candidates in (purpose, source, via) order: the first Allow decides.
+    first = conditional = None
+    for group in model.sources_by_attribute.get(attribute_id, ()):
+        purpose = group[0][1]
+        if purpose_id is not None and purpose != purpose_id:
+            continue
+        for grant in closure.grants.get(purpose, ()):
+            for entry in group:
+                if grant.condition is None and entry[5] is None:
+                    return _decide(Outcome.ALLOW, (), entry, grant, closure)
+                first = first or (Outcome.DENY, (), entry, grant)
+                unknowns: list[ConditionExpr] = []
+                for origin, condition in (("grant", grant.condition), ("source", entry[5])):
+                    if condition is None:
+                        continue
+                    try:
+                        status = evaluate(condition, ctx)
+                    except ConditionTypeError as exc:
+                        raise QueryEvaluationError(
+                            f"cannot evaluate the {origin} condition {render_condition(condition)!r} "
+                            f"on grant {grant.role}->{purpose}: {exc}"
+                        ) from exc
+                    if status is TriBool.FALSE:
+                        break
+                    if status is TriBool.UNKNOWN:
+                        unknowns.append(condition)
+                else:
+                    if not unknowns:
+                        return _decide(Outcome.ALLOW, (), entry, grant, closure)
+                    if conditional is None:
+                        conditional = Outcome.CONDITIONAL, tuple(unknowns), entry, grant
+    chosen = conditional or first
+    return _STRUCTURAL_DENY if chosen is None else _decide(*chosen, closure)
+
+
+def _decide(outcome: Outcome, residual: tuple[ConditionExpr, ...], entry: SourceEntry,
+            grant: RolePurposeGrant, closure: RoleClosure) -> Decision:
+    """The decision that carries the path of (`entry`, `grant`)."""
+    _, purpose, source, kind, granularity, condition = entry
     conditions = () if grant.condition is None else (PathCondition("grant", grant.condition),)
     if condition is not None:
         conditions += (PathCondition("source", condition),)
-    path = AccessPath(role_id, via, closure.hops(via), purpose, source, kind, granularity, conditions)
+    via = grant.role
+    path = AccessPath(closure.role, via, closure.hops(via), purpose, source, kind, granularity, conditions)
     return Decision(outcome, residual, path)

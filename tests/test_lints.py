@@ -24,6 +24,7 @@ from pppm.model import (
     Purpose,
     PurposeGroupGrant,
     Role,
+    RoleEdge,
     RolePurposeGrant,
     Task,
     subject,
@@ -187,6 +188,21 @@ def test_l2_fires_only_without_direct_or_inherited_grants():
     )
     findings = run_lints(load_policy(text))
     assert subjects(findings, "L2") == {"r3"}
+
+
+def test_l2_on_a_long_chain_builds_no_role_closure():
+    # Only the leaf of r0 -> r1 -> ... -> r1999 is granted, so every role
+    # holds p1 through it, and deciding that needs no per-role closure.
+    n = 2000
+    model = PolicyModel(
+        "x",
+        roles=tuple(Role(f"r{i}", "R") for i in range(n)),
+        role_edges=tuple(RoleEdge(f"r{i}", f"r{i + 1}") for i in range(n - 1)),
+        purposes=(Purpose("p1", "P"),),
+        rp_grants=(RolePurposeGrant(f"r{n - 1}", "p1"),),
+    )
+    assert not by_rule(run_lints(model), "L2")
+    assert not model._role_closures
 
 
 def test_l5_requires_a_nonempty_strict_subset():

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from pppm.model import (
     PurposeGroupGrant,
     PurposeTaskCondition,
     Role,
+    RoleEdge,
     RolePurposeGrant,
     Task,
     UnknownEntityError,
@@ -283,6 +285,60 @@ def test_a_task_and_a_group_sharing_an_id_keep_the_source_order():
     assert not validate(model)
     assert [s.kind for s in accessible_attributes(model, "p1")] == ["task", "group"]
     assert can_access(model, "r1", "d1").path.source_kind == "task"
+
+
+def test_a_tie_group_is_walked_per_via_before_the_next_via():
+    # Task s1 and group s1 tie on (p1, s1) and both reach d1 through r1 and
+    # r2.  In (purpose, source, via) order r1's task path is False, r1's
+    # group path allows, and r2's grant, which would raise, is never read.
+    model = PolicyModel(
+        "x",
+        roles=(Role("r0", "Top"), Role("r1", "A"), Role("r2", "B")),
+        role_edges=(RoleEdge("r0", "r1"), RoleEdge("r0", "r2")),
+        groups=(AttributeGroup("s1", "G"),),
+        attributes=(Attribute("d1", "D", frozenset({"s1"})),),
+        tasks=(Task("s1", "T", "d1"),),
+        purposes=(Purpose("p1", "P", ("s1",)),),
+        rp_grants=(
+            RolePurposeGrant("r1", "p1"),
+            RolePurposeGrant("r2", "p1", parse_condition("tier == 1")),
+        ),
+        pt_conditions=(PurposeTaskCondition("p1", "s1", AGE_COND),),
+        pg_grants=(PurposeGroupGrant("p1", "s1"),),
+    )
+    assert not validate(model)
+    decision = can_access(model, "r0", "d1", None, {"age": 10, "tier": "gold"})
+    assert decision.outcome is Outcome.ALLOW
+    path = decision.path
+    assert (path.via, path.source_kind, path.source, path.hops) == ("r1", "group", "s1", ("r0", "r1"))
+
+
+def _assert_access_index_order(model):
+    for role in model.roles:
+        for grants in model.role_closure(role.id).grants.values():
+            vias = [grant.role for grant in grants]
+            assert vias == sorted(set(vias))
+    entries = [entry for per_purpose in model.sources_by_purpose.values() for entry in per_purpose]
+    for attribute, groups in model.sources_by_attribute.items():
+        keys = [group[0][1:3] for group in groups]
+        assert keys == sorted(set(keys))
+        for key, group in zip(keys, groups):
+            assert all(entry[0] == attribute and entry[1:3] == key for entry in group)
+            kinds = [entry[3] for entry in group]
+            assert kinds == sorted(kinds, key=lambda kind: kind != "task")
+        # Grouping is a stable sort of the source-order entries.
+        in_source_order = [entry for entry in entries if entry[0] == attribute]
+        expected = sorted(in_source_order, key=itemgetter(1, 2))
+        assert [entry for group in groups for entry in group] == expected
+    assert set(model.sources_by_attribute) == {entry[0] for entry in entries}
+
+
+@given(seeds)
+@settings(max_examples=200)
+def test_the_access_index_keeps_the_walk_order(shop_model, baby_model, seed):
+    _assert_access_index_order(shop_model)
+    _assert_access_index_order(baby_model)
+    _assert_access_index_order(gen.random_model(random.Random(seed)))
 
 
 def test_a_duplicated_id_resolves_to_its_first_declaration():
