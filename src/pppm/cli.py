@@ -24,7 +24,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .conditions import ConditionError, ConditionSyntaxError, Value, parse_literal
+from .conditions import (_TOKEN_RE, ConditionError, ConditionSyntaxError, Value, _token,
+                         parse_literal)
 from .dsl import LoweringError, ParseError, load_policy
 from .model import PolicyModel, UnknownEntityError
 
@@ -135,7 +136,9 @@ def _parse_ctx(bindings: list[str]) -> dict[str, Value]:
     ctx: dict[str, Value] = {}
     for binding in bindings:
         name, eq, value = binding.partition("=")
-        if not eq or not name:
+        # NAME must be one condition variable: an identifier but `and`, `true` or `false`.
+        token = _TOKEN_RE.fullmatch(name)
+        if not eq or not (token and token["ident"]) or _token("ident", name, 0)[0] != "var":
             raise UsageError(f"invalid context binding {binding!r} (expected NAME=VALUE)")
         name = name.lower()
         if name in ctx:

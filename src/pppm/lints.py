@@ -3,8 +3,8 @@
 Each rule looks for a policy smell that a model makes mechanically checkable:
 purposes nobody may use, catch-all grants, group grants wider than the tasks
 that justify them, attributes nothing touches, and contradictory collection
-statements.  Rules only ever read the model; severities are defaults that a
-LintConfig can override.
+statements.  Rules only read the model, and a group only for its size (its
+members through `Attribute.groups`); a LintConfig may override severities.
 
 Each rule is a row of `RULES` that reports entries of one PolicyModel field,
 its `field`.  A finding's subject names its entry the way a `validate` report
@@ -14,6 +14,7 @@ grant as `role:purpose` and a purpose-group grant as `purpose:group`.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .conditions import collector_paused, tsv, value_type
@@ -102,26 +103,27 @@ def _universal_data_grants(model: PolicyModel) -> Iterator[tuple[Any, str]]:
 
 
 def _unjustified_group_grants(model: PolicyModel) -> Iterator[tuple[Any, str]]:
+    # Only the purpose's own tasks can justify its group grant.  The distinct
+    # attributes they read in a group are members, so counting them suffices.
+    needed: Counter[tuple[str, str]] = Counter()
+    for purpose in {g.purpose for g in model.pg_grants}:
+        reads = {model.tasks_by_id[t].reads for t in model.purposes_by_id[purpose].tasks}
+        needed.update((purpose, g) for a in reads for g in model.attributes_by_id[a].groups)
     for grant in model.pg_grants:
-        members = set(model.members_by_group[grant.group])
-        # Only the purpose's own tasks can justify its group grant.
-        reads = {model.tasks_by_id[t].reads for t in model.purposes_by_id[grant.purpose].tasks}
-        needed = reads & members
-        if needed and needed != members:
-            yield grant, (f"purpose {grant.purpose!r} tasks need only {len(needed)} of group "
-                          f"{grant.group!r}; {len(members - needed)} granted attribute(s) "
+        count, size = needed[grant.purpose, grant.group], len(model.members_by_group[grant.group])
+        if 0 < count < size:
+            yield grant, (f"purpose {grant.purpose!r} tasks need only {count} of group "
+                          f"{grant.group!r}; {size - count} granted attribute(s) "
                           "are unjustified")
 
 
 def _unused_attributes(model: PolicyModel) -> Iterator[tuple[Any, str]]:
-    used = _read_attributes(model)
-    for grant in model.pg_grants:
-        # A grant of the entire attribute universe is a catch-all, not
-        # evidence that any particular attribute is used.
-        if not _spans_every_attribute(model, grant):
-            used.update(model.members_by_group[grant.group])
+    read = _read_attributes(model)
+    # A grant of the entire attribute universe is a catch-all, not evidence
+    # that any particular attribute is used.
+    covering = {g.group for g in model.pg_grants if not _spans_every_attribute(model, g)}
     for a in model.attributes:
-        if a.id not in used:
+        if a.id not in read and covering.isdisjoint(a.groups):
             yield a, (f"attribute {a.id!r} ({a.label}) is read by no task and covered by no "
                       "group grant")
 

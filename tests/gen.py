@@ -188,3 +188,53 @@ def random_model(rng: random.Random) -> PolicyModel:
         pt_conditions=pt_conditions,
         pg_grants=pg_grants,
     )
+
+
+SHAPES = ("star", "wide", "star+1")
+
+
+def shape_model(kind: str, n: int) -> PolicyModel:
+    """A valid model of one of the scaling shapes in SHAPES, with n attributes.
+
+    star    one superior over n roles; n attributes, all in one group; n
+            purposes, each with its own task, held by its own role and
+            granted the group;
+    star+1  star plus one attribute outside the group, so the group no
+            longer spans every attribute;
+    wide    one purpose with n tasks, held by all n roles and granted
+            ceil(n/10) groups of ten attributes; task i reads attribute
+            2i mod n, so each group is only partly read when n is even.
+    """
+    if kind not in SHAPES:
+        raise ValueError(f"unknown shape {kind!r}")
+    roles = tuple(Role(f"r{i}", f"Role {i}") for i in range(n))
+    if kind == "wide":
+        groups = tuple(AttributeGroup(f"g{j}", f"Group {j}") for j in range(-(-n // 10)))
+        attributes = tuple(
+            Attribute(f"d{i}", f"Attr {i}", frozenset({f"g{i // 10}"})) for i in range(n)
+        )
+        tasks = tuple(Task(f"t{i}", f"Task {i}", f"d{2 * i % n}") for i in range(n))
+        return PolicyModel(
+            name="wide",
+            roles=roles,
+            groups=groups,
+            attributes=attributes,
+            tasks=tasks,
+            purposes=(Purpose("p0", "Purpose 0", tuple(t.id for t in tasks)),),
+            rp_grants=tuple(RolePurposeGrant(r.id, "p0") for r in roles),
+            pg_grants=tuple(PurposeGroupGrant("p0", g.id) for g in groups),
+        )
+    attributes = tuple(Attribute(f"d{i}", f"Attr {i}", frozenset({"g"})) for i in range(n))
+    if kind == "star+1":
+        attributes += (Attribute(f"d{n}", f"Attr {n}"),)
+    return PolicyModel(
+        name=kind,
+        roles=(Role("top", "Top"),) + roles,
+        role_edges=tuple(RoleEdge("top", r.id) for r in roles),
+        groups=(AttributeGroup("g", "Group"),),
+        attributes=attributes,
+        tasks=tuple(Task(f"t{i}", f"Task {i}", f"d{i}") for i in range(n)),
+        purposes=tuple(Purpose(f"p{i}", f"Purpose {i}", (f"t{i}",)) for i in range(n)),
+        rp_grants=tuple(RolePurposeGrant(f"r{i}", f"p{i}") for i in range(n)),
+        pg_grants=tuple(PurposeGroupGrant(f"p{i}", "g") for i in range(n)),
+    )

@@ -190,3 +190,54 @@ def brute_can_access(
 
 def make_time(hh: int, mm: int) -> TimeOfDay:
     return TimeOfDay(hh * 60 + mm)
+
+
+def brute_lints(model: PolicyModel) -> list[tuple[str, str, tuple[int, ...]]]:
+    """Sorted (rule, subject, counts) for L1-L9, each rule read from the
+    README's rule table and decided by scanning the model's fields.  counts
+    is L5's (needed, unjustified) pair and () for every other rule."""
+    granted = {g.purpose for g in model.rp_grants}
+    read = {t.reads for t in model.tasks}
+    all_ids = {a.id for a in model.attributes}
+
+    def members(group: str) -> set[str]:
+        return {a.id for a in model.attributes if group in a.groups}
+
+    def purpose(purpose_id: str):
+        return next(p for p in model.purposes if p.id == purpose_id)
+
+    def spans_all(group: str) -> bool:
+        return bool(all_ids) and members(group) == all_ids
+
+    found: list[tuple[str, str, tuple[int, ...]]] = []
+    for p in model.purposes:
+        if p.id not in granted:
+            found.append(("L1", p.id, ()))
+        elif not p.tasks:
+            found.append(("L7", p.id, ()))
+    granted_roles = {g.role for g in model.rp_grants}
+    for role in model.roles:
+        if not ({role.id} | brute_inferiors(model, role.id)) & granted_roles:
+            found.append(("L2", role.id, ()))
+    for g in model.rp_grants:
+        if purpose(g.purpose).universal:
+            found.append(("L3", f"{g.role}:{g.purpose}", ()))
+    for g in model.pg_grants:
+        name = f"{g.purpose}:{g.group}"
+        if purpose(g.purpose).universal or spans_all(g.group):
+            found.append(("L4", name, ()))
+        tasks = [t for t in model.tasks if t.id in purpose(g.purpose).tasks]
+        needed = {t.reads for t in tasks} & members(g.group)
+        if needed and needed != members(g.group):
+            found.append(("L5", name, (len(needed), len(members(g.group) - needed))))
+        if not members(g.group):
+            found.append(("L8", name, ()))
+    covered = {
+        a for g in model.pg_grants if not spans_all(g.group) for a in members(g.group)
+    }
+    for a in model.attributes:
+        if a.id not in read and a.id not in covered:
+            found.append(("L6", a.id, ()))
+        if a.collected_conflict or (a.collected is False and a.id in read):
+            found.append(("L9", a.id, ()))
+    return sorted(found)

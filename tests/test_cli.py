@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import shlex
 import subprocess
 import sys
 
@@ -245,10 +246,13 @@ def test_query_ctx_value_forms(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "bindings",
-    ["age", "=5", "age=25:99", "age=twenty", "age=", "age=25 AGE=10"],
+    ["age", "=5", "age=25:99", "age=twenty", "age=", "age=25 AGE=10",
+     # A name that no condition can use: not one variable of the grammar.
+     "'age =25'", "1age=25", "a-b=3", "true=1"],
 )
 def test_query_bad_ctx_binding(bindings, capsys):
-    ctx = [arg for binding in bindings.split(" ") for arg in ("--ctx", binding)]
+    # `bindings` are the --ctx values as shell words.
+    ctx = [arg for binding in shlex.split(bindings) for arg in ("--ctx", binding)]
     code = run_cli("query", SHOP, "--role", "r4", "--attribute", "d1", *ctx)
     assert code == 4
     assert "pppm: error" in capsys.readouterr().err

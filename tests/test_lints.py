@@ -32,7 +32,7 @@ from pppm.model import (
 
 import gen
 from conftest import FIXTURES
-from oracles import brute_inferiors
+from oracles import brute_inferiors, brute_lints
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -355,3 +355,50 @@ def test_l5_never_fires_when_tasks_cover_the_group(seed):
         covered = members and members <= reads
         if covered:
             assert f"{grant.purpose}:{grant.group}" not in flagged
+
+
+L5_COUNTS = re.compile(r"need only (\d+) of group .*; (\d+) granted attribute\(s\) are")
+
+
+def lint_inventory(model):
+    """`run_lints` as `brute_lints` reports it: sorted (rule, subject, counts)."""
+    inventory = []
+    for f in run_lints(model):
+        counts = L5_COUNTS.search(f.message) if f.rule == "L5" else None
+        inventory.append((f.rule, f.subject, tuple(map(int, counts.groups())) if counts else ()))
+    return sorted(inventory)
+
+
+def test_lints_match_the_oracle_on_the_fixtures_and_shapes(shop_model, baby_model):
+    shapes = [gen.shape_model(kind, n) for kind in gen.SHAPES for n in (1, 9, 10, 25, 40)]
+    for model in [shop_model, baby_model, *shapes]:
+        assert lint_inventory(model) == brute_lints(model), model.name
+
+
+@given(seeds)
+@settings(max_examples=300)
+def test_lints_match_the_oracle(seed):
+    model = gen.random_model(random.Random(seed))
+    assert lint_inventory(model) == brute_lints(model)
+
+
+class CountingTuple(tuple):
+    """A member tuple that counts the times it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("kind", gen.SHAPES)
+def test_no_lint_rule_iterates_a_group_member_list(kind):
+    # A rule that reads a group's members once per grant is quadratic on
+    # these shapes; membership must come from `Attribute.groups` instead.
+    model = gen.shape_model(kind, 2000)
+    members = model.members_by_group
+    for group, ids in members.items():
+        members[group] = CountingTuple(ids)
+    assert run_lints(model)
+    assert sum(ids.iterations for ids in members.values()) == 0
