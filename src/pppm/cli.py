@@ -24,8 +24,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .conditions import (_TOKEN_RE, ConditionError, ConditionSyntaxError, Value, _token,
-                         parse_literal)
+from .conditions import ConditionError, ConditionSyntaxError, Value, parse_literal, parse_variable
 from .dsl import LoweringError, ParseError, load_policy
 from .model import PolicyModel, UnknownEntityError
 
@@ -136,11 +135,13 @@ def _parse_ctx(bindings: list[str]) -> dict[str, Value]:
     ctx: dict[str, Value] = {}
     for binding in bindings:
         name, eq, value = binding.partition("=")
-        # NAME must be one condition variable: an identifier but `and`, `true` or `false`.
-        token = _TOKEN_RE.fullmatch(name)
-        if not eq or not (token and token["ident"]) or _token("ident", name, 0)[0] != "var":
+        if not eq:
             raise UsageError(f"invalid context binding {binding!r} (expected NAME=VALUE)")
-        name = name.lower()
+        try:
+            name = parse_variable(name)
+        except ConditionSyntaxError:
+            raise UsageError(f"invalid context variable {name!r} (expected a condition "
+                             "variable: an identifier other than and, true or false)") from None
         if name in ctx:
             raise UsageError(f"context variable {name!r} bound twice")
         try:

@@ -10,9 +10,10 @@ Operands are variable names, numbers, times of day (HH:MM, 24h), quoted
 strings, or the boolean literals ``true``/``false``.  A number is ASCII
 digits with an optional leading minus and fractional part; one too large for
 a float, or with more digits than int() converts, is a syntax error.
-`parse_literal` reads one literal in this grammar, for values supplied from
-outside condition text.  ``now`` is an ordinary variable reserved for the
-caller-supplied current time; the library never reads a clock.
+`parse_literal` reads one literal and `parse_variable` one variable name,
+for bindings supplied from outside condition text.  ``now`` is an ordinary
+variable reserved for the caller-supplied current time; the library never
+reads a clock.
 
 Evaluation is three-valued.  A comparison involving an unbound variable is
 Unknown; chains and conjunctions combine by Kleene logic, so a chain with a
@@ -134,8 +135,8 @@ class ConditionExpr(NamedTuple):
     chains: tuple[Chain, ...]
 
 
-# One token per match; `parse_literal` reads a lone literal with the same
-# pattern.  Digits are ASCII only: int() also takes other scripts' digits.
+# One token per match; `_lone_token` reads a lone literal or variable with
+# the same pattern.  Digits are ASCII only: int() also takes other scripts' digits.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -207,17 +208,27 @@ def _token(kind: str, raw: str, pos: int) -> tuple[str, object, int]:
     return ("op", raw, pos)
 
 
-def parse_literal(text: str) -> Value:
-    """The value of `text`, which must be exactly one literal of the condition
-    grammar: an integer, a decimal, HH:MM, true/false or a quoted string.
-
-    Raises ConditionSyntaxError otherwise.
-    """
+def _lone_token(text: str, kind: str, expected: str) -> Any:
+    """The value of `text` if it is exactly one token of `kind`, else a
+    ConditionSyntaxError naming `expected`."""
     m = _TOKEN_RE.fullmatch(text)
     token = _token(m.lastgroup, text, 0) if m else None
-    if token is None or token[0] != "lit":
-        raise ConditionSyntaxError(f"expected a literal, found {text!r}", 0)
-    return token[1]  # type: ignore[return-value]
+    if token is None or token[0] != kind:
+        raise ConditionSyntaxError(f"expected {expected}, found {text!r}", 0)
+    return token[1]
+
+
+def parse_literal(text: str) -> Value:
+    """The value of `text`, exactly one literal of the condition grammar (an
+    integer, a decimal, HH:MM, true/false or a quoted string); raises
+    ConditionSyntaxError otherwise."""
+    return _lone_token(text, "lit", "a literal")
+
+
+def parse_variable(text: str) -> str:
+    """The lower-cased name of the condition variable `text`, one identifier
+    other than `and`, `true` or `false`; raises ConditionSyntaxError otherwise."""
+    return _lone_token(text, "var", "a condition variable")
 
 
 def _unescape(ch: str, offset: int) -> str:

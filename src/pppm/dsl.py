@@ -33,9 +33,9 @@ PolicyModel field it fills, its declaration record, the function that parses
 one declaration, the model entity a declaration becomes and the writer of an
 entity's canonical row(s).  The table is in grammar order, the order of
 PolicyModel's fields.  A declaration record (RoleDecl, TaskDecl, ...) is a
-NamedTuple of its entity's leading fields followed by `span`, so `lower`
-builds an entry as `entity(*decl[:-1])`; Span and LowerDiagnostic are
-NamedTuples too.
+namedtuple built from its entity's leading field names followed by `span`,
+so `lower` builds an entry as `entity(*decl[:-1])` and the field names are
+written once, in `model`.  Span and LowerDiagnostic are NamedTuples.
 
 Parsing produces Declarations (flat entries with source spans).  `lower`
 builds a PolicyModel from them, validates it once with `model.validate`, and
@@ -54,6 +54,7 @@ collection-conflict lint rather than rejected here.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from typing import Any, Callable, NamedTuple, Optional
 
 from .conditions import (
@@ -114,84 +115,22 @@ class LoweringError(ValueError):
         self.diagnostics = diagnostics
 
 
-# One declaration record per section: the leading fields of the model entry
-# it lowers into, then its span.
+def _record(name: str, entity: type, arity: int) -> type:
+    """The declaration record `name`: `entity`'s first `arity` fields, then `span`."""
+    return namedtuple(name, (*entity._fields[:arity], "span"))  # type: ignore[attr-defined]
 
 
-class RoleDecl(NamedTuple):
-    id: str
-    label: str
-    span: Span
-
-
-class RoleEdgeDecl(NamedTuple):
-    superior: str
-    inferior: str
-    span: Span
-
-
-class GroupDecl(NamedTuple):
-    id: str
-    label: str
-    span: Span
-
-
-class AttributeDecl(NamedTuple):
-    id: str
-    label: str
-    groups: tuple[str, ...]
-    collected: Optional[bool]
-    span: Span
-
-
-class AggregationDecl(NamedTuple):
-    left: str
-    right: str
-    product: str
-    span: Span
-
-
-class GranularityDecl(NamedTuple):
-    id: str
-    description: str
-    span: Span
-
-
-class TaskDecl(NamedTuple):
-    id: str
-    label: str
-    reads: str
-    via: Optional[str]
-    span: Span
-
-
-class PurposeDecl(NamedTuple):
-    id: str
-    label: str
-    tasks: tuple[str, ...]
-    universal: bool
-    span: Span
-
-
-class RolePurposeDecl(NamedTuple):
-    role: str
-    purpose: str
-    condition: Optional[ConditionExpr]
-    span: Span
-
-
-class PurposeTaskConditionDecl(NamedTuple):
-    purpose: str
-    task: str
-    condition: ConditionExpr
-    span: Span
-
-
-class PurposeGroupDecl(NamedTuple):
-    purpose: str
-    group: str
-    condition: Optional[ConditionExpr]
-    span: Span
+RoleDecl = _record("RoleDecl", Role, 2)
+RoleEdgeDecl = _record("RoleEdgeDecl", RoleEdge, 2)
+GroupDecl = _record("GroupDecl", AttributeGroup, 2)
+AttributeDecl = _record("AttributeDecl", Attribute, 4)
+AggregationDecl = _record("AggregationDecl", Aggregation, 3)
+GranularityDecl = _record("GranularityDecl", GranularityFn, 2)
+TaskDecl = _record("TaskDecl", Task, 4)
+PurposeDecl = _record("PurposeDecl", Purpose, 4)
+RolePurposeDecl = _record("RolePurposeDecl", RolePurposeGrant, 3)
+PurposeTaskConditionDecl = _record("PurposeTaskConditionDecl", PurposeTaskCondition, 3)
+PurposeGroupDecl = _record("PurposeGroupDecl", PurposeGroupGrant, 3)
 
 
 @value_type
@@ -489,6 +428,8 @@ def _parse_purpose_group(parser: _Parser) -> tuple:
 
 
 def _quote(text: str) -> str:
+    if "\n" in text:
+        raise ValueError(f"cannot write {text!r}: a policy string cannot hold a line break")
     return f'"{escape_string(text)}"'
 
 
@@ -628,7 +569,9 @@ def serialize(model: PolicyModel) -> str:
 
     Sections appear in grammar order, entries in model (declaration) order,
     group lists sorted, two-space indent, LF endings.  A collection conflict
-    is written as two declarations so it survives a round trip.
+    is written as two declarations so it survives a round trip.  A name,
+    label, description or condition string holding a line break cannot be
+    written, and raises ValueError.
     """
     lines: list[str] = [f"policy {_quote(model.name)}"]
     for section in _SECTIONS:

@@ -258,6 +258,26 @@ def test_query_bad_ctx_binding(bindings, capsys):
     assert "pppm: error" in capsys.readouterr().err
 
 
+_NOT_A_VARIABLE = ("invalid context variable {} (expected a condition variable: "
+                   "an identifier other than and, true or false)")
+
+
+@pytest.mark.parametrize(
+    "binding, message",
+    [
+        ("age", "invalid context binding 'age' (expected NAME=VALUE)"),
+        ("=5", _NOT_A_VARIABLE.format("''")),
+        ("true=1", _NOT_A_VARIABLE.format("'true'")),
+        ("and=1", _NOT_A_VARIABLE.format("'and'")),
+        ("1age=25", _NOT_A_VARIABLE.format("'1age'")),
+    ],
+)
+def test_query_bad_ctx_binding_names_the_rule_it_breaks(binding, message, capsys):
+    code = run_cli("query", SHOP, "--role", "r4", "--attribute", "d1", "--ctx", binding)
+    assert code == 4
+    assert capsys.readouterr().err == f"pppm: error: {message}\n"
+
+
 def test_query_ctx_variable_bound_twice(capsys):
     # Names are case-insensitive, so neither binding may silently win.
     args = ("query", SHOP, "--role", "r4", "--attribute", "d1", "--purpose", "p3")

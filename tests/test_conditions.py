@@ -21,6 +21,7 @@ from pppm.conditions import (
     evaluate,
     parse_condition,
     parse_literal,
+    parse_variable,
     render_condition,
 )
 
@@ -334,3 +335,17 @@ def test_parse_literal_matches_the_condition_grammar(text, value):
 def test_parse_literal_rejects(text):
     with pytest.raises(ConditionSyntaxError):
         parse_literal(text)
+
+
+@pytest.mark.parametrize("text, name", [("age", "age"), ("AGE", "age"), ("_x1", "_x1"),
+                                        ("now", "now"), ("And_", "and_")])
+def test_parse_variable_reads_one_variable_name(text, name):
+    assert parse_variable(text) == name
+    assert parse_condition(f"{text} == y").chains[0].operands[0] == Var(name)
+
+
+@pytest.mark.parametrize("text", ["", "true", "FALSE", "and", "1age", "a-b", "age ", "7",
+                                  '"age"', "25:99"])
+def test_parse_variable_rejects(text):
+    with pytest.raises(ConditionSyntaxError):
+        parse_variable(text)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
+import pickle
 import random
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pppm import dsl
-from pppm.conditions import Chain, ConditionExpr, Var
+from pppm.conditions import Chain, ConditionExpr, Var, parse_condition
 from pppm.dsl import (
     LoweringError,
     ParseError,
@@ -18,7 +20,7 @@ from pppm.dsl import (
     parse_policy,
     serialize,
 )
-from pppm.model import PolicyModel
+from pppm.model import PolicyModel, Purpose, Role, RolePurposeGrant
 
 import gen
 
@@ -89,6 +91,38 @@ def test_the_section_table_describes_each_section_once():
         assert {type(e) for e in getattr(model, section.field)} == {section.entity}
     headers = [line[:-2] for line in serialize(model).split("\n") if line.endswith(" {")]
     assert headers == [s.keyword for s in sections]
+
+
+# Each declaration record's name and fields, in table order.  The records
+# take their field names from the model entities and PARSE_DIGESTS hashes
+# their reprs, so a renamed entity field shows here first.
+RECORDS = [
+    ("RoleDecl", ("id", "label", "span")),
+    ("RoleEdgeDecl", ("superior", "inferior", "span")),
+    ("GroupDecl", ("id", "label", "span")),
+    ("AttributeDecl", ("id", "label", "groups", "collected", "span")),
+    ("AggregationDecl", ("left", "right", "product", "span")),
+    ("GranularityDecl", ("id", "description", "span")),
+    ("TaskDecl", ("id", "label", "reads", "via", "span")),
+    ("PurposeDecl", ("id", "label", "tasks", "universal", "span")),
+    ("RolePurposeDecl", ("role", "purpose", "condition", "span")),
+    ("PurposeTaskConditionDecl", ("purpose", "task", "condition", "span")),
+    ("PurposeGroupDecl", ("purpose", "group", "condition", "span")),
+]
+
+
+def test_declaration_records_are_pinned_and_copy_faithfully(shop_text, baby_text):
+    sections = dsl._SECTIONS
+    assert [(s.record.__name__, s.record._fields) for s in sections] == RECORDS
+    for section in sections:
+        fields = section.record._fields
+        assert fields[:-1] == section.entity._fields[: len(fields) - 1], section.keyword
+        assert getattr(dsl, section.record.__name__) is section.record
+    for text in (shop_text, baby_text):
+        decls = parse_policy(text)
+        for twin in (pickle.loads(pickle.dumps(decls)), copy.deepcopy(decls)):
+            assert twin == decls and repr(twin) == repr(decls)
+            assert [type(d) for d in twin.entries] == [type(d) for d in decls.entries]
 
 
 def test_sections_may_repeat_and_interleave():
@@ -243,6 +277,24 @@ def test_attribute_redeclaration_with_other_label_is_an_error():
 
 def test_serialize_empty_model():
     assert serialize(PolicyModel("x")) == 'policy "x"\n'
+
+
+@pytest.mark.parametrize(
+    "model, text",
+    [
+        (PolicyModel("x", roles=(Role("r1", "a\nb"),)), "a\nb"),
+        (PolicyModel("x", roles=(Role("r1", "A"),), purposes=(Purpose("p1", "P"),),
+                     rp_grants=(RolePurposeGrant(
+                         "r1", "p1", parse_condition('region == "a\nb"')),)),
+         'region == "a\nb"'),
+    ],
+)
+def test_serialize_refuses_a_line_break_it_cannot_write(model, text):
+    # A policy string cannot hold a raw LF, so no text would parse back.
+    assert not model.validation_errors
+    with pytest.raises(ValueError, match="line break") as info:
+        serialize(model)
+    assert repr(text) in str(info.value)
 
 
 def test_serialize_normalizes_condition_text():
