@@ -38,8 +38,13 @@ _COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m", "info": "\x1b[36m"}
 _RESET = "\x1b[0m"
 
 
-class UsageError(Exception):
-    pass
+class _CliExit(Exception):
+    """Ends `main`: it writes `args[1]`, if not empty, to stderr and returns `args[0]`."""
+
+
+class UsageError(_CliExit):
+    def __init__(self, message: str) -> None:
+        super().__init__(EXIT_USAGE, f"pppm: error: {message}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,13 +127,6 @@ def _load_model(path: str) -> PolicyModel:
     except LoweringError as exc:
         lines = [f"{path}:{d.span}: {d.message}" for d in exc.diagnostics]
         raise _CliExit(EXIT_VALIDATION, "\n".join(lines))
-
-
-class _CliExit(Exception):
-    def __init__(self, code: int, message: str = "") -> None:
-        super().__init__(message)
-        self.code = code
-        self.message = message
 
 
 def _parse_ctx(bindings: list[str]) -> dict[str, Value]:
@@ -253,13 +251,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command is None:
             raise UsageError("a command is required (check, lint, query, render, report)")
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        sys.stderr.write(f"pppm: error: {exc}\n")
-        return EXIT_USAGE
     except _CliExit as exc:
-        if exc.message:
-            sys.stderr.write(exc.message + "\n")
-        return exc.code
+        code, message = exc.args
+        if message:
+            sys.stderr.write(message + "\n")
+        return code
 
 
 if __name__ == "__main__":

@@ -141,15 +141,16 @@ class Declarations(NamedTuple):
     entries: tuple[tuple, ...]  # declaration records such as RoleDecl
 
 
+_IDENT = "[A-Za-z_][A-Za-z0-9_]*"  # an id, as the lexer reads it and serialize writes it
 # The whitespace before a token, then one token, comment or stray character.
 # Each match starts where the last one ended (only trailing whitespace is
 # left unmatched), so a token's column is the sum of the lengths before it.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     ([ \t\r]*)
     (?:
-      ([A-Za-z_][A-Za-z0-9_]*)                  # ident
-    | (->|[{}()\[\]:,=])                        # punctuation
+      ({_IDENT})                                # ident
+    | (->|[{{}}()\[\]:,=])                      # punctuation
     | ("[^"\\\n]*(?:\\["\\][^"\\\n]*)*")        # string
     | (\#.*)                                    # comment
     | ([^ \t\r])                                # stray character
@@ -158,6 +159,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r'\\(["\\])')
+_ID_LINES = re.compile(f"(?:{_IDENT}\n)*")  # ids each followed by a line break
 # Lookahead reaches two tokens past the current one, so the token lists end
 # with three end-of-input sentinels and a lookahead never runs off them.
 _EOF_PAD = 3
@@ -570,9 +572,14 @@ def serialize(model: PolicyModel) -> str:
     Sections appear in grammar order, entries in model (declaration) order,
     group lists sorted, two-space indent, LF endings.  A collection conflict
     is written as two declarations so it survives a round trip.  A name,
-    label, description or condition string holding a line break cannot be
-    written, and raises ValueError.
+    label, description or condition string holding a line break, and a
+    declared id that is not an identifier, cannot be written (ValueError).
     """
+    ids = [e.id for s in _SECTIONS if s.entity._fields[0] == "id" for e in getattr(model, s.field)]
+    joined = "\n".join([*ids, ""])
+    if not _ID_LINES.fullmatch(joined) or joined.count("\n") != len(ids):
+        bad = next(i for i in ids if not re.fullmatch(_IDENT, i))
+        raise ValueError(f"cannot write id {bad!r}: a policy id must match {_IDENT}")
     lines: list[str] = [f"policy {_quote(model.name)}"]
     for section in _SECTIONS:
         rows = [row for entry in getattr(model, section.field) for row in section.write(entry)]

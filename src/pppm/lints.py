@@ -18,7 +18,7 @@ from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .conditions import collector_paused, tsv, value_type
-from .model import PolicyModel, PurposeGroupGrant, require_valid, subject
+from .model import PolicyModel, PurposeGroupGrant, reach, require_valid, subject
 
 SEVERITIES = ("error", "warning", "info")
 
@@ -68,17 +68,11 @@ def _orphan_purposes(model: PolicyModel) -> Iterator[tuple[Any, str]]:
 
 def _orphan_roles(model: PolicyModel) -> Iterator[tuple[Any, str]]:
     # A role holds a purpose iff it is or lies above a role with a grant of
-    # its own: one search up the superior edges from those roles finds them.
+    # its own: one `reach` up the superior edges from those roles finds them.
     superiors: dict[str, list[str]] = {}
     for edge in model.role_edges:
         superiors.setdefault(edge.inferior, []).append(edge.superior)
-    holding = set(model.grants_by_role)
-    frontier = list(holding)
-    while frontier:
-        for superior in superiors.get(frontier.pop(), ()):
-            if superior not in holding:
-                holding.add(superior)
-                frontier.append(superior)
+    holding = model.grants_by_role.keys() | reach(superiors, model.grants_by_role)
     for role in model.roles:
         if role.id not in holding:
             yield role, f"role {role.id!r} ({role.label}) has no direct or inherited purpose"

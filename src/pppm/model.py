@@ -4,7 +4,8 @@ A model holds roles (who accesses data), purposes (why, as ordered task
 lists), tasks (atomic steps, each reading exactly one attribute), attributes
 with optional group memberships, plus the connections: a role hierarchy,
 attribute aggregations, role-purpose grants, per-(purpose, task) conditions,
-and purpose-group grants.
+and purpose-group grants.  Each reachability walk over the hierarchy or the
+aggregations (role closures, `aggregation_sources`, lint L2) is one `reach`.
 
 Models are immutable after construction and safe to share across threads.
 Lookup caches, the access index and the per-role closure memo are filled
@@ -21,11 +22,10 @@ report, and the lint findings name theirs the same way.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import Container, Iterator, NamedTuple, Optional
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .conditions import ConditionExpr, value_type
 
@@ -262,23 +262,15 @@ class PolicyModel(_PolicyModelFields):
     def role_closure(self, role_id: str) -> RoleClosure:
         """What `role_id` reaches down the hierarchy, computed once per role.
 
-        One breadth-first search over the sorted children gives the
-        inferiors and the first-found parent of each; the usable grants are
+        `reach` down the sorted children gives the inferiors, breadth-first,
+        and the first-found parent of each; the usable grants are
         the role's own and every inferior's, first declaration per (purpose,
         supplying role).  Unknown ids raise UnknownEntityError.
         """
         if role_id in self._role_closures:
             return self._role_closures[role_id]
         self.role(role_id)
-        children = self.children_by_role
-        parent: dict[str, str] = {}
-        queue = deque([role_id])
-        while queue:
-            current = queue.popleft()
-            for child in children.get(current, ()):
-                if child != role_id and child not in parent:
-                    parent[child] = current
-                    queue.append(child)
+        parent = reach(self.children_by_role, (role_id,))
         usable: dict[tuple[str, str], RolePurposeGrant] = {}
         for role in (role_id, *parent):
             for grant in self.grants_by_role.get(role, ()):
@@ -565,6 +557,22 @@ def _cycles(nodes: Container[str], edges: list[tuple[str, str]]) -> list[list[st
     return sorted(sccs)
 
 
+def reach(edges: Mapping[str, Iterable[str]], starts: Iterable[str]) -> dict[str, str]:
+    """Each node reachable from `starts` but not a start, mapped to the node it
+    was first reached from.  Breadth-first: keys come by distance from the
+    starts, each node's successors in the order `edges` lists them."""
+    queue = list(starts)
+    seen = set(queue)
+    parent: dict[str, str] = {}
+    for node in queue:  # the loop also visits every node appended below
+        for successor in edges.get(node, ()):
+            if successor not in seen:
+                seen.add(successor)
+                parent[successor] = node
+                queue.append(successor)
+    return parent
+
+
 def inferiors(model: PolicyModel, role_id: str) -> list[str]:
     """Roles transitively below `role_id`, breadth-first, ties by id.
 
@@ -577,18 +585,7 @@ def inferiors(model: PolicyModel, role_id: str) -> list[str]:
 def aggregation_sources(model: PolicyModel, attribute_id: str) -> set[str]:
     """All attributes the target is transitively derived from."""
     model.attribute(attribute_id)
-    upstream: dict[str, set[str]] = {}
+    upstream: dict[str, list[str]] = {}
     for aggregation in model.aggregations:
-        upstream.setdefault(aggregation.product, set()).update(
-            (aggregation.left, aggregation.right)
-        )
-    sources: set[str] = set()
-    frontier = deque([attribute_id])
-    while frontier:
-        current = frontier.popleft()
-        for src in upstream.get(current, ()):
-            if src not in sources:
-                sources.add(src)
-                frontier.append(src)
-    sources.discard(attribute_id)
-    return sources
+        upstream.setdefault(aggregation.product, []).extend((aggregation.left, aggregation.right))
+    return set(reach(upstream, (attribute_id,)))

@@ -142,14 +142,12 @@ def can_access(
     Conditional decision.  A type clash while evaluating raises
     QueryEvaluationError naming the grant.
     """
-    if role_id not in model.roles_by_id:
-        model.role(role_id)
+    closure = model.role_closure(role_id)  # raises first for an unknown role
     if attribute_id not in model.attributes_by_id:
         model.attribute(attribute_id)
     if purpose_id is not None and purpose_id not in model.purposes_by_id:
         model.purpose(purpose_id)
     ctx = ctx or {}
-    closure = model.role_closure(role_id)
     # The index groups the attribute's sources by (purpose, source id) in
     # order and a purpose's grants come by supplying role, so this walk meets
     # the candidates in (purpose, source, via) order: the first Allow decides.

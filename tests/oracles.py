@@ -73,20 +73,26 @@ def brute_aggregation_sources(model: PolicyModel, attribute_id: str) -> set[str]
     return sources
 
 
+def brute_reach(nodes: set[str], edges: list[tuple[str, str]]) -> dict[str, set[str]]:
+    """Each node's reachable set, itself included, by rescanning the edges to a
+    fixpoint.  Every endpoint must be in `nodes`."""
+    reach = {node: {node} for node in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            if not reach[b] <= reach[a]:
+                reach[a] |= reach[b]
+                changed = True
+    return reach
+
+
 def brute_cycles(nodes: set[str], edges: list[tuple[str, str]]) -> list[list[str]]:
     """Components of more than one node, sorted, from reachability computed
     by rescanning the edges to a fixpoint: two nodes share a component iff
     each reaches the other.  Edges with an endpoint outside `nodes` are
     ignored."""
-    kept = [(a, b) for a, b in edges if a in nodes and b in nodes]
-    reach = {node: {node} for node in nodes}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in kept:
-            if not reach[b] <= reach[a]:
-                reach[a] |= reach[b]
-                changed = True
+    reach = brute_reach(nodes, [(a, b) for a, b in edges if a in nodes and b in nodes])
     components = {frozenset(m for m in reach[n] if n in reach[m]) for n in nodes}
     return sorted(sorted(c) for c in components if len(c) > 1)
 

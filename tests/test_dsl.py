@@ -297,6 +297,30 @@ def test_serialize_refuses_a_line_break_it_cannot_write(model, text):
     assert repr(text) in str(info.value)
 
 
+@pytest.mark.parametrize("role_id", ["a b", "", "a\nb"])
+def test_serialize_refuses_an_id_it_cannot_write(role_id):
+    # `a b: "L"` and `: "L"` would not parse back, so nothing is written.
+    model = PolicyModel("x", roles=(Role("r1", "A"), Role(role_id, "L")))
+    assert not model.validation_errors
+    with pytest.raises(ValueError, match="cannot write id") as info:
+        serialize(model)
+    assert repr(role_id) in str(info.value)
+
+
+def test_serialize_checks_the_id_of_every_declared_entity():
+    model = load_policy(
+        'policy "x"\nroles { r1: "A" }\ngroups { g1: "G" }\n'
+        'attributes { d1: "D" groups (g1) }\ngranularities { f1: "F" }\n'
+        'tasks { t1: "T" reads d1 via f1 }\npurposes { p1: "P" = [t1] }\n'
+    )
+    for field in ("roles", "groups", "attributes", "granularities", "tasks", "purposes"):
+        [entity] = getattr(model, field)
+        # The rename leaves references dangling; the id is refused first.
+        renamed = model._replace(**{field: (entity._replace(id="x y"),)})
+        with pytest.raises(ValueError, match="cannot write id 'x y'"):
+            serialize(renamed)
+
+
 def test_serialize_normalizes_condition_text():
     model = load_policy(
         'policy "x"\nroles { r1: "A" }\npurposes { p1: "P" }\n'

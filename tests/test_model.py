@@ -22,11 +22,12 @@ from pppm.model import (
     _cycles,
     aggregation_sources,
     inferiors,
+    reach,
     validate,
 )
 
 import gen
-from oracles import brute_aggregation_sources, brute_cycles, brute_inferiors
+from oracles import brute_aggregation_sources, brute_cycles, brute_inferiors, brute_reach
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -239,6 +240,35 @@ def test_cycles_match_mutual_reachability(data):
     # Endpoints left out of `nodes` dangle, as references of an invalid model do.
     nodes = set(names) - data.draw(st.sets(endpoint, max_size=2))
     assert _cycles(nodes, edges) == brute_cycles(nodes, edges)
+
+
+@given(st.data())
+def test_reach_is_breadth_first_reachability(data):
+    names = [f"n{i}" for i in range(data.draw(st.integers(1, 12)))]
+    # x0 and x1 are successors with no entry of their own in `edges`.
+    endpoint = st.sampled_from(names + ["x0", "x1"])
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(names), endpoint),
+                               max_size=3 * len(names)))
+    edges: dict[str, list[str]] = {}
+    for a, b in pairs:
+        edges.setdefault(a, []).append(b)
+    starts = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    parent = reach(edges, starts)
+
+    closure = brute_reach(set(names) | {"x0", "x1"}, pairs)
+    assert set(parent) == set().union(*(closure[s] for s in starts)) - set(starts)
+    earlier = set(starts)
+    for node, via in parent.items():
+        assert via in earlier and node in edges[via]
+        earlier.add(node)
+    # Shortest distances from the starts, by relaxing every edge once per node.
+    distance = dict.fromkeys(starts, 0)
+    for _ in closure:
+        for a, b in pairs:
+            if a in distance and distance.get(b, len(closure)) > distance[a] + 1:
+                distance[b] = distance[a] + 1
+    order = [distance[node] for node in parent]
+    assert order == sorted(order)
 
 
 def test_a_hierarchy_deeper_than_the_recursion_limit():

@@ -182,6 +182,22 @@ def test_can_access_unknown_ids(shop_model):
         can_access(shop_model, "r1", "d1", "p99")
 
 
+@pytest.mark.parametrize(
+    "request_ids, message",
+    [
+        (("r99", "d99", "p99"), "unknown role 'r99'"),
+        (("r1", "d99", "p99"), "unknown attribute 'd99'"),
+        (("r1", "d1", "p99"), "unknown purpose 'p99'"),
+    ],
+)
+def test_can_access_checks_the_role_then_the_attribute_then_the_purpose(
+    shop_model, request_ids, message
+):
+    with pytest.raises(UnknownEntityError) as info:
+        can_access(shop_model, *request_ids)
+    assert str(info.value) == message
+
+
 def test_can_access_reports_type_clashes(shop_model):
     with pytest.raises(QueryEvaluationError):
         can_access(shop_model, "r4", "d1", "p3", {"age": "fifteen", "now": make_time(9, 0)})
