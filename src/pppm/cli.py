@@ -13,8 +13,9 @@ timestamps or absolute paths, so repeated invocations are byte-identical.
 Setting PPPM_NO_COLOR (or piping stdout) disables the severity coloring of
 `lint`.
 
-Each command imports the modules it needs when it runs (`check` loads only
-the parser and the model), because start-up dominates a one-shot run.
+`main` loads the policy file once and hands the model to the command.  Each
+command imports the modules it needs when it runs (`check` loads only the
+parser and the model), because start-up dominates a one-shot run.
 """
 
 from __future__ import annotations
@@ -163,15 +164,9 @@ def _write_output(text: str, out: Optional[str]) -> None:
         raise _CliExit(EXIT_USAGE, f"cannot write {out}: {exc.strerror}")
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    _load_model(args.file)
-    return EXIT_OK
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
+def _cmd_lint(model: PolicyModel, args: argparse.Namespace) -> int:
     from .lints import LintConfig, format_findings, run_lints
 
-    model = _load_model(args.file)
     enabled = None
     if args.rules is not None:
         enabled = frozenset(r for chunk in args.rules for r in chunk.split(",") if r)
@@ -196,10 +191,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _cmd_query(model: PolicyModel, args: argparse.Namespace) -> int:
     from .query import QueryEvaluationError, can_access
 
-    model = _load_model(args.file)
     ctx = _parse_ctx(args.ctx)
     try:
         decision = can_access(model, args.role, args.attribute, args.purpose, ctx)
@@ -209,10 +203,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(model: PolicyModel, args: argparse.Namespace) -> int:
     from .render import RenderOptions, emit_graph
 
-    model = _load_model(args.file)
     layers = tuple(part for part in args.layers.split(",") if part)
     options = RenderOptions(
         layers=layers,
@@ -227,16 +220,15 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(model: PolicyModel, args: argparse.Namespace) -> int:
     from .render import emit_tables
 
-    model = _load_model(args.file)
     _write_output(emit_tables(model), args.out)
     return EXIT_OK
 
 
 _COMMANDS = {
-    "check": _cmd_check,
+    "check": lambda model, args: EXIT_OK,
     "lint": _cmd_lint,
     "query": _cmd_query,
     "render": _cmd_render,
@@ -250,7 +242,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (check, lint, query, render, report)")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_load_model(args.file), args)
     except _CliExit as exc:
         code, message = exc.args
         if message:

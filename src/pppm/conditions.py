@@ -135,14 +135,20 @@ class ConditionExpr(NamedTuple):
     chains: tuple[Chain, ...]
 
 
+# The lexical rules that condition text shares with policy files: an identifier,
+# and a quoted string's body up to its first escape other than \" and \\.
+IDENTIFIER = re.compile("[A-Za-z_][A-Za-z0-9_]*")
+STRING_BODY = re.compile(r'[^"\\]*(?:\\["\\][^"\\]*)*')
+
 # One token per match; `_lone_token` reads a lone literal or variable with
 # the same pattern.  Digits are ASCII only: int() also takes other scripts' digits.
+# A string takes any escape here, so `_token` can report a bad one at its backslash.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<time>[0-9]{1,2}:[0-9]{2})
+  | (?P<time>[0-9]{{1,2}}:[0-9]{{2}})
   | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>{IDENTIFIER.pattern})
   | (?P<string>"(?:\\.|[^"\\])*")
   | (?P<op><=|>=|==|!=|<|>)
     """,
@@ -203,8 +209,10 @@ def _token(kind: str, raw: str, pos: int) -> tuple[str, object, int]:
         # Variable names are case-insensitive; canonical form is lower.
         return ("var", word, pos)
     if kind == "string":
-        text = re.sub(r"\\(.)", lambda e: _unescape(e.group(1), pos + e.start()), raw)
-        return ("lit", text[1:-1], pos)
+        end = STRING_BODY.match(raw, 1).end()  # type: ignore[union-attr]
+        if end < len(raw) - 1:
+            raise ConditionSyntaxError(f"unsupported escape \\{raw[end + 1]}", pos + end)
+        return ("lit", unescape_string(raw[1:-1]), pos)
     return ("op", raw, pos)
 
 
@@ -229,12 +237,6 @@ def parse_variable(text: str) -> str:
     """The lower-cased name of the condition variable `text`, one identifier
     other than `and`, `true` or `false`; raises ConditionSyntaxError otherwise."""
     return _lone_token(text, "var", "a condition variable")
-
-
-def _unescape(ch: str, offset: int) -> str:
-    if ch in ('"', "\\"):
-        return ch
-    raise ConditionSyntaxError(f"unsupported escape \\{ch}", offset)
 
 
 def parse_condition(text: str) -> ConditionExpr:
@@ -307,6 +309,11 @@ def escape_string(text: str) -> str:
     """`text` with backslashes and double quotes backslash-escaped: the body
     of a double-quoted string in a condition, a policy file or DOT."""
     return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def unescape_string(body: str) -> str:
+    """The text of a string body that STRING_BODY matches whole; `escape_string` undone."""
+    return re.sub(r"\\(.)", r"\1", body)
 
 
 _TSV_ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})

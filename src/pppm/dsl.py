@@ -16,8 +16,9 @@ A policy file names the policy and then lists sections in any order:
     purpose_task_conditions { p3 task t1 when "age > 18" }
     purpose_group { p1 allowed group g1 when "consent == true" }
 
-`#` starts a comment running to end of line.  Ids match
-[A-Za-z_][A-Za-z0-9_]*; strings are double-quoted with \\" and \\\\ escapes.
+`#` starts a comment running to end of line.  Ids ([A-Za-z_][A-Za-z0-9_]*) and
+strings (double-quoted, with \\" and \\\\ escapes) follow the lexical rules of
+condition text, which `conditions` defines once.
 
 The lexer fills five parallel lists indexed by token number: kind, text,
 line, column and end column.  `kind` is "ident", "string", "eof" or the
@@ -57,15 +58,9 @@ import re
 from collections import namedtuple
 from typing import Any, Callable, NamedTuple, Optional
 
-from .conditions import (
-    ConditionError,
-    ConditionExpr,
-    collector_paused,
-    escape_string,
-    parse_condition,
-    render_condition,
-    value_type,
-)
+from .conditions import (IDENTIFIER, STRING_BODY, ConditionError, ConditionExpr, collector_paused,
+                         escape_string, parse_condition, render_condition, unescape_string,
+                         value_type)
 from .model import (
     Aggregation,
     Attribute,
@@ -141,7 +136,6 @@ class Declarations(NamedTuple):
     entries: tuple[tuple, ...]  # declaration records such as RoleDecl
 
 
-_IDENT = "[A-Za-z_][A-Za-z0-9_]*"  # an id, as the lexer reads it and serialize writes it
 # The whitespace before a token, then one token, comment or stray character.
 # Each match starts where the last one ended (only trailing whitespace is
 # left unmatched), so a token's column is the sum of the lengths before it.
@@ -149,17 +143,16 @@ _TOKEN_RE = re.compile(
     rf"""
     ([ \t\r]*)
     (?:
-      ({_IDENT})                                # ident
+      ({IDENTIFIER.pattern})                    # ident
     | (->|[{{}}()\[\]:,=])                      # punctuation
-    | ("[^"\\\n]*(?:\\["\\][^"\\\n]*)*")        # string
+    | ("{STRING_BODY.pattern}")                 # string
     | (\#.*)                                    # comment
     | ([^ \t\r])                                # stray character
     )
     """,
     re.VERBOSE,
 )
-_ESCAPE_RE = re.compile(r'\\(["\\])')
-_ID_LINES = re.compile(f"(?:{_IDENT}\n)*")  # ids each followed by a line break
+_ID_LINES = re.compile(f"(?:{IDENTIFIER.pattern}\n)*")  # ids each followed by a line break
 # Lookahead reaches two tokens past the current one, so the token lists end
 # with three end-of-input sentinels and a lookahead never runs off them.
 _EOF_PAD = 3
@@ -184,7 +177,7 @@ def _lex(text: str) -> tuple[list[str], list[str], list[int], list[int], list[in
             elif string:
                 kind, word, end = "string", string[1:-1], col + len(string)
                 if "\\" in word:
-                    word = _ESCAPE_RE.sub(r"\1", word)
+                    word = unescape_string(word)
             elif bad:
                 raise _lex_error(line, lineno, col - 1)
             else:
@@ -211,12 +204,10 @@ def _lex_error(line: str, lineno: int, start: int) -> ParseError:
             f"unexpected character {line[start]!r}", Span(lineno, start + 1, lineno, start + 2)
         )
     # The string is not closed on this line, or it holds a bad escape.
-    i = start + 1
-    while i < len(line):
-        if line[i] == "\\" and line[i + 1:i + 2] not in ('"', "\\"):
-            return ParseError("unsupported escape in string", Span(lineno, i + 1, lineno, i + 3))
-        i += 2 if line[i] == "\\" else 1
-    return ParseError("unterminated string", Span(lineno, start + 1, lineno, i + 1))
+    end = STRING_BODY.match(line, start + 1).end()  # type: ignore[union-attr]
+    if end < len(line):
+        return ParseError("unsupported escape in string", Span(lineno, end + 1, lineno, end + 3))
+    return ParseError("unterminated string", Span(lineno, start + 1, lineno, end + 1))
 
 
 _EXPECTED = {"ident": "an identifier", "string": "a string"}
@@ -578,8 +569,8 @@ def serialize(model: PolicyModel) -> str:
     ids = [e.id for s in _SECTIONS if s.entity._fields[0] == "id" for e in getattr(model, s.field)]
     joined = "\n".join([*ids, ""])
     if not _ID_LINES.fullmatch(joined) or joined.count("\n") != len(ids):
-        bad = next(i for i in ids if not re.fullmatch(_IDENT, i))
-        raise ValueError(f"cannot write id {bad!r}: a policy id must match {_IDENT}")
+        bad = next(i for i in ids if not IDENTIFIER.fullmatch(i))
+        raise ValueError(f"cannot write id {bad!r}: a policy id must match {IDENTIFIER.pattern}")
     lines: list[str] = [f"policy {_quote(model.name)}"]
     for section in _SECTIONS:
         rows = [row for entry in getattr(model, section.field) for row in section.write(entry)]

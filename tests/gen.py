@@ -190,6 +190,29 @@ def random_model(rng: random.Random) -> PolicyModel:
     )
 
 
+def hierarchy_model(rng: random.Random) -> PolicyModel:
+    """A valid model whose role hierarchy is rich in diamonds and shortcuts.
+
+    3-8 roles r0, r1, ...; an edge from each role to each higher-numbered one
+    at p=0.45, the edges declared in shuffled order.  Role ri alone holds
+    purpose pi, whose one task ti reads attribute di, so each role decides
+    the requests for its own attribute.
+    """
+    n = rng.randrange(3, 9)
+    edges = [RoleEdge(f"r{i}", f"r{j}")
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]
+    rng.shuffle(edges)
+    return PolicyModel(
+        name="hierarchy",
+        roles=tuple(Role(f"r{i}", f"Role {i}") for i in range(n)),
+        role_edges=tuple(edges),
+        attributes=tuple(Attribute(f"d{i}", f"Attr {i}") for i in range(n)),
+        tasks=tuple(Task(f"t{i}", f"Task {i}", f"d{i}") for i in range(n)),
+        purposes=tuple(Purpose(f"p{i}", f"Purpose {i}", (f"t{i}",)) for i in range(n)),
+        rp_grants=tuple(RolePurposeGrant(f"r{i}", f"p{i}") for i in range(n)),
+    )
+
+
 SHAPES = ("star", "wide", "star+1")
 
 

@@ -19,6 +19,12 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# Each command and the flags it requires.  Every command loads its policy
+# file the same way, so a file that fails to load fails each one alike.
+COMMANDS = {"check": (), "lint": (), "query": ("--role", "r1", "--attribute", "d1"),
+            "render": (), "report": ()}
+
+
 def run_proc(*argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "pppm.cli", *argv],
@@ -33,8 +39,9 @@ def test_check_ok(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_check_missing_file_is_a_usage_error(capsys):
-    assert run_cli("check", "nonexistent.pppm") == 4
+@pytest.mark.parametrize("command", COMMANDS)
+def test_check_missing_file_is_a_usage_error(capsys, command):
+    assert run_cli(command, "nonexistent.pppm", *COMMANDS[command]) == 4
     assert "cannot read" in capsys.readouterr().err
 
 
@@ -71,22 +78,37 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys):
     assert err == expected.replace(str(plain), str(marked))
 
 
-def test_check_unparsable_file(tmp_path, capsys):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_check_unparsable_file(tmp_path, capsys, command):
     bad = tmp_path / "bad.pppm"
     bad.write_text("this is not a policy\n", encoding="utf-8")
-    assert run_cli("check", str(bad)) == 3
+    assert run_cli(command, str(bad), *COMMANDS[command]) == 3
     err = capsys.readouterr().err
     assert str(bad) in err and "1:" in err
 
 
-def test_check_dangling_reference(tmp_path, capsys):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_check_dangling_reference(tmp_path, capsys, command):
     bad = tmp_path / "dangling.pppm"
     bad.write_text(
         'policy "x"\nroles { r1: "A" }\nrole_hierarchy { r1 -> r9 }\n',
         encoding="utf-8",
     )
-    assert run_cli("check", str(bad)) == 1
+    assert run_cli(command, str(bad), *COMMANDS[command]) == 1
     assert "unknown role 'r9'" in capsys.readouterr().err
+
+
+# A parse error wins over a flag that the command would reject.
+@pytest.mark.parametrize("argv", [
+    *[(command, *flags) for command, flags in COMMANDS.items()],
+    ("lint", "--rules", "L0"),
+    ("render", "--layers", "bogus"),
+], ids=" ".join)
+def test_a_parse_error_reads_the_same_for_every_command(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.pppm"
+    bad.write_text('policy "x"\nroles { r1 "A" }\n', encoding="utf-8")
+    assert run_cli(argv[0], str(bad), *argv[1:]) == 3
+    assert capsys.readouterr() == ("", f"{bad}:2:12: found a string (expected ':')\n")
 
 
 @pytest.mark.parametrize("text, report", [

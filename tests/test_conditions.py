@@ -92,6 +92,22 @@ def test_parse_rejects(bad):
         parse_condition(bad)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        # A bad escape is reported at its backslash, after any good ones.
+        (parse_condition, 'x == "a\\\\\\q"', "unsupported escape \\q (at offset 9)"),
+        (parse_literal, '"a\\q"', "unsupported escape \\q (at offset 2)"),
+        # An unclosed string is no token, so its quote is the fault.
+        (parse_condition, 'x == "a\\q', "unexpected character '\"' (at offset 5)"),
+    ],
+)
+def test_string_errors_name_the_fault_and_its_offset(parse, text, message):
+    with pytest.raises(ConditionSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_syntax_error_carries_offset():
     with pytest.raises(ConditionSyntaxError) as info:
         parse_condition("age > 18 &")

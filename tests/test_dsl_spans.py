@@ -39,6 +39,11 @@ def _typed(records):
          Span(2, 15, 2, 17)),
         ('policy "x"\nroles { r1: "a\\\n" }\n', "2:15: unsupported escape in string",
          Span(2, 15, 2, 17)),
+        # An escaped quote does not close the string; an escaped backslash
+        # does not escape what follows it.
+        ('policy "x"\nroles { r1: "a\\"\n}\n', "2:13: unterminated string", Span(2, 13, 2, 17)),
+        ('policy "x"\nroles { r1: "a\\\\\\q" }\n', "2:17: unsupported escape in string",
+         Span(2, 17, 2, 19)),
         ('policy "x"\nroles {\n  r1: "A" ; }\n', "3:11: unexpected character ';'",
          Span(3, 11, 3, 12)),
         ('policy "x"\nroles {\n\tr1 - r2 }\n', "3:5: unexpected character '-'",

@@ -445,12 +445,31 @@ def test_hops_are_the_shortest_chain_with_the_smallest_ids(seed):
     rng = random.Random(seed)
     model = gen.random_model(rng)
     ctx = gen.random_ctx(rng)
-    for role in model.roles:
-        for attribute in model.attributes:
-            for purpose in [None] + [p.id for p in model.purposes]:
-                path = can_access(model, role.id, attribute.id, purpose, ctx).path
-                if path is not None:
-                    assert path.hops == brute_hops(model, role.id, path.via)
+    # A hierarchy with diamonds gives a role more than one chain to choose from.
+    for model in (model, gen.hierarchy_model(rng)):
+        for role in model.roles:
+            for attribute in model.attributes:
+                for purpose in [None] + [p.id for p in model.purposes]:
+                    path = can_access(model, role.id, attribute.id, purpose, ctx).path
+                    if path is not None:
+                        assert path.hops == brute_hops(model, role.id, path.via)
+
+
+def test_hops_take_the_shortest_chain_over_a_longer_one_with_smaller_ids():
+    # r0 -> r1 -> r3 -> r4 is met first in id order; r0 -> r2 -> r4 is shorter.
+    model = PolicyModel(
+        "x",
+        roles=tuple(Role(f"r{i}", "R") for i in range(5)),
+        role_edges=(RoleEdge("r0", "r1"), RoleEdge("r1", "r3"), RoleEdge("r3", "r4"),
+                    RoleEdge("r0", "r2"), RoleEdge("r2", "r4")),
+        attributes=(Attribute("d1", "D"),),
+        tasks=(Task("t1", "T", "d1"),),
+        purposes=(Purpose("p1", "P", ("t1",)),),
+        rp_grants=(RolePurposeGrant("r4", "p1"),),
+    )
+    path = can_access(model, "r0", "d1", "p1", {}).path
+    assert path.via == "r4" and path.hops == ("r0", "r2", "r4")
+    assert path.hops == brute_hops(model, "r0", "r4")
 
 
 @given(seeds)
