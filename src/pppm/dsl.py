@@ -30,18 +30,19 @@ for a declaration (from its first token to its last) or an error, and each
 distinct condition text is parsed once per `parse_policy` call.
 
 Each section is described once, by its row in `_SECTIONS`: its keyword, the
-PolicyModel field it fills, its declaration record, the function that parses
-one declaration, the model entity a declaration becomes and the writer of an
-entity's canonical row(s).  The table is in grammar order, the order of
-PolicyModel's fields.  A declaration record (RoleDecl, TaskDecl, ...) is a
-namedtuple built from its entity's leading field names followed by `span`,
-so `lower` builds an entry as `entity(*decl[:-1])` and the field names are
-written once, in `model`.  Span and LowerDiagnostic are NamedTuples.
+PolicyModel field it fills, the type a declaration is built as, the function
+that parses one declaration's fields and the writer of an entry's canonical
+row(s).  The table is in grammar order, the order of PolicyModel's fields.
+A declaration is built once, as the model entry it declares (a Role, a Task,
+...), but for an attribute: declarations of one attribute merge in `lower`,
+so each is an AttributeDecl, whose groups stay a tuple as written (a frozenset
+would make a Declarations' repr vary with string hashing).  Span and
+LowerDiagnostic are NamedTuples.
 
-Parsing produces Declarations (flat entries with source spans).  `lower`
-builds a PolicyModel from them, validates it once with `model.validate`, and
-reports every problem together, each at the declaration of the entry it is
-about, ordered by rule and then by source position.  A duplicated id is
+Parsing produces Declarations: the entries in source order and their spans.
+`lower` builds a PolicyModel of them, validates it once with `model.validate`,
+and reports every problem together, each at the declaration of the entry it
+is about, ordered by rule and then by source position.  A duplicated id is
 reported at each declaration after the first; references to it resolve to the
 first.  `serialize` writes a model back in canonical form (sections in table
 order, two-space indent, LF) such that lower(parse(serialize(m))) == m.
@@ -55,7 +56,6 @@ collection-conflict lint rather than rejected here.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from typing import Any, Callable, NamedTuple, Optional
 
 from .conditions import (IDENTIFIER, STRING_BODY, ConditionError, ConditionExpr, collector_paused,
@@ -110,30 +110,23 @@ class LoweringError(ValueError):
         self.diagnostics = diagnostics
 
 
-def _record(name: str, entity: type, arity: int) -> type:
-    """The declaration record `name`: `entity`'s first `arity` fields, then `span`."""
-    return namedtuple(name, (*entity._fields[:arity], "span"))  # type: ignore[attr-defined]
+class AttributeDecl(NamedTuple):
+    """One declaration of an attribute, which `lower` merges with the others."""
 
-
-RoleDecl = _record("RoleDecl", Role, 2)
-RoleEdgeDecl = _record("RoleEdgeDecl", RoleEdge, 2)
-GroupDecl = _record("GroupDecl", AttributeGroup, 2)
-AttributeDecl = _record("AttributeDecl", Attribute, 4)
-AggregationDecl = _record("AggregationDecl", Aggregation, 3)
-GranularityDecl = _record("GranularityDecl", GranularityFn, 2)
-TaskDecl = _record("TaskDecl", Task, 4)
-PurposeDecl = _record("PurposeDecl", Purpose, 4)
-RolePurposeDecl = _record("RolePurposeDecl", RolePurposeGrant, 3)
-PurposeTaskConditionDecl = _record("PurposeTaskConditionDecl", PurposeTaskCondition, 3)
-PurposeGroupDecl = _record("PurposeGroupDecl", PurposeGroupGrant, 3)
+    id: str
+    label: str
+    groups: tuple[str, ...]  # as written
+    collected: Optional[bool]
 
 
 @value_type
 class Declarations(NamedTuple):
-    """Parsed policy file: name plus section entries in source order."""
+    """Parsed policy file: its name, its declarations in source order (each the
+    model entry it declares, or an AttributeDecl) and their spans, index for index."""
 
     name: str
-    entries: tuple[tuple, ...]  # declaration records such as RoleDecl
+    entries: tuple[tuple, ...]
+    spans: tuple[Span, ...]
 
 
 # The whitespace before a token, then one token, comment or stray character.
@@ -274,18 +267,20 @@ def parse_policy(text: str) -> Declarations:
     parser.expect_keyword("policy")
     name = parser.expect("string")
     entries: list[tuple] = []
+    spans: list[Span] = []
     while not parser.at("eof"):
         section = _SECTION_BY_KEYWORD.get(parser.texts[parser.pos])
         if section is None or not parser.at("ident"):
             raise parser.unexpected(parser.pos, "a section name")
         parser.next()
         parser.expect("{")
-        parse, record = section.parse, section.record
+        parse, build = section.parse, section.entry
         while not parser.at("}"):
             start = parser.pos
-            entries.append(record(*parse(parser), parser.span_from(start)))
+            entries.append(build(*parse(parser)))
+            spans.append(parser.span_from(start))
         parser.expect("}")
-    return Declarations(name, tuple(entries))
+    return Declarations(name, tuple(entries), tuple(spans))
 
 
 def load_policy(text: str) -> PolicyModel:
@@ -293,8 +288,8 @@ def load_policy(text: str) -> PolicyModel:
     return lower(parse_policy(text))
 
 
-# Each declaration parser reads one declaration and returns its record's
-# fields except the span, which `parse_policy` adds.
+# Each declaration parser reads one declaration and returns the fields of the
+# entry it is built as; `parse_policy` builds the entry and its span.
 
 
 def _parse_named(parser: _Parser) -> tuple[str, str]:
@@ -458,52 +453,50 @@ def _write_purpose(purpose: Purpose) -> tuple[str, ...]:
 class _Section(NamedTuple):
     keyword: str  # the section's name in a policy file
     field: str  # the PolicyModel field its entries lower into
-    record: type  # its declaration record
-    parse: Callable[[_Parser], tuple]  # reads one declaration's fields but its span
-    entity: type  # the model entry a declaration becomes
+    entry: type  # what a declaration is built as: its model entity, or AttributeDecl
+    parse: Callable[[_Parser], tuple]  # reads one declaration's fields
     write: Callable[[Any], tuple[str, ...]]  # an entry's canonical row(s)
 
 
 # Every section, in grammar order, which is also the order of PolicyModel's
 # fields and of `serialize`'s output.
 _SECTIONS = (
-    _Section("roles", "roles", RoleDecl, _parse_named, Role,
+    _Section("roles", "roles", Role, _parse_named,
              lambda r: (f"{r.id}: {_quote(r.label)}",)),
-    _Section("role_hierarchy", "role_edges", RoleEdgeDecl, _parse_role_edge, RoleEdge,
+    _Section("role_hierarchy", "role_edges", RoleEdge, _parse_role_edge,
              lambda e: (f"{e.superior} -> {e.inferior}",)),
-    _Section("groups", "groups", GroupDecl, _parse_named, AttributeGroup,
+    _Section("groups", "groups", AttributeGroup, _parse_named,
              lambda g: (f"{g.id}: {_quote(g.label)}",)),
-    _Section("attributes", "attributes", AttributeDecl, _parse_attribute, Attribute,
-             _write_attribute),
-    _Section("aggregations", "aggregations", AggregationDecl, _parse_aggregation, Aggregation,
+    _Section("attributes", "attributes", AttributeDecl, _parse_attribute, _write_attribute),
+    _Section("aggregations", "aggregations", Aggregation, _parse_aggregation,
              lambda a: (f"({a.left}, {a.right}) -> {a.product}",)),
-    _Section("granularities", "granularities", GranularityDecl, _parse_named, GranularityFn,
+    _Section("granularities", "granularities", GranularityFn, _parse_named,
              lambda g: (f"{g.id}: {_quote(g.description)}",)),
-    _Section("tasks", "tasks", TaskDecl, _parse_task, Task, _write_task),
-    _Section("purposes", "purposes", PurposeDecl, _parse_purpose, Purpose, _write_purpose),
-    _Section("role_purpose", "rp_grants", RolePurposeDecl, _parse_role_purpose,
-             RolePurposeGrant, lambda g: (f"{g.role} allowed {g.purpose}{_when(g.condition)}",)),
-    _Section("purpose_task_conditions", "pt_conditions", PurposeTaskConditionDecl,
-             _parse_purpose_task_condition, PurposeTaskCondition,
+    _Section("tasks", "tasks", Task, _parse_task, _write_task),
+    _Section("purposes", "purposes", Purpose, _parse_purpose, _write_purpose),
+    _Section("role_purpose", "rp_grants", RolePurposeGrant, _parse_role_purpose,
+             lambda g: (f"{g.role} allowed {g.purpose}{_when(g.condition)}",)),
+    _Section("purpose_task_conditions", "pt_conditions", PurposeTaskCondition,
+             _parse_purpose_task_condition,
              lambda c: (f"{c.purpose} task {c.task}{_when(c.condition)}",)),
-    _Section("purpose_group", "pg_grants", PurposeGroupDecl, _parse_purpose_group,
-             PurposeGroupGrant,
+    _Section("purpose_group", "pg_grants", PurposeGroupGrant, _parse_purpose_group,
              lambda g: (f"{g.purpose} allowed group {g.group}{_when(g.condition)}",)),
 )
 _SECTION_BY_KEYWORD = {section.keyword: section for section in _SECTIONS}
-_SECTION_BY_RECORD = {section.record: section for section in _SECTIONS}
+_FIELD_BY_ENTRY = {section.entry: section.field for section in _SECTIONS}
 
 
 @collector_paused
 def lower(decls: Declarations) -> PolicyModel:
     """Resolve declarations into a validated PolicyModel.
 
-    Every declaration becomes a model entry, a duplicated id's included, and
-    the model is validated once.  Each ValidationError is reported at the
-    declaration its `where` names; the one check made here is an attribute
+    Each entry goes into the model as it is, a duplicated id's included;
+    only attributes are built here, one per id from its declarations.  The
+    model is validated once.  Each ValidationError is reported at the span of
+    the declaration its `where` names; the one check made here is an attribute
     redeclared with a different label, which a model cannot represent.  All
-    problems are raised together as LoweringError, ordered by rule and then
-    by source position.
+    problems are raised together as LoweringError, ordered by rule and then by
+    source position.  Entries and spans of different lengths raise ValueError.
     """
     entries: dict[str, list] = {section.field: [] for section in _SECTIONS}
     spans: dict[str, list[Span]] = {section.field: [] for section in _SECTIONS}
@@ -511,14 +504,14 @@ def lower(decls: Declarations) -> PolicyModel:
     attr_index: dict[str, int] = {}
     problems: list[tuple[str, Span, str]] = []
 
-    for decl in decls.entries:
+    for decl, span in zip(decls.entries, decls.spans, strict=True):
         if type(decl) is not AttributeDecl:
-            section = _SECTION_BY_RECORD[type(decl)]
-            entries[section.field].append(section.entity(*decl[:-1]))
-            spans[section.field].append(decl.span)
+            field = _FIELD_BY_ENTRY[type(decl)]
+            entries[field].append(decl)
+            spans[field].append(span)
         elif decl.id not in attr_index:
             attr_index[decl.id] = len(attributes)
-            spans["attributes"].append(decl.span)
+            spans["attributes"].append(span)
             attributes.append(
                 Attribute(decl.id, decl.label, frozenset(decl.groups), decl.collected)
             )
@@ -532,7 +525,7 @@ def lower(decls: Declarations) -> PolicyModel:
                     f"({existing.label!r} vs {decl.label!r})"
                 )
                 # Ordered among the duplicate-id errors, as a kind of one.
-                problems.append(("duplicate-id", decl.span, message))
+                problems.append(("duplicate-id", span, message))
                 continue
             votes = {existing.collected, decl.collected} - {None}
             conflict = existing.collected_conflict or len(votes) > 1
@@ -566,7 +559,7 @@ def serialize(model: PolicyModel) -> str:
     label, description or condition string holding a line break, and a
     declared id that is not an identifier, cannot be written (ValueError).
     """
-    ids = [e.id for s in _SECTIONS if s.entity._fields[0] == "id" for e in getattr(model, s.field)]
+    ids = [e.id for s in _SECTIONS if s.entry._fields[0] == "id" for e in getattr(model, s.field)]
     joined = "\n".join([*ids, ""])
     if not _ID_LINES.fullmatch(joined) or joined.count("\n") != len(ids):
         bad = next(i for i in ids if not IDENTIFIER.fullmatch(i))

@@ -202,7 +202,9 @@ def test_a_bool_is_not_a_number():
 
 def test_subclasses_compare_as_their_base_type():
     assert evaluate(parse_condition("age > 18"), {"age": _Level.HIGH}) is TriBool.TRUE
+    assert evaluate(parse_condition("18 < age"), {"age": _Level.HIGH}) is TriBool.TRUE
     assert evaluate(parse_condition('tier == "gold"'), {"tier": _Name("gold")}) is TriBool.TRUE
+    assert evaluate(parse_condition('"gold" == tier'), {"tier": _Name("gold")}) is TriBool.TRUE
     with pytest.raises(ConditionTypeError, match="ordering comparison '<' is not defined for strings"):
         evaluate(parse_condition("tier < name"), {"tier": _Name("basic"), "name": "gold"})
 

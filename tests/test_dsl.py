@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from pppm import dsl
 from pppm.conditions import Chain, ConditionExpr, Var, parse_condition
 from pppm.dsl import (
+    AttributeDecl,
+    Declarations,
     LoweringError,
     ParseError,
     load_policy,
@@ -20,7 +22,7 @@ from pppm.dsl import (
     parse_policy,
     serialize,
 )
-from pppm.model import PolicyModel, Purpose, Role, RolePurposeGrant
+from pppm.model import Attribute, PolicyModel, Purpose, Role, RolePurposeGrant
 
 import gen
 
@@ -79,50 +81,39 @@ def test_the_section_table_describes_each_section_once():
     sections = dsl._SECTIONS
     # One row per tuple field of PolicyModel, in field order.
     assert [s.field for s in sections] == list(PolicyModel._fields)[1:]
-    assert len({s.keyword for s in sections}) == len({s.record for s in sections}) == 11
-    for section in sections:
-        leading = list(section.entity._fields)[: len(section.record._fields) - 1]
-        assert section.record._fields == (*leading, "span"), section.keyword
-    # MINI uses every section: each yields its record and its entity, and
-    # serialize writes the sections in table order.
+    assert len({s.keyword for s in sections}) == len({s.entry for s in sections}) == 11
+    # MINI uses every section: each yields declarations of its type, which
+    # are the model's entries but for the attributes, and serialize writes
+    # the sections in table order.
     model = load_policy(MINI)
-    assert {type(d) for d in parse_policy(MINI).entries} == {s.record for s in sections}
+    assert {type(d) for d in parse_policy(MINI).entries} == {s.entry for s in sections}
     for section in sections:
-        assert {type(e) for e in getattr(model, section.field)} == {section.entity}
+        entity = Attribute if section.entry is AttributeDecl else section.entry
+        assert {type(e) for e in getattr(model, section.field)} == {entity}
     headers = [line[:-2] for line in serialize(model).split("\n") if line.endswith(" {")]
     assert headers == [s.keyword for s in sections]
 
 
-# Each declaration record's name and fields, in table order.  The records
-# take their field names from the model entities and PARSE_DIGESTS hashes
-# their reprs, so a renamed entity field shows here first.
-RECORDS = [
-    ("RoleDecl", ("id", "label", "span")),
-    ("RoleEdgeDecl", ("superior", "inferior", "span")),
-    ("GroupDecl", ("id", "label", "span")),
-    ("AttributeDecl", ("id", "label", "groups", "collected", "span")),
-    ("AggregationDecl", ("left", "right", "product", "span")),
-    ("GranularityDecl", ("id", "description", "span")),
-    ("TaskDecl", ("id", "label", "reads", "via", "span")),
-    ("PurposeDecl", ("id", "label", "tasks", "universal", "span")),
-    ("RolePurposeDecl", ("role", "purpose", "condition", "span")),
-    ("PurposeTaskConditionDecl", ("purpose", "task", "condition", "span")),
-    ("PurposeGroupDecl", ("purpose", "group", "condition", "span")),
-]
-
-
 def test_declaration_records_are_pinned_and_copy_faithfully(shop_text, baby_text):
-    sections = dsl._SECTIONS
-    assert [(s.record.__name__, s.record._fields) for s in sections] == RECORDS
-    for section in sections:
-        fields = section.record._fields
-        assert fields[:-1] == section.entity._fields[: len(fields) - 1], section.keyword
-        assert getattr(dsl, section.record.__name__) is section.record
+    # AttributeDecl is the one declaration record.  PARSE_DIGESTS hashes the
+    # reprs of Declarations, so a renamed field shows here first.
+    assert AttributeDecl._fields == ("id", "label", "groups", "collected")
+    assert AttributeDecl._fields == Attribute._fields[:4]
     for text in (shop_text, baby_text):
         decls = parse_policy(text)
         for twin in (pickle.loads(pickle.dumps(decls)), copy.deepcopy(decls)):
             assert twin == decls and repr(twin) == repr(decls)
-            assert [type(d) for d in twin.entries] == [type(d) for d in decls.entries]
+            assert [type(d) for d in twin.entries + twin.spans] == [
+                type(d) for d in decls.entries + decls.spans
+            ]
+
+
+def test_entries_and_spans_of_different_lengths_are_rejected():
+    role, span = Role("r1", "A"), dsl.Span(1, 1, 1, 8)
+    assert lower(Declarations("x", (role,), (span,))).roles == (role,)
+    for entries, spans in (((role,), ()), ((), (span,)), ((role,), (span, span))):
+        with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer)"):
+            lower(Declarations("x", entries, spans))
 
 
 def test_sections_may_repeat_and_interleave():

@@ -9,23 +9,28 @@ from pppm.dsl import (
     LowerDiagnostic,
     LoweringError,
     ParseError,
-    PurposeDecl,
-    PurposeGroupDecl,
-    RoleDecl,
-    RolePurposeDecl,
     Span,
-    TaskDecl,
     load_policy,
     parse_policy,
 )
+from pppm.model import Purpose, PurposeGroupGrant, Role, RolePurposeGrant, Task
 
 
 def _typed(records):
-    """Each record with its type and its span's type.  Records are
-    NamedTuples, which compare equal to any tuple of the same values, so
-    equality alone cannot tell a RoleDecl from a GroupDecl or a Span from a
-    plain tuple."""
+    """Each record with its type and its span's type.  Some records are
+    NamedTuples that compare equal to any tuple of the same values, so
+    equality alone cannot tell an AttributeDecl from a plain tuple or a Span
+    from one."""
     return [(type(r), type(getattr(r, "span", r)), r) for r in records]
+
+
+def _declared(pairs):
+    """`_typed` over each (entry, span) pair."""
+    return [_typed(pair) for pair in pairs]
+
+
+def _pairs(decls):
+    return zip(decls.entries, decls.spans, strict=True)
 
 
 @pytest.mark.parametrize(
@@ -71,15 +76,15 @@ def test_crlf_declaration_spans_and_escape_values():
     decls = parse_policy(
         'policy "x"\r\nroles {\r\n  r1: "a\\"b\\\\c"  r2: "B"\r\n}\r\n# tail'
     )
-    assert _typed(decls.entries) == _typed([
-        RoleDecl("r1", 'a"b\\c', Span(3, 3, 3, 16)),
-        RoleDecl("r2", "B", Span(3, 18, 3, 25)),
+    assert _declared(_pairs(decls)) == _declared([
+        (Role("r1", 'a"b\\c'), Span(3, 3, 3, 16)),
+        (Role("r2", "B"), Span(3, 18, 3, 25)),
     ])
 
 
 def test_comment_on_last_line_without_newline():
     decls = parse_policy('policy "x"\nroles { r1: "A" }\n# end')
-    assert _typed(decls.entries) == _typed([RoleDecl("r1", "A", Span(2, 9, 2, 16))])
+    assert _declared(_pairs(decls)) == _declared([(Role("r1", "A"), Span(2, 9, 2, 16))])
 
 
 def test_duplicate_task_and_purpose_diagnostics_use_the_first_declaration():
@@ -157,44 +162,44 @@ def test_a_dangling_reference_in_a_second_declaration_is_reported_there():
     "text, entries",
     [
         ('policy "x"\nattributes { d1: "A" groups: "B" }\n', (
-            AttributeDecl("d1", "A", (), None, Span(2, 14, 2, 21)),
-            AttributeDecl("groups", "B", (), None, Span(2, 22, 2, 33)),
+            (AttributeDecl("d1", "A", (), None), Span(2, 14, 2, 21)),
+            (AttributeDecl("groups", "B", (), None), Span(2, 22, 2, 33)),
         )),
         ('policy "x"\nattributes { d1: "A" collected: "B" }\n', (
-            AttributeDecl("d1", "A", (), None, Span(2, 14, 2, 21)),
-            AttributeDecl("collected", "B", (), None, Span(2, 22, 2, 36)),
+            (AttributeDecl("d1", "A", (), None), Span(2, 14, 2, 21)),
+            (AttributeDecl("collected", "B", (), None), Span(2, 22, 2, 36)),
         )),
         ('policy "x"\nattributes { d1: "A" groups (g1) collected: "B" }\n', (
-            AttributeDecl("d1", "A", ("g1",), None, Span(2, 14, 2, 33)),
-            AttributeDecl("collected", "B", (), None, Span(2, 34, 2, 48)),
+            (AttributeDecl("d1", "A", ("g1",), None), Span(2, 14, 2, 33)),
+            (AttributeDecl("collected", "B", (), None), Span(2, 34, 2, 48)),
         )),
         ('policy "x"\ntasks { t1: "T" reads d1 via: "V" reads d2 }\n', (
-            TaskDecl("t1", "T", "d1", None, Span(2, 9, 2, 25)),
-            TaskDecl("via", "V", "d2", None, Span(2, 26, 2, 43)),
+            (Task("t1", "T", "d1", None), Span(2, 9, 2, 25)),
+            (Task("via", "V", "d2", None), Span(2, 26, 2, 43)),
         )),
         ('policy "x"\ntasks { t1: "T" reads d1 via g1 }\n', (
-            TaskDecl("t1", "T", "d1", "g1", Span(2, 9, 2, 32)),
+            (Task("t1", "T", "d1", "g1"), Span(2, 9, 2, 32)),
         )),
         ('policy "x"\npurposes { p1: "P" universal: "U" }\n', (
-            PurposeDecl("p1", "P", (), False, Span(2, 12, 2, 19)),
-            PurposeDecl("universal", "U", (), False, Span(2, 20, 2, 34)),
+            (Purpose("p1", "P", (), False), Span(2, 12, 2, 19)),
+            (Purpose("universal", "U", (), False), Span(2, 20, 2, 34)),
         )),
         ('policy "x"\npurposes { p1: "P" = [t1] universal: "U" }\n', (
-            PurposeDecl("p1", "P", ("t1",), False, Span(2, 12, 2, 26)),
-            PurposeDecl("universal", "U", (), False, Span(2, 27, 2, 41)),
+            (Purpose("p1", "P", ("t1",), False), Span(2, 12, 2, 26)),
+            (Purpose("universal", "U", (), False), Span(2, 27, 2, 41)),
         )),
         ('policy "x"\nrole_purpose { r1 allowed p1 when allowed p2 }\n', (
-            RolePurposeDecl("r1", "p1", None, Span(2, 16, 2, 29)),
-            RolePurposeDecl("when", "p2", None, Span(2, 30, 2, 45)),
+            (RolePurposeGrant("r1", "p1", None), Span(2, 16, 2, 29)),
+            (RolePurposeGrant("when", "p2", None), Span(2, 30, 2, 45)),
         )),
         ('policy "x"\npurpose_group { p1 allowed group g1 when allowed group g2 }\n', (
-            PurposeGroupDecl("p1", "g1", None, Span(2, 17, 2, 36)),
-            PurposeGroupDecl("when", "g2", None, Span(2, 37, 2, 58)),
+            (PurposeGroupGrant("p1", "g1", None), Span(2, 17, 2, 36)),
+            (PurposeGroupGrant("when", "g2", None), Span(2, 37, 2, 58)),
         )),
     ],
 )
 def test_a_trailer_keyword_can_be_the_next_declarations_id(text, entries):
-    assert _typed(parse_policy(text).entries) == _typed(entries)
+    assert _declared(_pairs(parse_policy(text))) == _declared(entries)
 
 
 @pytest.mark.parametrize(

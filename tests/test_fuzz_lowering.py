@@ -115,8 +115,8 @@ def _assert_inside(span: Span, lines: list[str]) -> None:
 # Per fixture, the sha256 of every mutant's parse outcome: the repr of its
 # Declarations, or the ParseError message and span.
 PARSE_DIGESTS = {
-    "imaginary_shop.pppm": "86f098f406d8353713b38aeef924583e12d7130f7c791f3fd723f13815c81d6b",
-    "chatterbaby.pppm": "c109551d2609b8a9405fdca3599c22384ee87244293d23d1db4ad66c28c6315a",
+    "imaginary_shop.pppm": "7ae22e98c550dfb7bbd73e4ff9c3b4e56055f618075b8d96f966ec78f670a60b",
+    "chatterbaby.pppm": "f1aa9a1d1d6a70d3c576b3b4c67ee0d1355f4c593fe42d7fa8c08d177d55913a",
 }
 
 

@@ -371,7 +371,13 @@ def lint_inventory(model):
 
 def test_lints_match_the_oracle_on_the_fixtures_and_shapes(shop_model, baby_model):
     shapes = [gen.shape_model(kind, n) for kind in gen.SHAPES for n in (1, 9, 10, 25, 40)]
-    for model in [shop_model, baby_model, *shapes]:
+    # With no attributes, the empty group spans none of them: L8, not L4.
+    no_attributes = load_policy(
+        'policy "no-attributes"\nroles { r: "R" }\ngroups { g: "G" }\npurposes { p: "P" }\n'
+        "role_purpose { r allowed p }\npurpose_group { p allowed group g }\n"
+    )
+    assert lint_inventory(no_attributes) == [("L7", "p", ()), ("L8", "p:g", ())]
+    for model in [shop_model, baby_model, no_attributes, *shapes]:
         assert lint_inventory(model) == brute_lints(model), model.name
 
 

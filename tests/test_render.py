@@ -243,6 +243,9 @@ def test_tables_escape_tabs_and_line_breaks_inside_cells():
     # A CR alone leaves the tab and line counts as they are; it is escaped too.
     lone = PolicyModel("x", roles=(Role("r1", "cr\ronly"),))
     assert "\nr1\tcr\\ronly\n" in emit_tables(lone)
+    # An LF alone changes only the line count; it is escaped too.
+    lone = PolicyModel("x", roles=(Role("r1", "lf\nonly"),))
+    assert "\nr1\tlf\\nonly\n" in emit_tables(lone)
 
 
 def test_ids_outside_the_policy_language_are_escaped_in_dot():

@@ -78,7 +78,7 @@ SAMPLES = [
      "pt_conditions=(), pg_grants=())"),
     (ValidationError, ("unknown-id", "t1", "no d9", ("tasks", 0)),
      "ValidationError(rule='unknown-id', subject='t1', message='no d9', where=('tasks', 0))"),
-    (Declarations, ("x", ()), "Declarations(name='x', entries=())"),
+    (Declarations, ("x", (), ()), "Declarations(name='x', entries=(), spans=())"),
     (Finding, ("L1", "warning", "p1", "no role"),
      "Finding(rule='L1', severity='warning', subject='p1', message='no role')"),
     # A LintRule's repr holds its function's address.
