@@ -62,6 +62,13 @@ def value_type(cls: type, compared: Optional[int] = None) -> type:
     or another NamedTuple.  With `compared`, only the first `compared` fields
     take part in equality and the hash.  The methods are assigned after the
     class exists, which keeps tuple's hash; a class-body `__eq__` unsets it.
+
+    A NamedTuple's constructor is a generated Python function, so calling it
+    costs a frame.  Code that builds many values builds them as
+    `tuple.__new__(cls, fields)` instead (each module binds it as `_new`),
+    which makes the same object without that frame.  The one rule: `fields`
+    holds exactly `len(cls._fields)` items, because the constructor's arity
+    check and defaults are skipped.
     """
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self[:compared] == other[:compared]  # type: ignore

@@ -26,8 +26,9 @@ punctuation text itself ("{", "->", ...), and a string's text is its
 unescaped content.  Every element is a str or an int, so a token is no object
 of its own and the garbage collector tracks none of them.  The lists end with
 end-of-input sentinels, so lookahead is a plain index.  A Span is built only
-for a declaration (from its first token to its last) or an error, and each
-distinct condition text is parsed once per `parse_policy` call.
+for a declaration (from its first token to its last, all of them once the
+text is read) or an error, and each distinct condition text is parsed once
+per `parse_policy` call.
 
 Each section is described once, by its row in `_SECTIONS`: its keyword, the
 PolicyModel field it fills, the type a declaration is built as, the function
@@ -56,6 +57,7 @@ collection-conflict lint rather than rejected here.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import Any, Callable, NamedTuple, Optional
 
 from .conditions import (IDENTIFIER, STRING_BODY, ConditionError, ConditionExpr, collector_paused,
@@ -75,6 +77,8 @@ from .model import (
     RolePurposeGrant,
     Task,
 )
+
+_new = tuple.__new__  # builds a value without its constructor's frame; see `value_type`
 
 
 class Span(NamedTuple):
@@ -244,11 +248,6 @@ class _Parser:
         """The span of the token at `pos`."""
         return Span(self.lines[pos], self.cols[pos], self.lines[pos], self.ends[pos])
 
-    def span_from(self, start: int) -> Span:
-        """From the token at `start` to the last token consumed."""
-        end = self.pos - 1
-        return Span(self.lines[start], self.cols[start], self.lines[end], self.ends[end])
-
     def unexpected(self, pos: int, expected: str) -> ParseError:
         kind = self.kinds[pos]
         if kind == "eof":
@@ -267,19 +266,23 @@ def parse_policy(text: str) -> Declarations:
     parser.expect_keyword("policy")
     name = parser.expect("string")
     entries: list[tuple] = []
-    spans: list[Span] = []
+    firsts: list[int] = []  # each declaration's first token
+    lasts: list[int] = []  # and its last
     while not parser.at("eof"):
         section = _SECTION_BY_KEYWORD.get(parser.texts[parser.pos])
         if section is None or not parser.at("ident"):
             raise parser.unexpected(parser.pos, "a section name")
         parser.next()
         parser.expect("{")
-        parse, build = section.parse, section.entry
+        parse, entry = section.parse, section.entry
         while not parser.at("}"):
-            start = parser.pos
-            entries.append(build(*parse(parser)))
-            spans.append(parser.span_from(start))
+            firsts.append(parser.pos)
+            entries.append(_new(entry, parse(parser)))
+            lasts.append(parser.pos - 1)
         parser.expect("}")
+    line, col, end = parser.lines.__getitem__, parser.cols.__getitem__, parser.ends.__getitem__
+    spans = map(_new, repeat(Span), zip(map(line, firsts), map(col, firsts),
+                                        map(line, lasts), map(end, lasts)))
     return Declarations(name, tuple(entries), tuple(spans))
 
 
@@ -289,7 +292,8 @@ def load_policy(text: str) -> PolicyModel:
 
 
 # Each declaration parser reads one declaration and returns the fields of the
-# entry it is built as; `parse_policy` builds the entry and its span.
+# entry it is built as, every field in order, since `parse_policy` builds the
+# entry with `tuple.__new__`; its span is built once the whole text is read.
 
 
 def _parse_named(parser: _Parser) -> tuple[str, str]:

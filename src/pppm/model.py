@@ -299,10 +299,12 @@ class RoleClosure(NamedTuple):
 
     def hops(self, inferior: str) -> tuple[str, ...]:
         """Shortest chain from the role down to `inferior`, ties by id."""
+        role, parent = self.role, self.parent
         chain = [inferior]
-        while chain[-1] != self.role:
-            chain.append(self.parent[chain[-1]])
-        return tuple(reversed(chain))
+        while chain[-1] != role:
+            chain.append(parent[chain[-1]])
+        chain.reverse()
+        return tuple(chain)
 
 
 def _first_by_id(entities: tuple) -> dict:

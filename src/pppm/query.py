@@ -98,6 +98,7 @@ class Decision(NamedTuple):
 
 
 _STRUCTURAL_DENY = Decision(Outcome.DENY, (), None)
+_new = tuple.__new__  # builds a value without its constructor's frame; see `value_type`
 
 
 def effective_purposes(model: PolicyModel, role_id: str) -> list[EffectiveGrant]:
@@ -189,9 +190,12 @@ def _decide(outcome: Outcome, residual: tuple[ConditionExpr, ...], entry: Source
             grant: RolePurposeGrant, closure: RoleClosure) -> Decision:
     """The decision that carries the path of (`entry`, `grant`)."""
     _, purpose, source, kind, granularity, condition = entry
-    conditions = () if grant.condition is None else (PathCondition("grant", grant.condition),)
+    conditions: tuple[PathCondition, ...] = ()
+    if grant.condition is not None:
+        conditions = (_new(PathCondition, ("grant", grant.condition)),)
     if condition is not None:
-        conditions += (PathCondition("source", condition),)
+        conditions += (_new(PathCondition, ("source", condition)),)
     via = grant.role
-    path = AccessPath(closure.role, via, closure.hops(via), purpose, source, kind, granularity, conditions)
-    return Decision(outcome, residual, path)
+    path = _new(AccessPath, (closure.role, via, closure.hops(via), purpose, source, kind,
+                             granularity, conditions))
+    return _new(Decision, (outcome, residual, path))
