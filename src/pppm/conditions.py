@@ -289,7 +289,7 @@ def render_condition(expr: ConditionExpr) -> str:
 
 
 def _render_chain(chain: Chain) -> str:
-    parts = [_render_operand(chain.operands[0])]
+    parts = [_render_operand(chain.operands[0])] if chain.operands else []
     for op, operand in zip(chain.ops, chain.operands[1:]):
         parts.append(op)
         parts.append(_render_operand(operand))
@@ -297,19 +297,24 @@ def _render_chain(chain: Chain) -> str:
 
 
 def _render_operand(operand: Operand) -> str:
+    """`operand` as condition text; a value of no condition type raises
+    ConditionTypeError, and a number, a subclass's included, is written as one."""
     if isinstance(operand, Var):
         return operand.name
-    if type(operand) is bool:
+    type_class = _TYPE_CLASSES.get(type(operand)) or _type_class(operand)
+    if type_class == "bool":
         return "true" if operand else "false"
+    if type_class == "string":
+        return f'"{escape_string(operand)}"'
+    if type_class == "time":
+        return str(operand)
     if isinstance(operand, float):
         # repr writes an exponent below 1e-4 and from 1e16 up, and the
         # grammar has none: write as many places as repr's digits need.
-        mantissa, _, exponent = repr(operand).partition("e")
+        mantissa, _, exponent = float.__repr__(operand).partition("e")
         places = max(0, len(mantissa.partition(".")[2]) - int(exponent or 0))
-        return f"{operand:.{places}f}" + ("" if places else ".0")
-    if isinstance(operand, (int, TimeOfDay)):
-        return str(operand)
-    return f'"{escape_string(operand)}"'
+        return f"{float(operand):.{places}f}" + ("" if places else ".0")
+    return int.__repr__(operand)
 
 
 def escape_string(text: str) -> str:

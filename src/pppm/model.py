@@ -5,7 +5,8 @@ lists), tasks (atomic steps, each reading exactly one attribute), attributes
 with optional group memberships, plus the connections: a role hierarchy,
 attribute aggregations, role-purpose grants, per-(purpose, task) conditions,
 and purpose-group grants.  Each reachability walk over the hierarchy or the
-aggregations (role closures, `aggregation_sources`, lint L2) is one `reach`.
+aggregations (role closures, `aggregation_sources`, lint L2, each cycle that
+`validate` reports) is one `reach`.
 
 Models are immutable after construction and safe to share across threads.
 Lookup caches, the access index and the per-role closure memo are filled
@@ -25,7 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Container, Iterable, Mapping, NamedTuple, Optional
 
 from .conditions import ConditionExpr, value_type
 
@@ -508,54 +509,45 @@ def _first_sites(sccs: list[list[str]], sites: list[tuple[str, ...]]) -> list[in
 
 
 def _cycles(nodes: Container[str], edges: list[tuple[str, str]]) -> list[list[str]]:
-    """Strongly connected components with more than one node, sorted.
-
-    Self-edges are reported separately by the caller, so singleton SCCs are
-    ignored here.  Iterative Tarjan keeps deep hierarchies off the call stack.
+    """Strongly connected components with more than one node, sorted (the
+    caller reports self-edges).  Two passes (Kosaraju-Sharir): an iterative
+    depth-first search lists the nodes by finishing time; then, from the last
+    finished node back, each node not yet placed takes as its component what
+    `reach` finds backwards from it.
     """
-    adjacency: dict[str, list[str]] = {}
+    forward: dict[str, list[str]] = {}
+    backward: dict[str, list[str]] = {}
     for src, dst in edges:
         if src in nodes and dst in nodes:
-            adjacency.setdefault(src, []).append(dst)
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
+            forward.setdefault(src, []).append(dst)
+            backward.setdefault(dst, []).append(src)
+    finished: list = []
+    seen: set[str] = set()
+    # (node, iterator over the children it has not yet looked at).  The root None
+    # has the edge sources as children: a node with no outgoing edge is on no cycle.
+    work = [(None, iter(forward))]
+    while work:
+        node, children = work[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                work.append((child, iter(forward.get(child, ()))))
+                break
+        else:
+            work.pop()
+            finished.append(node)
+    finished.pop()  # the root
     sccs: list[list[str]] = []
-    # (node, iterator over the children it has not yet looked at)
-    work: list[tuple[str, Iterator[str]]] = []
-
-    def visit(node: str) -> None:
-        index[node] = lowlink[node] = len(index)
-        stack.append(node)
-        on_stack.add(node)
-        work.append((node, iter(adjacency.get(node, ()))))
-
-    # A node without an outgoing edge is a singleton SCC, so only the
-    # sources of edges start a search.
-    for start in sorted(adjacency):
-        if start not in index:
-            visit(start)
-        while work:
-            node, children = work[-1]
-            for child in children:
-                if child not in index:
-                    visit(child)
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            else:
-                work.pop()
-                if lowlink[node] == index[node]:
-                    component = [stack.pop()]
-                    while component[-1] != node:
-                        component.append(stack.pop())
-                    on_stack.difference_update(component)
-                    if len(component) > 1:
-                        sccs.append(sorted(component))
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+    placed: set[str] = set()
+    for node in reversed(finished):
+        if node not in placed:
+            component = [node, *reach(backward, (node,)).keys() - placed]
+            placed.update(component)
+            # Later sweeps stop at placed nodes, whose reversed edges go: each edge walked once.
+            for n in component:
+                backward.pop(n, None)
+            if len(component) > 1:
+                sccs.append(sorted(component))
     return sorted(sccs)
 
 

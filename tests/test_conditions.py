@@ -209,6 +209,20 @@ def test_subclasses_compare_as_their_base_type():
         evaluate(parse_condition("tier < name"), {"tier": _Name("basic"), "name": "gold"})
 
 
+def test_a_subclass_renders_as_its_base_type():
+    expr = ConditionExpr((Chain((Var("tier"), _Level.HIGH), (">=",)),
+                          Chain((Var("name"), _Name('a"b')), ("==",))))
+    # str(IntEnum member) is "_Level.HIGH" on Python 3.10, which would not parse.
+    assert render_condition(expr) == 'tier >= 20 and name == "a\\"b"'
+    assert parse_condition(render_condition(expr)) == expr
+
+
+def test_rendering_a_value_of_no_condition_type_names_it():
+    expr = ConditionExpr((Chain((Var("age"), [1]), (">",)),))
+    with pytest.raises(ConditionTypeError, match="^unsupported value type list$"):
+        render_condition(expr)
+
+
 def test_an_unsupported_value_type_is_named():
     with pytest.raises(ConditionTypeError, match="^unsupported value type Decimal$"):
         evaluate(parse_condition("age > 18"), {"age": Decimal(19)})

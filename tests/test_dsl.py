@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import gc
 import itertools
+import math
 import pickle
 import random
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pppm import dsl
-from pppm.conditions import Chain, ConditionExpr, Var, parse_condition
+from pppm.conditions import Chain, ConditionExpr, ConditionTypeError, Var, parse_condition
 from pppm.dsl import (
     AttributeDecl,
     Declarations,
@@ -310,6 +311,38 @@ def test_serialize_checks_the_id_of_every_declared_entity():
         renamed = model._replace(**{field: (entity._replace(id="x y"),)})
         with pytest.raises(ValueError, match="cannot write id 'x y'"):
             serialize(renamed)
+
+
+def _granted(condition):
+    return PolicyModel("x", roles=(Role("r1", "A"),), purposes=(Purpose("p1", "P"),),
+                       rp_grants=(RolePurposeGrant("r1", "p1", condition),))
+
+
+@pytest.mark.parametrize(
+    "condition, text",
+    [
+        (ConditionExpr((Chain((Var("AGE"), 18), (">",)),)), "AGE > 18"),
+        (ConditionExpr((Chain((Var("a b"), 18), (">",)),)), "a b > 18"),
+        (ConditionExpr((Chain((Var("and"), 18), (">",)),)), "and > 18"),
+        (ConditionExpr((Chain((Var("age"), math.inf), (">",)),)), "age > inf.0"),
+        (ConditionExpr((Chain((Var("age"), 18), ("=>",)),)), "age => 18"),
+        (ConditionExpr((Chain((), ()),)), ""),
+        (ConditionExpr(()), ""),
+    ],
+)
+def test_serialize_refuses_a_condition_that_does_not_parse_back(condition, text):
+    model = _granted(condition)
+    assert not model.validation_errors
+    with pytest.raises(ValueError, match="cannot write condition") as info:
+        serialize(model)
+    assert repr(text) in str(info.value)
+
+
+def test_serialize_refuses_a_value_of_no_condition_type():
+    model = _granted(ConditionExpr((Chain((Var("age"), [1]), (">",)),)))
+    assert not model.validation_errors
+    with pytest.raises(ConditionTypeError, match="^unsupported value type list$"):
+        serialize(model)
 
 
 def test_serialize_normalizes_condition_text():

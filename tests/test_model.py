@@ -282,3 +282,25 @@ def test_a_hierarchy_deeper_than_the_recursion_limit():
     [error] = validate(ring)
     assert (error.rule, error.where) == ("role-cycle", ("role_edges", 0))
     assert error.subject == ",".join(sorted(r.id for r in roles))
+
+
+def test_cycles_walk_each_edge_once(monkeypatch):
+    # A ring of n roles, each also feeding a two-node cycle of its own: every
+    # backward sweep from a small cycle meets the ring, and must stop there.
+    n = 3_000
+    ring = [(f"r{i}", f"r{(i + 1) % n}") for i in range(n)]
+    pairs = [edge for i in range(n) for edge in
+             ((f"r{i}", f"a{i}"), (f"a{i}", f"b{i}"), (f"b{i}", f"a{i}"))]
+    nodes = {node for edge in ring + pairs for node in edge}
+    returned = []
+
+    def counting_reach(edges, starts):
+        parent = reach(edges, starts)
+        returned.append(len(parent))
+        return parent
+
+    monkeypatch.setattr("pppm.model.reach", counting_reach)
+    cycles = _cycles(nodes, ring + pairs)
+    assert len(cycles) == n + 1
+    assert sorted(f"r{i}" for i in range(n)) in cycles
+    assert sum(returned) <= 2 * (len(nodes) + len(ring + pairs))

@@ -271,6 +271,19 @@ def test_an_operator_outside_relops_names_its_grant():
     assert isinstance(info.value.__cause__, ConditionTypeError)
 
 
+def test_a_value_of_no_condition_type_names_its_grant():
+    hand_built = ConditionExpr((Chain((Var("age"), [1]), (">",)),))
+    model = _two_purposes()._replace(rp_grants=(RolePurposeGrant("r1", "p1", hand_built),))
+    assert not model.validation_errors
+    with pytest.raises(QueryEvaluationError) as info:
+        can_access(model, "r1", "d1", None, {"age": 3})
+    assert str(info.value) == (
+        f"cannot evaluate the grant condition {hand_built!r} on grant r1->p1: "
+        "unsupported value type list"
+    )
+    assert isinstance(info.value.__cause__, ConditionTypeError)
+
+
 def test_decision_describe_is_stable(shop_model):
     decision = can_access(shop_model, "r4", "d1", "p3")
     assert decision.describe() == (

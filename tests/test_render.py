@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from pppm.conditions import Chain, ConditionExpr, ConditionTypeError, Var
 from pppm.model import (
     Attribute,
     AttributeGroup,
@@ -273,3 +274,13 @@ def test_ids_outside_the_policy_language_are_escaped_in_dot():
     assert '  "purpose:p\\"1" -> "group:g x" [style=dashed];' in lines
     assert '    subgraph "cluster_group_g x" {' in lines
     assert '      "group:g x" [shape=plaintext, label="g x"];' in lines
+
+
+@pytest.mark.parametrize("emit", [emit_graph, emit_tables])
+def test_a_value_of_no_condition_type_is_named(emit):
+    hand_built = ConditionExpr((Chain((Var("age"), [1]), (">",)),))
+    model = PolicyModel("x", roles=(Role("r1", "A"),), purposes=(Purpose("p1", "P"),),
+                        rp_grants=(RolePurposeGrant("r1", "p1", hand_built),))
+    assert not model.validation_errors
+    with pytest.raises(ConditionTypeError, match="^unsupported value type list$"):
+        emit(model)
