@@ -289,11 +289,21 @@ def render_condition(expr: ConditionExpr) -> str:
 
 
 def _render_chain(chain: Chain) -> str:
-    parts = [_render_operand(chain.operands[0])] if chain.operands else []
-    for op, operand in zip(chain.ops, chain.operands[1:]):
+    operands, ops = chain
+    if len(operands) != len(ops) + bool(ops):
+        raise _malformed(chain)
+    parts = [_render_operand(operands[0])] if operands else []
+    for op, operand in zip(ops, operands[1:]):
         parts.append(op)
         parts.append(_render_operand(operand))
     return " ".join(parts)
+
+
+def _malformed(chain: Chain) -> ConditionTypeError:
+    """The error for a hand-built chain that is neither empty nor one more
+    operand than its one or more operators."""
+    operands, ops = chain
+    return ConditionTypeError(f"malformed chain: {len(operands)} operands, {len(ops)} operators")
 
 
 def _render_operand(operand: Operand) -> str:
@@ -353,10 +363,14 @@ def evaluate(expr: ConditionExpr, ctx: EvalContext) -> TriBool:
     """Three-valued evaluation of `expr` under the bindings in `ctx`.
 
     Every pair is evaluated, even after a False one, so a type clash or an
-    operator outside RELOPS anywhere in `expr` raises ConditionTypeError.
+    operator outside RELOPS anywhere in `expr` raises ConditionTypeError, as
+    does a chain that `_malformed` describes.
     """
     unknown = false = False
-    for operands, ops in expr.chains:
+    for chain in expr.chains:
+        operands, ops = chain
+        if len(operands) != len(ops) + bool(ops):
+            raise _malformed(chain)
         for i, op in enumerate(ops):
             compare = _COMPARE.get(op)
             if compare is None:  # only a hand-built Chain can hold one

@@ -31,13 +31,16 @@ text is read) or an error, and each distinct condition text is parsed once
 per `parse_policy` call.
 
 Each section is described once, by its row in `_SECTIONS`: its keyword, the
-PolicyModel field it fills, the type a declaration is built as, the function
-that parses one declaration's fields and the writer of an entry's canonical
-row(s).  The table is in grammar order, the order of PolicyModel's fields.
-A declaration is built once, as the model entry it declares (a Role, a Task,
-...), but for an attribute: declarations of one attribute merge in `lower`,
-so each is an AttributeDecl, whose groups stay a tuple as written (a frozenset
-would make a Declarations' repr vary with string hashing).  Span and
+PolicyModel field it fills, the type a declaration is built as, its shape (the
+tokens every declaration starts with), the tail that reads what may follow
+them, and the writer of an entry's canonical row(s).  A declaration is checked
+against its shape with one comparison of token kinds and one of keyword texts;
+only a mismatch walks the shape token by token, to report the first token that
+does not fit.  The table is in grammar order, the order of PolicyModel's
+fields.  A declaration is built once, as the model entry it declares (a Role,
+a Task, ...), but for an attribute: declarations of one attribute merge in
+`lower`, so each is an AttributeDecl, whose groups stay a tuple as written (a
+frozenset would make a Declarations' repr vary with string hashing).  Span and
 LowerDiagnostic are NamedTuples.
 
 Parsing produces Declarations: the entries in source order and their spans.
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import re
 from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional
 
 from .conditions import (IDENTIFIER, STRING_BODY, ConditionError, ConditionExpr, collector_paused,
@@ -217,11 +221,6 @@ class _Parser:
         # Condition text -> ConditionExpr: each distinct text is parsed once.
         self.conditions: dict[str, ConditionExpr] = {}
 
-    def next(self) -> str:
-        """The current token's text; the caller has checked it is not eof."""
-        self.pos += 1
-        return self.texts[self.pos - 1]
-
     def expect(self, kind: str, expected: Optional[str] = None) -> str:
         """The current token's text if it is of `kind` (a punctuation text,
         "ident" or "string"), else a ParseError naming `expected` or `kind`."""
@@ -230,11 +229,6 @@ class _Parser:
             raise self.unexpected(pos, expected or _EXPECTED.get(kind, repr(kind)))
         self.pos = pos + 1
         return self.texts[pos]
-
-    def expect_keyword(self, word: str) -> None:
-        if not self.at_keyword(word):
-            raise self.unexpected(self.pos, repr(word))
-        self.pos += 1
 
     def at_keyword(self, word: str) -> bool:
         pos = self.pos
@@ -258,28 +252,53 @@ class _Parser:
             found = repr(self.texts[pos])
         return ParseError(f"found {found}", self.span(pos), expected=expected)
 
+    def mismatch(self, pos: int, shape: tuple[str, ...]) -> ParseError:
+        """The error at the first token from `pos` on that does not fit
+        `shape`.  One does: the caller found a mismatch, and no shape token
+        fits an end-of-input sentinel, so the walk stops before the lists end."""
+        for pos, token in enumerate(shape, pos):
+            if token[0] == "'":
+                if self.kinds[pos] != "ident" or self.texts[pos] != token[1:-1]:
+                    return self.unexpected(pos, token)
+            elif self.kinds[pos] != token:
+                return self.unexpected(pos, _EXPECTED.get(token, repr(token)))
+        raise AssertionError(f"the tokens from {pos} fit {shape}")
+
 
 @collector_paused
 def parse_policy(text: str) -> Declarations:
     """Parse policy text into declarations; raises ParseError on bad input."""
     parser = _Parser(text)
-    parser.expect_keyword("policy")
-    name = parser.expect("string")
+    kinds, texts = parser.kinds, parser.texts
+    if kinds[:2] != ["ident", "string"] or texts[0] != "policy":
+        raise parser.mismatch(0, ("'policy'", "string"))
+    name, pos = texts[1], 2
     entries: list[tuple] = []
     firsts: list[int] = []  # each declaration's first token
     lasts: list[int] = []  # and its last
-    while not parser.at("eof"):
-        section = _SECTION_BY_KEYWORD.get(parser.texts[parser.pos])
-        if section is None or not parser.at("ident"):
-            raise parser.unexpected(parser.pos, "a section name")
-        parser.next()
-        parser.expect("{")
-        parse, entry = section.parse, section.entry
-        while not parser.at("}"):
-            firsts.append(parser.pos)
-            entries.append(_new(entry, parse(parser)))
-            lasts.append(parser.pos - 1)
-        parser.expect("}")
+    while kinds[pos] != "eof":
+        matcher = _MATCHER_BY_KEYWORD.get(texts[pos])
+        if matcher is None or kinds[pos] != "ident":
+            raise parser.unexpected(pos, "a section name")
+        if kinds[pos + 1] != "{":
+            raise parser.unexpected(pos + 1, "'{'")
+        pos += 2
+        entry, shape, tail, size, shape_kinds, keywords, keyword_texts, fields = matcher
+        while kinds[pos] != "}":
+            end = pos + size
+            words = texts[pos:end]
+            if kinds[pos:end] != shape_kinds or keywords(words) != keyword_texts:
+                raise parser.mismatch(pos, shape)
+            firsts.append(pos)
+            if tail is None:
+                entries.append(_new(entry, fields(words)))
+            else:
+                parser.pos = end
+                entries.append(_new(entry, fields(words) + tail(parser)))
+                end = parser.pos
+            lasts.append(end - 1)
+            pos = end
+        pos += 1
     line, col, end = parser.lines.__getitem__, parser.cols.__getitem__, parser.ends.__getitem__
     spans = map(_new, repeat(Span), zip(map(line, firsts), map(col, firsts),
                                         map(line, lasts), map(end, lasts)))
@@ -291,92 +310,58 @@ def load_policy(text: str) -> PolicyModel:
     return lower(parse_policy(text))
 
 
-# Each declaration parser reads one declaration and returns the fields of the
-# entry it is built as, every field in order, since `parse_policy` builds the
-# entry with `tuple.__new__`; its span is built once the whole text is read.
-
-
-def _parse_named(parser: _Parser) -> tuple[str, str]:
-    """`id: "label"`, which also starts attributes, tasks and purposes."""
-    ident = parser.expect("ident")
-    parser.expect(":")
-    return ident, parser.expect("string")
-
-
-def _parse_role_edge(parser: _Parser) -> tuple[str, str]:
-    superior = parser.expect("ident")
-    parser.expect("->")
-    return superior, parser.expect("ident")
-
-
 def _parse_id_list(parser: _Parser, close: str) -> tuple[str, ...]:
     """`id (, id)*` then `close`."""
     members = [parser.expect("ident")]
     while parser.at(","):
-        parser.next()
+        parser.pos += 1
         members.append(parser.expect("ident"))
     parser.expect(close)
     return tuple(members)
 
 
-def _parse_attribute(parser: _Parser) -> tuple:
-    ident, label = _parse_named(parser)
+# A tail reads the fields of the entry that follow its shape's, from the token
+# after the shape, and returns them in order: `parse_policy` builds the entry
+# with `tuple.__new__`.
+def _attribute_tail(parser: _Parser) -> tuple[tuple[str, ...], Optional[bool]]:
     groups: tuple[str, ...] = ()
     collected: Optional[bool] = None
     # Both trailers are optional; two-token lookahead separates them from the
     # next declaration, whose id is always followed by ':'.
     if parser.at_keyword("groups") and parser.at("(", 1):
-        parser.next()
-        parser.next()
+        parser.pos += 2
         groups = _parse_id_list(parser, ")")
     if parser.at_keyword("collected") and parser.at("=", 1):
-        parser.next()
-        parser.next()
+        parser.pos += 2
         flag = parser.expect("ident", "'yes' or 'no'")
         if flag not in ("yes", "no"):
             raise parser.unexpected(parser.pos - 1, "'yes' or 'no'")
         collected = flag == "yes"
-    return ident, label, groups, collected
+    return groups, collected
 
 
-def _parse_aggregation(parser: _Parser) -> tuple[str, str, str]:
-    parser.expect("(")
-    left = parser.expect("ident")
-    parser.expect(",")
-    right = parser.expect("ident")
-    parser.expect(")")
-    parser.expect("->")
-    return left, right, parser.expect("ident")
-
-
-def _parse_task(parser: _Parser) -> tuple:
-    ident, label = _parse_named(parser)
-    parser.expect_keyword("reads")
-    reads = parser.expect("ident")
-    via: Optional[str] = None
+def _via_tail(parser: _Parser) -> tuple[Optional[str]]:
     if parser.at_keyword("via") and parser.at("ident", 1) and not parser.at(":", 2):
-        parser.next()
-        via = parser.next()
-    return ident, label, reads, via
+        parser.pos += 2
+        return (parser.texts[parser.pos - 1],)
+    return (None,)
 
 
-def _parse_purpose(parser: _Parser) -> tuple:
-    ident, label = _parse_named(parser)
+def _purpose_tail(parser: _Parser) -> tuple[tuple[str, ...], bool]:
     tasks: tuple[str, ...] = ()
-    universal = False
     if parser.at("="):
-        parser.next()
+        parser.pos += 1
         parser.expect("[")
         tasks = _parse_id_list(parser, "]")
     # 'universal' could also start the next declaration as an id; a following
     # ':' disambiguates.
     if parser.at_keyword("universal") and not parser.at(":", 1):
-        parser.next()
-        universal = True
-    return ident, label, tasks, universal
+        parser.pos += 1
+        return tasks, True
+    return tasks, False
 
 
-def _parse_condition_string(parser: _Parser) -> ConditionExpr:
+def _condition_tail(parser: _Parser) -> tuple[ConditionExpr]:
     """A condition string, parsed once per distinct text."""
     text = parser.expect("string")
     condition = parser.conditions.get(text)
@@ -385,38 +370,15 @@ def _parse_condition_string(parser: _Parser) -> ConditionExpr:
             condition = parser.conditions[text] = parse_condition(text)
         except ConditionError as exc:
             raise ParseError(f"invalid condition: {exc}", parser.span(parser.pos - 1)) from exc
-    return condition
+    return (condition,)
 
 
-def _parse_optional_condition(parser: _Parser) -> Optional[ConditionExpr]:
+def _when_tail(parser: _Parser) -> tuple[Optional[ConditionExpr]]:
     """The condition of a following `when "..."`, or None."""
     if parser.at_keyword("when") and parser.at("string", 1):
-        parser.next()
-        return _parse_condition_string(parser)
-    return None
-
-
-def _parse_role_purpose(parser: _Parser) -> tuple:
-    role = parser.expect("ident")
-    parser.expect_keyword("allowed")
-    purpose = parser.expect("ident")
-    return role, purpose, _parse_optional_condition(parser)
-
-
-def _parse_purpose_task_condition(parser: _Parser) -> tuple:
-    purpose = parser.expect("ident")
-    parser.expect_keyword("task")
-    task = parser.expect("ident")
-    parser.expect_keyword("when")
-    return purpose, task, _parse_condition_string(parser)
-
-
-def _parse_purpose_group(parser: _Parser) -> tuple:
-    purpose = parser.expect("ident")
-    parser.expect_keyword("allowed")
-    parser.expect_keyword("group")
-    group = parser.expect("ident")
-    return purpose, group, _parse_optional_condition(parser)
+        parser.pos += 1
+        return _condition_tail(parser)
+    return (None,)
 
 
 def _quote(text: str) -> str:
@@ -458,35 +420,56 @@ class _Section(NamedTuple):
     keyword: str  # the section's name in a policy file
     field: str  # the PolicyModel field its entries lower into
     entry: type  # what a declaration is built as: its model entity, or AttributeDecl
-    parse: Callable[[_Parser], tuple]  # reads one declaration's fields
+    # The tokens every declaration starts with: "ident" or "string" (the
+    # entry's leading fields, in order), punctuation, or a quoted keyword.
+    shape: tuple[str, ...]
+    tail: Optional[Callable[[_Parser], tuple]]  # reads the entry's remaining fields
     write: Callable[[Any], tuple[str, ...]]  # an entry's canonical row(s)
 
+
+_NAMED = ("ident", ":", "string")  # `id: "label"`, which also starts attributes, tasks and purposes
 
 # Every section, in grammar order, which is also the order of PolicyModel's
 # fields and of `serialize`'s output.
 _SECTIONS = (
-    _Section("roles", "roles", Role, _parse_named,
+    _Section("roles", "roles", Role, _NAMED, None,
              lambda r: (f"{r.id}: {_quote(r.label)}",)),
-    _Section("role_hierarchy", "role_edges", RoleEdge, _parse_role_edge,
+    _Section("role_hierarchy", "role_edges", RoleEdge, ("ident", "->", "ident"), None,
              lambda e: (f"{e.superior} -> {e.inferior}",)),
-    _Section("groups", "groups", AttributeGroup, _parse_named,
+    _Section("groups", "groups", AttributeGroup, _NAMED, None,
              lambda g: (f"{g.id}: {_quote(g.label)}",)),
-    _Section("attributes", "attributes", AttributeDecl, _parse_attribute, _write_attribute),
-    _Section("aggregations", "aggregations", Aggregation, _parse_aggregation,
+    _Section("attributes", "attributes", AttributeDecl, _NAMED, _attribute_tail, _write_attribute),
+    _Section("aggregations", "aggregations", Aggregation,
+             ("(", "ident", ",", "ident", ")", "->", "ident"), None,
              lambda a: (f"({a.left}, {a.right}) -> {a.product}",)),
-    _Section("granularities", "granularities", GranularityFn, _parse_named,
+    _Section("granularities", "granularities", GranularityFn, _NAMED, None,
              lambda g: (f"{g.id}: {_quote(g.description)}",)),
-    _Section("tasks", "tasks", Task, _parse_task, _write_task),
-    _Section("purposes", "purposes", Purpose, _parse_purpose, _write_purpose),
-    _Section("role_purpose", "rp_grants", RolePurposeGrant, _parse_role_purpose,
-             lambda g: (f"{g.role} allowed {g.purpose}{_when(g.condition)}",)),
+    _Section("tasks", "tasks", Task, (*_NAMED, "'reads'", "ident"), _via_tail, _write_task),
+    _Section("purposes", "purposes", Purpose, _NAMED, _purpose_tail, _write_purpose),
+    _Section("role_purpose", "rp_grants", RolePurposeGrant, ("ident", "'allowed'", "ident"),
+             _when_tail, lambda g: (f"{g.role} allowed {g.purpose}{_when(g.condition)}",)),
     _Section("purpose_task_conditions", "pt_conditions", PurposeTaskCondition,
-             _parse_purpose_task_condition,
+             ("ident", "'task'", "ident", "'when'"), _condition_tail,
              lambda c: (f"{c.purpose} task {c.task}{_when(c.condition)}",)),
-    _Section("purpose_group", "pg_grants", PurposeGroupGrant, _parse_purpose_group,
+    _Section("purpose_group", "pg_grants", PurposeGroupGrant,
+             ("ident", "'allowed'", "'group'", "ident"), _when_tail,
              lambda g: (f"{g.purpose} allowed group {g.group}{_when(g.condition)}",)),
 )
-_SECTION_BY_KEYWORD = {section.keyword: section for section in _SECTIONS}
+
+
+def _matcher(shape: tuple[str, ...]) -> tuple:
+    """How `parse_policy` matches `shape`: its length and kinds (a keyword's is
+    "ident"), a getter of its keywords' texts and those texts, and a getter of
+    its fields' texts, a tuple since every shape holds at least two fields."""
+    keyword_at = [i for i, token in enumerate(shape) if token[0] == "'"]
+    # With no keyword, an empty slice stands in for the keywords' texts.
+    keywords = itemgetter(*keyword_at) if keyword_at else itemgetter(slice(0))
+    fields = itemgetter(*[i for i, token in enumerate(shape) if token in ("ident", "string")])
+    return (len(shape), ["ident" if token[0] == "'" else token for token in shape],
+            keywords, keywords([token.strip("'") for token in shape]), fields)
+
+
+_MATCHER_BY_KEYWORD = {s.keyword: (s.entry, s.shape, s.tail, *_matcher(s.shape)) for s in _SECTIONS}
 _FIELD_BY_ENTRY = {section.entry: section.field for section in _SECTIONS}
 
 
@@ -565,7 +548,8 @@ def serialize(model: PolicyModel) -> str:
     back equal to it (an upper-case or non-identifier variable name, a
     non-finite number, an operator outside the grammar, an empty chain or
     expression) cannot be written (ValueError).  Each distinct condition is
-    checked once per call.
+    checked once per call.  An operand of no condition type or a malformed
+    chain cannot be rendered (ConditionTypeError, a ValueError).
     """
     ids = [e.id for s in _SECTIONS if s.entry._fields[0] == "id" for e in getattr(model, s.field)]
     joined = "\n".join([*ids, ""])

@@ -223,6 +223,31 @@ def test_rendering_a_value_of_no_condition_type_names_it():
         render_condition(expr)
 
 
+# Hand-built chains whose operand and operator counts do not fit: each was
+# evaluated and rendered by its first pair, or raised IndexError.
+MALFORMED_CHAINS = [
+    (Chain((Var("a"), 1, "x"), (">",)), "^malformed chain: 3 operands, 1 operators$"),
+    (Chain((Var("a"),), ()), "^malformed chain: 1 operands, 0 operators$"),
+    (Chain((Var("a"),), (">",)), "^malformed chain: 1 operands, 1 operators$"),
+    (Chain((), (">",)), "^malformed chain: 0 operands, 1 operators$"),
+]
+
+
+@pytest.mark.parametrize("chain, message", MALFORMED_CHAINS)
+def test_a_malformed_chain_is_neither_evaluated_nor_rendered(chain, message):
+    expr = ConditionExpr((parse_condition("a > 1").chains[0], chain))
+    with pytest.raises(ConditionTypeError, match=message):
+        evaluate(expr, {"a": 5})
+    with pytest.raises(ConditionTypeError, match=message):
+        render_condition(expr)
+
+
+def test_an_empty_chain_renders_as_empty_text_and_holds():
+    expr = ConditionExpr((Chain((), ()),))
+    assert render_condition(expr) == ""
+    assert evaluate(expr, {}) is TriBool.TRUE
+
+
 def test_an_unsupported_value_type_is_named():
     with pytest.raises(ConditionTypeError, match="^unsupported value type Decimal$"):
         evaluate(parse_condition("age > 18"), {"age": Decimal(19)})

@@ -345,6 +345,17 @@ def test_serialize_refuses_a_value_of_no_condition_type():
         serialize(model)
 
 
+@pytest.mark.parametrize("operands, ops", [
+    ((Var("a"), 1, "x"), (">",)), ((Var("a"),), ()), ((Var("a"),), (">",)),
+])
+def test_serialize_refuses_a_malformed_chain(operands, ops):
+    model = _granted(ConditionExpr((Chain(operands, ops),)))
+    assert not model.validation_errors
+    message = f"^malformed chain: {len(operands)} operands, {len(ops)} operators$"
+    with pytest.raises(ConditionTypeError, match=message):
+        serialize(model)
+
+
 def test_serialize_normalizes_condition_text():
     model = load_policy(
         'policy "x"\nroles { r1: "A" }\npurposes { p1: "P" }\n'

@@ -63,6 +63,101 @@ def _pairs(decls):
          "4:1: found end of input (expected an identifier)", Span(4, 1, 4, 1)),
         ('policy "x"\r\nroles {\r\n',
          "3:1: found end of input (expected an identifier)", Span(3, 1, 3, 1)),
+        # One row per token of the `policy "name"` header and of every
+        # section's declaration (and of the condition string that `when`
+        # requires in purpose_task_conditions): the token is replaced by one
+        # that still lexes.
+        ('policies "x"\n',
+         "1:1: found 'policies' (expected 'policy')", Span(1, 1, 1, 9)),
+        ('policy s\n',
+         "1:8: found 's' (expected a string)", Span(1, 8, 1, 9)),
+        ('policy "x"\nroles { "s": "A" }\n',
+         '2:9: found a string (expected an identifier)', Span(2, 9, 2, 12)),
+        ('policy "x"\nroles { r1 = "A" }\n',
+         "2:12: found '=' (expected ':')", Span(2, 12, 2, 13)),
+        ('policy "x"\nroles { r1: s }\n',
+         "2:13: found 's' (expected a string)", Span(2, 13, 2, 14)),
+        ('policy "x"\nrole_hierarchy { "s" -> r2 }\n',
+         '2:18: found a string (expected an identifier)', Span(2, 18, 2, 21)),
+        ('policy "x"\nrole_hierarchy { r1, r2 }\n',
+         "2:20: found ',' (expected '->')", Span(2, 20, 2, 21)),
+        ('policy "x"\nrole_hierarchy { r1 -> "s" }\n',
+         '2:24: found a string (expected an identifier)', Span(2, 24, 2, 27)),
+        ('policy "x"\ngroups { "s": "G" }\n',
+         '2:10: found a string (expected an identifier)', Span(2, 10, 2, 13)),
+        ('policy "x"\ngroups { g1 = "G" }\n',
+         "2:13: found '=' (expected ':')", Span(2, 13, 2, 14)),
+        ('policy "x"\ngroups { g1: s }\n',
+         "2:14: found 's' (expected a string)", Span(2, 14, 2, 15)),
+        ('policy "x"\nattributes { "s": "D" }\n',
+         '2:14: found a string (expected an identifier)', Span(2, 14, 2, 17)),
+        ('policy "x"\nattributes { d1 = "D" }\n',
+         "2:17: found '=' (expected ':')", Span(2, 17, 2, 18)),
+        ('policy "x"\nattributes { d1: s }\n',
+         "2:18: found 's' (expected a string)", Span(2, 18, 2, 19)),
+        ('policy "x"\naggregations { [ d1, d2) -> d3 }\n',
+         "2:16: found '[' (expected '(')", Span(2, 16, 2, 17)),
+        ('policy "x"\naggregations { ("s", d2) -> d3 }\n',
+         '2:17: found a string (expected an identifier)', Span(2, 17, 2, 20)),
+        ('policy "x"\naggregations { (d1) d2) -> d3 }\n',
+         "2:19: found ')' (expected ',')", Span(2, 19, 2, 20)),
+        ('policy "x"\naggregations { (d1, "s") -> d3 }\n',
+         '2:21: found a string (expected an identifier)', Span(2, 21, 2, 24)),
+        ('policy "x"\naggregations { (d1, d2 ] -> d3 }\n',
+         "2:24: found ']' (expected ')')", Span(2, 24, 2, 25)),
+        ('policy "x"\naggregations { (d1, d2), d3 }\n',
+         "2:24: found ',' (expected '->')", Span(2, 24, 2, 25)),
+        ('policy "x"\naggregations { (d1, d2) -> "s" }\n',
+         '2:28: found a string (expected an identifier)', Span(2, 28, 2, 31)),
+        ('policy "x"\ngranularities { "s": "F" }\n',
+         '2:17: found a string (expected an identifier)', Span(2, 17, 2, 20)),
+        ('policy "x"\ngranularities { f1 = "F" }\n',
+         "2:20: found '=' (expected ':')", Span(2, 20, 2, 21)),
+        ('policy "x"\ngranularities { f1: s }\n',
+         "2:21: found 's' (expected a string)", Span(2, 21, 2, 22)),
+        ('policy "x"\ntasks { "s": "T" reads d1 }\n',
+         '2:9: found a string (expected an identifier)', Span(2, 9, 2, 12)),
+        ('policy "x"\ntasks { t1 = "T" reads d1 }\n',
+         "2:12: found '=' (expected ':')", Span(2, 12, 2, 13)),
+        ('policy "x"\ntasks { t1: s reads d1 }\n',
+         "2:13: found 's' (expected a string)", Span(2, 13, 2, 14)),
+        ('policy "x"\ntasks { t1: "T" other d1 }\n',
+         "2:17: found 'other' (expected 'reads')", Span(2, 17, 2, 22)),
+        ('policy "x"\ntasks { t1: "T" reads "s" }\n',
+         '2:23: found a string (expected an identifier)', Span(2, 23, 2, 26)),
+        ('policy "x"\npurposes { "s": "P" }\n',
+         '2:12: found a string (expected an identifier)', Span(2, 12, 2, 15)),
+        ('policy "x"\npurposes { p1 = "P" }\n',
+         "2:15: found '=' (expected ':')", Span(2, 15, 2, 16)),
+        ('policy "x"\npurposes { p1: s }\n',
+         "2:16: found 's' (expected a string)", Span(2, 16, 2, 17)),
+        ('policy "x"\nrole_purpose { "s" allowed p1 }\n',
+         '2:16: found a string (expected an identifier)', Span(2, 16, 2, 19)),
+        ('policy "x"\nrole_purpose { r1 other p1 }\n',
+         "2:19: found 'other' (expected 'allowed')", Span(2, 19, 2, 24)),
+        ('policy "x"\nrole_purpose { r1 allowed "s" }\n',
+         '2:27: found a string (expected an identifier)', Span(2, 27, 2, 30)),
+        ('policy "x"\npurpose_task_conditions { "s" task t1 when "a > 1" }\n',
+         '2:27: found a string (expected an identifier)', Span(2, 27, 2, 30)),
+        ('policy "x"\npurpose_task_conditions { p1 other t1 when "a > 1" }\n',
+         "2:30: found 'other' (expected 'task')", Span(2, 30, 2, 35)),
+        ('policy "x"\npurpose_task_conditions { p1 task "s" when "a > 1" }\n',
+         '2:35: found a string (expected an identifier)', Span(2, 35, 2, 38)),
+        ('policy "x"\npurpose_task_conditions { p1 task t1 other "a > 1" }\n',
+         "2:38: found 'other' (expected 'when')", Span(2, 38, 2, 43)),
+        ('policy "x"\npurpose_task_conditions { p1 task t1 when s }\n',
+         "2:43: found 's' (expected a string)", Span(2, 43, 2, 44)),
+        ('policy "x"\npurpose_group { "s" allowed group g1 }\n',
+         '2:17: found a string (expected an identifier)', Span(2, 17, 2, 20)),
+        ('policy "x"\npurpose_group { p1 other group g1 }\n',
+         "2:20: found 'other' (expected 'allowed')", Span(2, 20, 2, 25)),
+        ('policy "x"\npurpose_group { p1 allowed other g1 }\n',
+         "2:28: found 'other' (expected 'group')", Span(2, 28, 2, 33)),
+        ('policy "x"\npurpose_group { p1 allowed group "s" }\n',
+         '2:34: found a string (expected an identifier)', Span(2, 34, 2, 37)),
+        # A declaration cut off by end of input.
+        ('policy "x"\naggregations { (d1, d2) ->',
+         '2:27: found end of input (expected an identifier)', Span(2, 27, 2, 27)),
     ],
 )
 def test_parse_error_messages_and_spans(text, message, span):

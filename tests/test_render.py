@@ -284,3 +284,17 @@ def test_a_value_of_no_condition_type_is_named(emit):
     assert not model.validation_errors
     with pytest.raises(ConditionTypeError, match="^unsupported value type list$"):
         emit(model)
+
+
+@pytest.mark.parametrize("emit", [emit_graph, emit_tables])
+@pytest.mark.parametrize("operands, ops", [
+    ((Var("a"), 1, "x"), (">",)), ((Var("a"),), ()), ((Var("a"),), (">",)),
+])
+def test_a_malformed_chain_is_not_drawn(emit, operands, ops):
+    hand_built = ConditionExpr((Chain(operands, ops),))
+    model = PolicyModel("x", roles=(Role("r1", "A"),), purposes=(Purpose("p1", "P"),),
+                        rp_grants=(RolePurposeGrant("r1", "p1", hand_built),))
+    assert not model.validation_errors
+    message = f"^malformed chain: {len(operands)} operands, {len(ops)} operators$"
+    with pytest.raises(ConditionTypeError, match=message):
+        emit(model)
