@@ -68,7 +68,7 @@ def value_type(cls: type, compared: Optional[int] = None) -> type:
     `tuple.__new__(cls, fields)` instead (each module binds it as `_new`),
     which makes the same object without that frame.  The one rule: `fields`
     holds exactly `len(cls._fields)` items, because the constructor's arity
-    check and defaults are skipped.
+    check and defaults are skipped, as is ConditionExpr's: pppm builds none so.
     """
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self[:compared] == other[:compared]  # type: ignore
@@ -129,17 +129,40 @@ ORDER_OPS = frozenset(("<", "<=", ">", ">="))
 
 @value_type
 class Chain(NamedTuple):
-    """operand relop operand [relop operand ...] -- pairwise conjunction."""
+    """operand relop operand [relop operand ...], pairwise conjoined; ConditionExpr checks it."""
 
     operands: tuple[Operand, ...]
     ops: tuple[str, ...]
 
 
-@value_type
-class ConditionExpr(NamedTuple):
-    """Conjunction of comparison chains."""
-
+class _Conjunction(NamedTuple):
     chains: tuple[Chain, ...]
+
+
+@value_type
+class ConditionExpr(_Conjunction):
+    """Conjunction of comparison chains that `parse_condition` can return, operands of a
+    subclass of int, float or str included; building anything else raises ConditionTypeError.
+    `_replace`, `_make`, copy and pickle (protocol 2 on) build through the same check."""
+
+    __slots__ = ()
+
+    def __new__(cls, chains: tuple[Chain, ...]) -> ConditionExpr:
+        if type(chains) is not tuple or not chains or any(type(c) is not Chain for c in chains):
+            raise ConditionTypeError("a condition is a non-empty tuple of Chains")
+        for operands, ops in chains:
+            if type(operands) is not tuple or type(ops) is not tuple:
+                raise ConditionTypeError("malformed chain: operands and operators are not tuples")
+            if not ops or len(operands) != len(ops) + 1:
+                raise ConditionTypeError(f"malformed chain: {len(operands)} operands, {len(ops)} operators")
+            _check_operand(operands[0])
+            for left, op, right in zip(operands, ops, operands[1:]):
+                _check_operand(right)
+                if message := _pair_error(left, op, right):
+                    raise ConditionTypeError(message)
+        return tuple.__new__(cls, (chains,))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
 
 
 # The lexical rules that condition text shares with policy files: an identifier,
@@ -257,8 +280,8 @@ def parse_condition(text: str) -> ConditionExpr:
             if kind not in ("var", "lit"):
                 raise ConditionSyntaxError("expected an operand", pos)
             operands.append(Var(value) if kind == "var" else value)  # type: ignore[arg-type]
-            if ops:
-                _check_pair_types(operands[-2], ops[-1], operands[-1], op_pos)
+            if ops and (message := _pair_error(operands[-2], ops[-1], operands[-1])):
+                raise ConditionSyntaxError(message, op_pos)
         elif kind == "op":
             ops.append(value)  # type: ignore[arg-type]
             op_pos = pos
@@ -272,43 +295,51 @@ def parse_condition(text: str) -> ConditionExpr:
     return ConditionExpr(tuple(chains))
 
 
-def _check_pair_types(left: Operand, op: str, right: Operand, offset: int) -> None:
+def _pair_error(left: Operand, op: str, right: Operand) -> Optional[str]:
+    """Why `left op right` cannot be compared whatever its variables hold, or None."""
+    if type(op) is not str:
+        return f"a comparison operator is a str, not {type(op).__name__}"
+    if op not in RELOPS:
+        return f"unknown comparison operator {op!r}"
     lt, rt = _type_class(left), _type_class(right)
     if lt is not None and rt is not None and lt != rt:
-        raise ConditionSyntaxError(f"cannot compare {lt} to {rt}", offset)
+        return f"cannot compare {lt} to {rt}"
     if op in ORDER_OPS and ("string" in (lt, rt) or "bool" in (lt, rt)):
-        raise ConditionSyntaxError(
-            f"ordering comparison {op!r} is not defined for strings or booleans",
-            offset,
-        )
+        return f"ordering comparison {op!r} is not defined for strings or booleans"
+    return None
+
+
+def _check_operand(operand: Operand) -> None:
+    """Raise ConditionTypeError unless `operand` parses back equal from its text."""
+    if isinstance(operand, float) and not math.isfinite(operand):
+        raise ConditionTypeError(f"cannot compare the non-finite number {operand!r}")
+    _type_class(operand)  # raises for a value of no condition type
+    text = None
+    try:
+        text = _render_operand(operand)
+        read = Var(parse_variable(text)) if isinstance(operand, Var) else parse_literal(text)
+    except (TypeError, ValueError):  # no text (an int past int()'s digits), or not one operand
+        read = None
+    if operand != read:
+        shown = f" {text!r}" if type(text) is str else ""
+        raise ConditionTypeError(f"{type(operand).__name__} operand{shown} does not parse back the same")
 
 
 def render_condition(expr: ConditionExpr) -> str:
-    """Canonical text form; parse(render(e)) == e."""
+    """Canonical text form; parse_condition(render_condition(e)) == e for every e."""
     return " and ".join(_render_chain(chain) for chain in expr.chains)
 
 
 def _render_chain(chain: Chain) -> str:
     operands, ops = chain
-    if len(operands) != len(ops) + bool(ops):
-        raise _malformed(chain)
-    parts = [_render_operand(operands[0])] if operands else []
+    parts = [_render_operand(operands[0])]
     for op, operand in zip(ops, operands[1:]):
-        parts.append(op)
-        parts.append(_render_operand(operand))
+        parts += (op, _render_operand(operand))
     return " ".join(parts)
 
 
-def _malformed(chain: Chain) -> ConditionTypeError:
-    """The error for a hand-built chain that is neither empty nor one more
-    operand than its one or more operators."""
-    operands, ops = chain
-    return ConditionTypeError(f"malformed chain: {len(operands)} operands, {len(ops)} operators")
-
-
 def _render_operand(operand: Operand) -> str:
-    """`operand` as condition text; a value of no condition type raises
-    ConditionTypeError, and a number, a subclass's included, is written as one."""
+    """`operand` as condition text; a number, a subclass's included, is written as one."""
     if isinstance(operand, Var):
         return operand.name
     type_class = _TYPE_CLASSES.get(type(operand)) or _type_class(operand)
@@ -319,11 +350,13 @@ def _render_operand(operand: Operand) -> str:
     if type_class == "time":
         return str(operand)
     if isinstance(operand, float):
-        # repr writes an exponent below 1e-4 and from 1e16 up, and the
-        # grammar has none: write as many places as repr's digits need.
+        # The grammar has no exponent: move repr's point (rounding the exact value
+        # can differ at a tie, as at 2**-24), or write a large float's whole number.
         mantissa, _, exponent = float.__repr__(operand).partition("e")
-        places = max(0, len(mantissa.partition(".")[2]) - int(exponent or 0))
-        return f"{float(operand):.{places}f}" + ("" if places else ".0")
+        if exponent[:1] == "-":
+            digits = mantissa.replace(".", "").lstrip("-")
+            return f"{'-' * (operand < 0)}0.{'0' * (-int(exponent) - 1)}{digits}"
+        return f"{float(operand):.0f}.0" if exponent else mantissa
     return int.__repr__(operand)
 
 
@@ -362,19 +395,12 @@ def tsv(rows: Sequence[Sequence[str]]) -> str:
 def evaluate(expr: ConditionExpr, ctx: EvalContext) -> TriBool:
     """Three-valued evaluation of `expr` under the bindings in `ctx`.
 
-    Every pair is evaluated, even after a False one, so a type clash or an
-    operator outside RELOPS anywhere in `expr` raises ConditionTypeError, as
-    does a chain that `_malformed` describes.
+    Every pair is evaluated, even after a False one, so a type clash or a
+    non-finite number bound anywhere in `expr` raises ConditionTypeError.
     """
     unknown = false = False
-    for chain in expr.chains:
-        operands, ops = chain
-        if len(operands) != len(ops) + bool(ops):
-            raise _malformed(chain)
+    for operands, ops in expr.chains:
         for i, op in enumerate(ops):
-            compare = _COMPARE.get(op)
-            if compare is None:  # only a hand-built Chain can hold one
-                raise ConditionTypeError(f"unknown comparison operator {op!r}")
             lv, rv = operands[i], operands[i + 1]
             if isinstance(lv, Var):
                 lv = ctx.get(lv.name, _MISSING)
@@ -392,7 +418,7 @@ def evaluate(expr: ConditionExpr, ctx: EvalContext) -> TriBool:
                 raise ConditionTypeError(f"cannot compare {lt} to {rt}")
             if op in ORDER_OPS and lt in ("string", "bool"):
                 raise ConditionTypeError(f"ordering comparison {op!r} is not defined for {lt}s")
-            if not compare(lv, rv):
+            if not _COMPARE[op](lv, rv):
                 false = True
     return TriBool.FALSE if false else TriBool.UNKNOWN if unknown else TriBool.TRUE
 

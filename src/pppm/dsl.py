@@ -543,13 +543,8 @@ def serialize(model: PolicyModel) -> str:
     Sections appear in grammar order, entries in model (declaration) order,
     group lists sorted, two-space indent, LF endings.  A collection conflict
     is written as two declarations so it survives a round trip.  A name,
-    label, description or condition string holding a line break, a declared
-    id that is not an identifier, and a condition whose text does not parse
-    back equal to it (an upper-case or non-identifier variable name, a
-    non-finite number, an operator outside the grammar, an empty chain or
-    expression) cannot be written (ValueError).  Each distinct condition is
-    checked once per call.  An operand of no condition type or a malformed
-    chain cannot be rendered (ConditionTypeError, a ValueError).
+    label, description or condition string holding a line break, and a
+    declared id that is not an identifier, cannot be written (ValueError).
     """
     ids = [e.id for s in _SECTIONS if s.entry._fields[0] == "id" for e in getattr(model, s.field)]
     joined = "\n".join([*ids, ""])
@@ -561,17 +556,4 @@ def serialize(model: PolicyModel) -> str:
         rows = [row for entry in getattr(model, section.field) for row in section.write(entry)]
         if rows:
             lines += ["", f"{section.keyword} {{", *[f"  {row}" for row in rows], "}"]
-    # Writing the rows rendered every condition, so each operand has a
-    # condition type and hashes.
-    conditions = dict.fromkeys(e.condition for field in ("rp_grants", "pt_conditions", "pg_grants")
-                               for e in getattr(model, field))
-    conditions.pop(None, None)
-    for condition in conditions:
-        text = render_condition(condition)
-        try:
-            same = parse_condition(text) == condition
-        except ConditionError:
-            same = False
-        if not same:
-            raise ValueError(f"cannot write condition {text!r}: it does not parse back the same")
     return "\n".join(lines) + "\n"

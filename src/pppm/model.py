@@ -198,9 +198,9 @@ class PolicyModel(_PolicyModelFields):
 
     @cached_property
     def sources_by_purpose(self) -> dict[str, tuple[SourceEntry, ...]]:
-        """What each purpose reaches: its tasks in task-list order, then the
-        members of its granted groups in grant order."""
-        conditions = {(c.purpose, c.task): c.condition for c in self.pt_conditions}
+        """What each purpose reaches: its tasks in task-list order, each with its
+        first condition, then the members of its granted groups in grant order."""
+        conditions = {(c.purpose, c.task): c.condition for c in reversed(self.pt_conditions)}
         sources: dict[str, list[SourceEntry]] = {p: [] for p in self.purposes_by_id}
         for purpose in self.purposes_by_id.values():
             for task_id in purpose.tasks:

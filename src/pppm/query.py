@@ -170,7 +170,7 @@ def can_access(
                         status = evaluate(condition, ctx)
                     except ConditionTypeError as exc:
                         raise QueryEvaluationError(
-                            f"cannot evaluate the {origin} condition {_shown(condition)} "
+                            f"cannot evaluate the {origin} condition {render_condition(condition)!r} "
                             f"on grant {grant.role}->{purpose}: {exc}"
                         ) from exc
                     if status is TriBool.FALSE:
@@ -184,14 +184,6 @@ def can_access(
                         conditional = Outcome.CONDITIONAL, tuple(unknowns), entry, grant
     chosen = conditional or first
     return _STRUCTURAL_DENY if chosen is None else _decide(*chosen, closure)
-
-
-def _shown(condition: ConditionExpr) -> str:
-    """`condition`'s text, quoted, or its repr if an operand has no condition type."""
-    try:
-        return repr(render_condition(condition))
-    except ConditionTypeError:
-        return repr(condition)
 
 
 def _decide(outcome: Outcome, residual: tuple[ConditionExpr, ...], entry: SourceEntry,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +53,20 @@ def test_each_command_loads_only_the_modules_it_uses(command):
     proc = subprocess.run([sys.executable, "-c", PROBE.format(optional=OPTIONAL), *argv],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["0", *COMMANDS[command]]
+
+
+def test_pppm_imports_only_the_standard_library_and_itself():
+    # pyproject.toml declares no dependencies: an import of anything else
+    # would fail on a clean install.
+    outside = []
+    for path in sorted(Path(pppm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

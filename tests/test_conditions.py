@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import enum
 import math
+import pickle
 import random
 from decimal import Decimal
 
@@ -218,13 +220,11 @@ def test_a_subclass_renders_as_its_base_type():
 
 
 def test_rendering_a_value_of_no_condition_type_names_it():
-    expr = ConditionExpr((Chain((Var("age"), [1]), (">",)),))
     with pytest.raises(ConditionTypeError, match="^unsupported value type list$"):
-        render_condition(expr)
+        ConditionExpr((Chain((Var("age"), [1]), (">",)),))
 
 
-# Hand-built chains whose operand and operator counts do not fit: each was
-# evaluated and rendered by its first pair, or raised IndexError.
+# Hand-built chains whose operand and operator counts do not fit.
 MALFORMED_CHAINS = [
     (Chain((Var("a"), 1, "x"), (">",)), "^malformed chain: 3 operands, 1 operators$"),
     (Chain((Var("a"),), ()), "^malformed chain: 1 operands, 0 operators$"),
@@ -235,17 +235,8 @@ MALFORMED_CHAINS = [
 
 @pytest.mark.parametrize("chain, message", MALFORMED_CHAINS)
 def test_a_malformed_chain_is_neither_evaluated_nor_rendered(chain, message):
-    expr = ConditionExpr((parse_condition("a > 1").chains[0], chain))
     with pytest.raises(ConditionTypeError, match=message):
-        evaluate(expr, {"a": 5})
-    with pytest.raises(ConditionTypeError, match=message):
-        render_condition(expr)
-
-
-def test_an_empty_chain_renders_as_empty_text_and_holds():
-    expr = ConditionExpr((Chain((), ()),))
-    assert render_condition(expr) == ""
-    assert evaluate(expr, {}) is TriBool.TRUE
+        ConditionExpr((parse_condition("a > 1").chains[0], chain))
 
 
 def test_an_unsupported_value_type_is_named():
@@ -254,11 +245,110 @@ def test_an_unsupported_value_type_is_named():
 
 
 def test_an_operator_outside_relops_raises():
-    # Only a hand-built Chain can hold one; it used to compare as >=.
-    expr = ConditionExpr((Chain((Var("age"), 18), ("=>",)),))
-    for ctx in ({"age": 20}, {"age": 2}, {}):
-        with pytest.raises(ConditionTypeError, match="^unknown comparison operator '=>'$"):
-            evaluate(expr, ctx)
+    with pytest.raises(ConditionTypeError, match="^unknown comparison operator '=>'$"):
+        ConditionExpr((Chain((Var("age"), 18), ("=>",)),))
+
+
+_NO_CHAINS = "^a condition is a non-empty tuple of Chains$"
+
+
+# Subclasses of these value types are not equal to what their text parses back to.
+class _Var(Var):
+    __slots__ = ()
+
+
+class _Time(TimeOfDay):
+    __slots__ = ()
+
+
+# What `parse_condition` cannot return, each with the ConditionTypeError that
+# building it raises: (chains, message).
+REFUSED = [
+    pytest.param((), _NO_CHAINS, id="no chains"),
+    pytest.param(None, _NO_CHAINS, id="None"),
+    pytest.param([Chain((Var("a"), 1), (">",))], _NO_CHAINS, id="a list of chains"),
+    pytest.param(((Var("a"), 1),), _NO_CHAINS, id="a tuple in place of a chain"),
+    pytest.param((Chain([Var("a"), 1], [">"]),),
+                 "^malformed chain: operands and operators are not tuples$", id="lists"),
+    pytest.param((Chain((Var("a"), 1, "x"), (">",)),),
+                 "^malformed chain: 3 operands, 1 operators$", id="an operand too many"),
+    pytest.param((Chain((Var("a"),), ()),), "^malformed chain: 1 operands, 0 operators$",
+                 id="no operator"),
+    pytest.param((Chain((Var("a"),), (">",)),), "^malformed chain: 1 operands, 1 operators$",
+                 id="an operand too few"),
+    pytest.param((Chain((), ()),), "^malformed chain: 0 operands, 0 operators$",
+                 id="an empty chain"),
+    pytest.param((Chain((Var("a"), 1), ("=>",)),), "^unknown comparison operator '=>'$",
+                 id="operator =>"),
+    pytest.param((Chain((Var("a"), 1), (5,)),), "^a comparison operator is a str, not int$",
+                 id="operator 5"),
+    pytest.param((Chain((Var("AGE"), 1), (">",)),),
+                 "^Var operand 'AGE' does not parse back the same$", id="variable AGE"),
+    pytest.param((Chain((Var("a b"), 1), (">",)),),
+                 "^Var operand 'a b' does not parse back the same$", id="variable a b"),
+    pytest.param((Chain((Var("and"), 1), (">",)),),
+                 "^Var operand 'and' does not parse back the same$", id="variable and"),
+    pytest.param((Chain((Var(5), 1), (">",)),), "^Var operand does not parse back the same$",
+                 id="variable 5"),
+    pytest.param((Chain((Var("a"), [1]), (">",)),), "^unsupported value type list$",
+                 id="a list operand"),
+    pytest.param((Chain((Var("a"), math.inf), (">",)),),
+                 "^cannot compare the non-finite number inf$", id="inf"),
+    pytest.param((Chain((math.nan, Var("a")), ("==",)),),
+                 "^cannot compare the non-finite number nan$", id="nan"),
+    pytest.param((Chain((Var("a"), 10**5000), (">",)),),
+                 "^int operand does not parse back the same$", id="an int past the digit limit"),
+    pytest.param((Chain((Var("now"), TimeOfDay(1440)), ("<",)),),
+                 "^TimeOfDay operand '24:00' does not parse back the same$", id="24:00"),
+    pytest.param((Chain((_Var("a"), 1), (">",)),), "^_Var operand 'a' does not parse back the same$",
+                 id="a Var subclass"),
+    pytest.param((Chain((Var("now"), _Time(60)), ("<",)),),
+                 "^_Time operand '01:00' does not parse back the same$", id="a TimeOfDay subclass"),
+    pytest.param((Chain((5, "a"), (">",)),), "^cannot compare number to string$",
+                 id="5 > 'a'"),
+    pytest.param((Chain((Var("a"), "x"), ("<",)),),
+                 "^ordering comparison '<' is not defined for strings or booleans$",
+                 id="a < 'x'"),
+    pytest.param((Chain((Var("now"), 5), ("<",)),), "^cannot compare time to number$",
+                 id="now < 5"),
+]
+
+
+@pytest.mark.parametrize("chains, message", REFUSED)
+def test_a_condition_parse_condition_cannot_return_is_refused(chains, message):
+    with pytest.raises(ConditionTypeError, match=message):
+        ConditionExpr(chains)
+    with pytest.raises(ConditionTypeError, match=message):
+        ConditionExpr._make([chains])
+    with pytest.raises(ConditionTypeError, match=message):
+        parse_condition("a > 1")._replace(chains=chains)
+    # `tuple.__new__` skips the check; a copy or an unpickled value does not.
+    forged = tuple.__new__(ConditionExpr, (chains,))
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ConditionTypeError, match=message):
+            pickle.loads(pickle.dumps(forged, protocol))
+    for make_copy in (copy.copy, copy.deepcopy):
+        with pytest.raises(ConditionTypeError, match=message):
+            make_copy(forged)
+
+
+def _subclassed(operand):
+    """`operand` as a value of a subclass of its type, for an int or a str."""
+    if type(operand) is int:
+        return enum.IntEnum("_Number", {"N": operand}).N
+    return _Name(operand) if type(operand) is str else operand
+
+
+@given(seeds)
+def test_subclass_operands_are_accepted_read_back_and_evaluate(seed):
+    rng = random.Random(seed)
+    chains = gen.random_condition(rng).chains
+    expr = ConditionExpr(tuple(Chain(tuple(map(_subclassed, c.operands)), c.ops) for c in chains))
+    assert parse_condition(render_condition(expr)) == expr
+    try:
+        evaluate(expr, gen.random_ctx(rng))
+    except ConditionTypeError:
+        pass
 
 
 def test_a_non_finite_number_is_reported_before_a_clash():
@@ -357,7 +447,8 @@ def test_long_integer_within_the_limit_round_trips():
     assert parse_condition(render_condition(expr)) == expr
 
 
-@pytest.mark.parametrize("value", [1e-05, 1.5e-07, 1e16, 1.2345678901234567e20, 5e-324, -2.5e-10])
+@pytest.mark.parametrize("value", [1e-05, 1.5e-07, 1e16, 1.2345678901234567e20, 5e-324, -2.5e-10,
+                                   2**-24, -(2**-24)])
 def test_decimals_render_without_an_exponent(value):
     expr = ConditionExpr((Chain((Var("x"), value), (">",)),))
     text = render_condition(expr)

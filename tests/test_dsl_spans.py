@@ -158,6 +158,12 @@ def _pairs(decls):
         # A declaration cut off by end of input.
         ('policy "x"\naggregations { (d1, d2) ->',
          '2:27: found end of input (expected an identifier)', Span(2, 27, 2, 27)),
+        # A section keyword not followed by '{', and a section name that is none.
+        ('policy "x"\nroles r1: "A" }\n', "2:7: found 'r1' (expected '{')", Span(2, 7, 2, 9)),
+        ('policy "x"\nrolez { r1: "A" }\n',
+         "2:1: found 'rolez' (expected a section name)", Span(2, 1, 2, 6)),
+        ('policy "x"\n"roles" { }\n',
+         "2:1: found a string (expected a section name)", Span(2, 1, 2, 8)),
     ],
 )
 def test_parse_error_messages_and_spans(text, message, span):

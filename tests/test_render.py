@@ -276,14 +276,11 @@ def test_ids_outside_the_policy_language_are_escaped_in_dot():
     assert '      "group:g x" [shape=plaintext, label="g x"];' in lines
 
 
+# Refused when built, so no model holds one for `emit` to draw.
 @pytest.mark.parametrize("emit", [emit_graph, emit_tables])
 def test_a_value_of_no_condition_type_is_named(emit):
-    hand_built = ConditionExpr((Chain((Var("age"), [1]), (">",)),))
-    model = PolicyModel("x", roles=(Role("r1", "A"),), purposes=(Purpose("p1", "P"),),
-                        rp_grants=(RolePurposeGrant("r1", "p1", hand_built),))
-    assert not model.validation_errors
     with pytest.raises(ConditionTypeError, match="^unsupported value type list$"):
-        emit(model)
+        ConditionExpr((Chain((Var("age"), [1]), (">",)),))
 
 
 @pytest.mark.parametrize("emit", [emit_graph, emit_tables])
@@ -291,10 +288,6 @@ def test_a_value_of_no_condition_type_is_named(emit):
     ((Var("a"), 1, "x"), (">",)), ((Var("a"),), ()), ((Var("a"),), (">",)),
 ])
 def test_a_malformed_chain_is_not_drawn(emit, operands, ops):
-    hand_built = ConditionExpr((Chain(operands, ops),))
-    model = PolicyModel("x", roles=(Role("r1", "A"),), purposes=(Purpose("p1", "P"),),
-                        rp_grants=(RolePurposeGrant("r1", "p1", hand_built),))
-    assert not model.validation_errors
     message = f"^malformed chain: {len(operands)} operands, {len(ops)} operators$"
     with pytest.raises(ConditionTypeError, match=message):
-        emit(model)
+        ConditionExpr((Chain(operands, ops),))

@@ -113,7 +113,7 @@ TWINS = [
     (Aggregation, EffectiveGrant, ("a", "b", "c")),
     (Finding, ValidationError, ("a", "b", "c", "d")),
     (Task, Purpose, ("a", "b", "c", "d")),
-    (TimeOfDay, ConditionExpr, ((),)),
+    (TimeOfDay, ConditionExpr, (COND.chains,)),
 ]
 
 
