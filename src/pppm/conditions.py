@@ -143,7 +143,7 @@ class _Conjunction(NamedTuple):
 class ConditionExpr(_Conjunction):
     """Conjunction of comparison chains that `parse_condition` can return, operands of a
     subclass of int, float or str included; building anything else raises ConditionTypeError.
-    `_replace`, `_make`, copy and pickle (protocol 2 on) build through the same check."""
+    `_replace`, `_make`, copy and pickle build through the same check."""
 
     __slots__ = ()
 
@@ -163,6 +163,10 @@ class ConditionExpr(_Conjunction):
         return tuple.__new__(cls, (chains,))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
+
+    def __reduce__(self) -> tuple:
+        # Pickle protocols 0 and 1 would rebuild the tuple without `__new__`.
+        return (type(self), tuple(self))
 
 
 # The lexical rules that condition text shares with policy files: an identifier,

@@ -20,28 +20,31 @@ A policy file names the policy and then lists sections in any order:
 strings (double-quoted, with \\" and \\\\ escapes) follow the lexical rules of
 condition text, which `conditions` defines once.
 
-The lexer fills five parallel lists indexed by token number: kind, text,
-line, column and end column.  `kind` is "ident", "string", "eof" or the
-punctuation text itself ("{", "->", ...), and a string's text is its
-unescaped content.  Every element is a str or an int, so a token is no object
-of its own and the garbage collector tracks none of them.  The lists end with
-end-of-input sentinels, so lookahead is a plain index.  A Span is built only
-for a declaration (from its first token to its last, all of them once the
-text is read) or an error, and each distinct condition text is parsed once
-per `parse_policy` call.
-
 Each section is described once, by its row in `_SECTIONS`: its keyword, the
 PolicyModel field it fills, the type a declaration is built as, its shape (the
-tokens every declaration starts with), the tail that reads what may follow
-them, and the writer of an entry's canonical row(s).  A declaration is checked
-against its shape with one comparison of token kinds and one of keyword texts;
-only a mismatch walks the shape token by token, to report the first token that
-does not fit.  The table is in grammar order, the order of PolicyModel's
-fields.  A declaration is built once, as the model entry it declares (a Role,
-a Task, ...), but for an attribute: declarations of one attribute merge in
-`lower`, so each is an AttributeDecl, whose groups stay a tuple as written (a
-frozenset would make a Declarations' repr vary with string hashing).  Span and
-LowerDiagnostic are NamedTuples.
+tokens every declaration starts with), its tail (what may follow them), and
+the writer of an entry's canonical row(s).  The table is in grammar order, the
+order of PolicyModel's fields.  The pattern of one declaration is made of the
+shape and the tail, and compiled on first use.  `parse_policy` reads a text
+with one pattern match per header and per declaration: the policy header,
+then each section's header, its declarations and its `}`, then the end of
+the text.  A section's run of
+declarations becomes entries column by column of their matches' groups, and
+every span is computed from match offsets once the text is read.  Each
+distinct condition text is parsed once per `parse_policy` call.
+
+Where the patterns miss (no match where one is due, text left over, or a
+condition that does not parse), the token parser (`token_parser`, imported
+on the first miss) reads the whole text again: so every error, with its
+message and span, is the token parser's.  The patterns also miss a comment
+inside a declaration and a form feed or vertical tab anywhere; the token
+parser reads such a text to the same declarations.
+
+A declaration is built once, as the model entry it declares (a Role, a Task,
+...), but for an attribute: declarations of one attribute merge in `lower`,
+so each is an AttributeDecl, whose groups stay a tuple as written (a
+frozenset would make a Declarations' repr vary with string hashing).  Span
+and LowerDiagnostic are NamedTuples.
 
 Parsing produces Declarations: the entries in source order and their spans.
 `lower` builds a PolicyModel of them, validates it once with `model.validate`,
@@ -60,11 +63,14 @@ collection-conflict lint rather than rejected here.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from functools import cache, partial
 from itertools import repeat
-from operator import itemgetter
-from typing import Any, Callable, NamedTuple, Optional
+from operator import is_not, sub
+from re import Match
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .conditions import (IDENTIFIER, STRING_BODY, ConditionError, ConditionExpr, collector_paused,
+from .conditions import (IDENTIFIER, ConditionError, ConditionExpr, collector_paused,
                          escape_string, parse_condition, render_condition, unescape_string,
                          value_type)
 from .model import (
@@ -137,171 +143,63 @@ class Declarations(NamedTuple):
     spans: tuple[Span, ...]
 
 
-# The whitespace before a token, then one token, comment or stray character.
-# Each match starts where the last one ended (only trailing whitespace is
-# left unmatched), so a token's column is the sum of the lengths before it.
-_TOKEN_RE = re.compile(
-    rf"""
-    ([ \t\r]*)
-    (?:
-      ({IDENTIFIER.pattern})                    # ident
-    | (->|[{{}}()\[\]:,=])                      # punctuation
-    | ("{STRING_BODY.pattern}")                 # string
-    | (\#.*)                                    # comment
-    | ([^ \t\r])                                # stray character
-    )
-    """,
-    re.VERBOSE,
-)
-_ID_LINES = re.compile(f"(?:{IDENTIFIER.pattern}\n)*")  # ids each followed by a line break
-# Lookahead reaches two tokens past the current one, so the token lists end
-# with three end-of-input sentinels and a lookahead never runs off them.
-_EOF_PAD = 3
-
-
-def _lex(text: str) -> tuple[list[str], list[str], list[int], list[int], list[int]]:
-    """The tokens of `text` as the lists kinds, texts, lines, cols and ends."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    linenos: list[int] = []
-    cols: list[int] = []
-    ends: list[int] = []
-    lines = text.split("\n")
-    for lineno, line in enumerate(lines, 1):
-        col = 1
-        for space, ident, punct, string, comment, bad in _TOKEN_RE.findall(line):
-            col += len(space)
-            if ident:
-                kind, word, end = "ident", ident, col + len(ident)
-            elif punct:
-                kind, word, end = punct, punct, col + len(punct)
-            elif string:
-                kind, word, end = "string", string[1:-1], col + len(string)
-                if "\\" in word:
-                    word = unescape_string(word)
-            elif bad:
-                raise _lex_error(line, lineno, col - 1)
-            else:
-                break  # a comment runs to the end of the line
-            kinds.append(kind)
-            texts.append(word)
-            linenos.append(lineno)
-            cols.append(col)
-            ends.append(end)
-            col = end
-    col = len(lines[-1]) + 1
-    kinds += ["eof"] * _EOF_PAD
-    texts += [""] * _EOF_PAD
-    linenos += [len(lines)] * _EOF_PAD
-    cols += [col] * _EOF_PAD
-    ends += [col] * _EOF_PAD
-    return kinds, texts, linenos, cols, ends
-
-
-def _lex_error(line: str, lineno: int, start: int) -> ParseError:
-    """The error for the character at `start`, which begins no token."""
-    if line[start] != '"':
-        return ParseError(
-            f"unexpected character {line[start]!r}", Span(lineno, start + 1, lineno, start + 2)
-        )
-    # The string is not closed on this line, or it holds a bad escape.
-    end = STRING_BODY.match(line, start + 1).end()  # type: ignore[union-attr]
-    if end < len(line):
-        return ParseError("unsupported escape in string", Span(lineno, end + 1, lineno, end + 3))
-    return ParseError("unterminated string", Span(lineno, start + 1, lineno, end + 1))
-
-
-_EXPECTED = {"ident": "an identifier", "string": "a string"}
-
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.kinds, self.texts, self.lines, self.cols, self.ends = _lex(text)
-        self.pos = 0
-        # Condition text -> ConditionExpr: each distinct text is parsed once.
-        self.conditions: dict[str, ConditionExpr] = {}
-
-    def expect(self, kind: str, expected: Optional[str] = None) -> str:
-        """The current token's text if it is of `kind` (a punctuation text,
-        "ident" or "string"), else a ParseError naming `expected` or `kind`."""
-        pos = self.pos
-        if self.kinds[pos] != kind:
-            raise self.unexpected(pos, expected or _EXPECTED.get(kind, repr(kind)))
-        self.pos = pos + 1
-        return self.texts[pos]
-
-    def at_keyword(self, word: str) -> bool:
-        pos = self.pos
-        return self.texts[pos] == word and self.kinds[pos] == "ident"
-
-    def at(self, kind: str, ahead: int = 0) -> bool:
-        """Whether the token `ahead` past the current one is of `kind`."""
-        return self.kinds[self.pos + ahead] == kind
-
-    def span(self, pos: int) -> Span:
-        """The span of the token at `pos`."""
-        return Span(self.lines[pos], self.cols[pos], self.lines[pos], self.ends[pos])
-
-    def unexpected(self, pos: int, expected: str) -> ParseError:
-        kind = self.kinds[pos]
-        if kind == "eof":
-            found = "end of input"
-        elif kind == "string":
-            found = "a string"
-        else:
-            found = repr(self.texts[pos])
-        return ParseError(f"found {found}", self.span(pos), expected=expected)
-
-    def mismatch(self, pos: int, shape: tuple[str, ...]) -> ParseError:
-        """The error at the first token from `pos` on that does not fit
-        `shape`.  One does: the caller found a mismatch, and no shape token
-        fits an end-of-input sentinel, so the walk stops before the lists end."""
-        for pos, token in enumerate(shape, pos):
-            if token[0] == "'":
-                if self.kinds[pos] != "ident" or self.texts[pos] != token[1:-1]:
-                    return self.unexpected(pos, token)
-            elif self.kinds[pos] != token:
-                return self.unexpected(pos, _EXPECTED.get(token, repr(token)))
-        raise AssertionError(f"the tokens from {pos} fit {shape}")
+_ID_LINES = f"(?:{IDENTIFIER.pattern}\n)*"  # ids each followed by a line break
 
 
 @collector_paused
 def parse_policy(text: str) -> Declarations:
     """Parse policy text into declarations; raises ParseError on bad input."""
-    parser = _Parser(text)
-    kinds, texts = parser.kinds, parser.texts
-    if kinds[:2] != ["ident", "string"] or texts[0] != "policy":
-        raise parser.mismatch(0, ("'policy'", "string"))
-    name, pos = texts[1], 2
+    try:
+        decls = _match_policy(text)
+    except ConditionError:
+        decls = None
+    if decls is None:
+        from .token_parser import parse_tokens  # the error path, imported on a miss
+        decls = parse_tokens(text)
+    return decls
+
+
+def _match_policy(text: str) -> Optional[Declarations]:
+    """`parse_policy` by the declaration patterns, or None where they miss."""
+    if "\f" in text or "\v" in text:  # see _GAP
+        return None
+    m = _HEAD.match(text)
+    if m is None:
+        return None
+    name, pos = _text(m[1]), m.end()
+    conditions: dict[str, ConditionExpr] = {}
     entries: list[tuple] = []
-    firsts: list[int] = []  # each declaration's first token
-    lasts: list[int] = []  # and its last
-    while kinds[pos] != "eof":
-        matcher = _MATCHER_BY_KEYWORD.get(texts[pos])
-        if matcher is None or kinds[pos] != "ident":
-            raise parser.unexpected(pos, "a section name")
-        if kinds[pos + 1] != "{":
-            raise parser.unexpected(pos + 1, "'{'")
-        pos += 2
-        entry, shape, tail, size, shape_kinds, keywords, keyword_texts, fields = matcher
-        while kinds[pos] != "}":
-            end = pos + size
-            words = texts[pos:end]
-            if kinds[pos:end] != shape_kinds or keywords(words) != keyword_texts:
-                raise parser.mismatch(pos, shape)
-            firsts.append(pos)
-            if tail is None:
-                entries.append(_new(entry, fields(words)))
-            else:
-                parser.pos = end
-                entries.append(_new(entry, fields(words) + tail(parser)))
-                end = parser.pos
-            lasts.append(end - 1)
-            pos = end
-        pos += 1
-    line, col, end = parser.lines.__getitem__, parser.cols.__getitem__, parser.ends.__getitem__
-    spans = map(_new, repeat(Span), zip(map(line, firsts), map(col, firsts),
-                                        map(line, lasts), map(end, lasts)))
+    firsts: list[int] = []  # each declaration's first character
+    ends: list[int] = []  # and the one after its last
+    while (m := _SECTION_HEAD.match(text, pos)) is not None:
+        section = _SECTION_BY_KEYWORD.get(m[1])
+        if section is None:
+            return None
+        pos = m.end()
+        run: list[Match[str]] = []  # the section's declarations
+        match = _declaration(section.shape, section.tail)
+        while (m := match(text, pos)) is not None:
+            run.append(m)
+            pos = m.end()
+        if run:
+            entries += _entries(section, run, conditions)
+            firsts += map(Match.start, run, repeat(1))
+            ends += map(Match.end, run)
+        if (m := _CLOSE.match(text, pos)) is None:
+            return None
+        pos = m.end()
+    if _END.match(text, pos) is None:
+        return None
+    # An offset's line is one more than the line breaks before it, and its
+    # column its distance from the last of them; -1 stands before line 1.
+    breaks = [-1, *map(Match.start, re.finditer("\n", text))]
+    line_of, before = partial(bisect_left, breaks), [0, *breaks].__getitem__
+    first_lines, end_lines = list(map(line_of, firsts)), list(map(line_of, ends))
+    # `max` keeps the first of equal lines, so a span on one line holds one
+    # int object for both.
+    spans = map(_new, repeat(Span), zip(
+        first_lines, map(sub, firsts, map(before, first_lines)),
+        map(max, first_lines, end_lines), map(sub, ends, map(before, end_lines))))
     return Declarations(name, tuple(entries), tuple(spans))
 
 
@@ -310,75 +208,71 @@ def load_policy(text: str) -> PolicyModel:
     return lower(parse_policy(text))
 
 
-def _parse_id_list(parser: _Parser, close: str) -> tuple[str, ...]:
-    """`id (, id)*` then `close`."""
-    members = [parser.expect("ident")]
-    while parser.at(","):
-        parser.pos += 1
-        members.append(parser.expect("ident"))
-    parser.expect(close)
-    return tuple(members)
+# The declaration patterns spell the lexer's rules one declaration at a time.
+# In a pattern below, a space stands for the whitespace that may separate two
+# tokens; `\s` also takes a form feed and a vertical tab, which the lexer
+# does not, so a text holding either goes to the token parser.  Comments may
+# stand only between declarations, each running to its line's end: a comment
+# inside a declaration makes the patterns miss, and the token parser reads
+# the text.  An identifier or keyword ends at a word boundary, as the lexer's
+# does, and a string's body stays on its line.
+_GAP = r"\s*(?:#.*(?!.)\s*)*"
+_ID = r"[A-Za-z_]\w*\b"  # IDENTIFIER, under re.ASCII
+_STRING = r'"([^"\\\n]*(?:\\["\\][^"\\\n]*)*)"'  # STRING_BODY on one line, captured
+_IDS = rf"({_ID}(?: , {_ID})*)"  # `id (, id)*`, captured
 
 
-# A tail reads the fields of the entry that follow its shape's, from the token
-# after the shape, and returns them in order: `parse_policy` builds the entry
-# with `tuple.__new__`.
-def _attribute_tail(parser: _Parser) -> tuple[tuple[str, ...], Optional[bool]]:
-    groups: tuple[str, ...] = ()
-    collected: Optional[bool] = None
-    # Both trailers are optional; two-token lookahead separates them from the
-    # next declaration, whose id is always followed by ':'.
-    if parser.at_keyword("groups") and parser.at("(", 1):
-        parser.pos += 2
-        groups = _parse_id_list(parser, ")")
-    if parser.at_keyword("collected") and parser.at("=", 1):
-        parser.pos += 2
-        flag = parser.expect("ident", "'yes' or 'no'")
-        if flag not in ("yes", "no"):
-            raise parser.unexpected(parser.pos - 1, "'yes' or 'no'")
-        collected = flag == "yes"
-    return groups, collected
+def _compile(pattern: str) -> re.Pattern[str]:
+    return re.compile(pattern.replace(" ", r"\s*"), re.ASCII)
 
 
-def _via_tail(parser: _Parser) -> tuple[Optional[str]]:
-    if parser.at_keyword("via") and parser.at("ident", 1) and not parser.at(":", 2):
-        parser.pos += 2
-        return (parser.texts[parser.pos - 1],)
-    return (None,)
+def _text(body: str) -> str:
+    """The text of a string's body."""
+    return unescape_string(body) if "\\" in body else body
 
 
-def _purpose_tail(parser: _Parser) -> tuple[tuple[str, ...], bool]:
-    tasks: tuple[str, ...] = ()
-    if parser.at("="):
-        parser.pos += 1
-        parser.expect("[")
-        tasks = _parse_id_list(parser, "]")
-    # 'universal' could also start the next declaration as an id; a following
-    # ':' disambiguates.
-    if parser.at_keyword("universal") and not parser.at(":", 1):
-        parser.pos += 1
-        return tasks, True
-    return tasks, False
+def _texts(bodies: tuple[str, ...]) -> Sequence[str]:
+    """The texts of string bodies, unescaped together: a body holds no line
+    break, and no escape runs past its end."""
+    joined = "\n".join(bodies)
+    return unescape_string(joined).split("\n") if "\\" in joined else bodies
 
 
-def _condition_tail(parser: _Parser) -> tuple[ConditionExpr]:
-    """A condition string, parsed once per distinct text."""
-    text = parser.expect("string")
-    condition = parser.conditions.get(text)
-    if condition is None:
-        try:
-            condition = parser.conditions[text] = parse_condition(text)
-        except ConditionError as exc:
-            raise ParseError(f"invalid condition: {exc}", parser.span(parser.pos - 1)) from exc
-    return (condition,)
+def _ids(ids: Optional[str]) -> tuple[str, ...]:
+    """The ids of a captured id list, or none."""
+    return () if ids is None else tuple(map(str.strip, ids.split(",")))
 
 
-def _when_tail(parser: _Parser) -> tuple[Optional[ConditionExpr]]:
-    """The condition of a following `when "..."`, or None."""
-    if parser.at_keyword("when") and parser.at("string", 1):
-        parser.pos += 1
-        return _condition_tail(parser)
-    return (None,)
+def _conditions(conditions: dict[str, ConditionExpr],
+                bodies: tuple[Optional[str], ...]) -> Iterable:
+    """The condition of each string body, or None for none; each distinct body
+    is parsed once per `parse_policy` call."""
+    for body in set(bodies).difference(conditions, (None,)):
+        conditions[body] = parse_condition(_text(body))
+    return map(conditions.get, bodies)
+
+
+class _Tail(NamedTuple):
+    """What may follow a shape: `pattern` matches it, with the lookahead of
+    its reader in `token_parser._READERS`, and `fields` makes the entry's
+    remaining fields, a column each, of the columns of the pattern's groups
+    and the call's condition cache."""
+
+    pattern: str
+    fields: Callable[..., tuple[Iterable, ...]]
+
+
+_ATTRIBUTE_TAIL = _Tail(rf"(?: groups\b \( {_IDS} \))?(?: collected\b = (yes|no)\b)?",
+                        lambda conditions, groups, flags: (
+                            map(_ids, groups), map({"yes": True, "no": False}.get, flags)))
+_VIA_TAIL = _Tail(rf"(?: via\b ({_ID})(?! :))?", lambda conditions, vias: (vias,))
+_PURPOSE_TAIL = _Tail(rf"(?: = \[ {_IDS} \])?(?: universal\b(?! :)())?",
+                      lambda conditions, tasks, universals: (
+                          map(_ids, tasks), map(is_not, repeat(None), universals)))
+_CONDITION_TAIL = _Tail(" " + _STRING,
+                        lambda conditions, bodies: (_conditions(conditions, bodies),))
+_WHEN_TAIL = _Tail(rf"(?: when\b {_STRING})?",
+                   lambda conditions, bodies: (_conditions(conditions, bodies),))
 
 
 def _quote(text: str) -> str:
@@ -423,7 +317,7 @@ class _Section(NamedTuple):
     # The tokens every declaration starts with: "ident" or "string" (the
     # entry's leading fields, in order), punctuation, or a quoted keyword.
     shape: tuple[str, ...]
-    tail: Optional[Callable[[_Parser], tuple]]  # reads the entry's remaining fields
+    tail: Optional[_Tail]  # what may follow the shape: the entry's remaining fields
     write: Callable[[Any], tuple[str, ...]]  # an entry's canonical row(s)
 
 
@@ -438,38 +332,55 @@ _SECTIONS = (
              lambda e: (f"{e.superior} -> {e.inferior}",)),
     _Section("groups", "groups", AttributeGroup, _NAMED, None,
              lambda g: (f"{g.id}: {_quote(g.label)}",)),
-    _Section("attributes", "attributes", AttributeDecl, _NAMED, _attribute_tail, _write_attribute),
+    _Section("attributes", "attributes", AttributeDecl, _NAMED, _ATTRIBUTE_TAIL, _write_attribute),
     _Section("aggregations", "aggregations", Aggregation,
              ("(", "ident", ",", "ident", ")", "->", "ident"), None,
              lambda a: (f"({a.left}, {a.right}) -> {a.product}",)),
     _Section("granularities", "granularities", GranularityFn, _NAMED, None,
              lambda g: (f"{g.id}: {_quote(g.description)}",)),
-    _Section("tasks", "tasks", Task, (*_NAMED, "'reads'", "ident"), _via_tail, _write_task),
-    _Section("purposes", "purposes", Purpose, _NAMED, _purpose_tail, _write_purpose),
+    _Section("tasks", "tasks", Task, (*_NAMED, "'reads'", "ident"), _VIA_TAIL, _write_task),
+    _Section("purposes", "purposes", Purpose, _NAMED, _PURPOSE_TAIL, _write_purpose),
     _Section("role_purpose", "rp_grants", RolePurposeGrant, ("ident", "'allowed'", "ident"),
-             _when_tail, lambda g: (f"{g.role} allowed {g.purpose}{_when(g.condition)}",)),
+             _WHEN_TAIL, lambda g: (f"{g.role} allowed {g.purpose}{_when(g.condition)}",)),
     _Section("purpose_task_conditions", "pt_conditions", PurposeTaskCondition,
-             ("ident", "'task'", "ident", "'when'"), _condition_tail,
+             ("ident", "'task'", "ident", "'when'"), _CONDITION_TAIL,
              lambda c: (f"{c.purpose} task {c.task}{_when(c.condition)}",)),
     _Section("purpose_group", "pg_grants", PurposeGroupGrant,
-             ("ident", "'allowed'", "'group'", "ident"), _when_tail,
+             ("ident", "'allowed'", "'group'", "ident"), _WHEN_TAIL,
              lambda g: (f"{g.purpose} allowed group {g.group}{_when(g.condition)}",)),
 )
 
 
-def _matcher(shape: tuple[str, ...]) -> tuple:
-    """How `parse_policy` matches `shape`: its length and kinds (a keyword's is
-    "ident"), a getter of its keywords' texts and those texts, and a getter of
-    its fields' texts, a tuple since every shape holds at least two fields."""
-    keyword_at = [i for i, token in enumerate(shape) if token[0] == "'"]
-    # With no keyword, an empty slice stands in for the keywords' texts.
-    keywords = itemgetter(*keyword_at) if keyword_at else itemgetter(slice(0))
-    fields = itemgetter(*[i for i, token in enumerate(shape) if token in ("ident", "string")])
-    return (len(shape), ["ident" if token[0] == "'" else token for token in shape],
-            keywords, keywords([token.strip("'") for token in shape]), fields)
+@cache
+def _declaration(shape: tuple[str, ...],
+                 tail: Optional[_Tail]) -> Callable[[str, int], Optional[Match[str]]]:
+    """The match method of the pattern of one declaration of `shape` and
+    `tail`, after the gap before it: group 1 marks where the declaration
+    starts, and the match ends where it does.  Compiled on first use."""
+    tokens = [f"({_ID})" if token == "ident" else _STRING if token == "string"
+              else token[1:-1] + r"\b" if token[0] == "'" else re.escape(token) for token in shape]
+    return _compile(_GAP + "()" + " ".join(tokens) + (tail.pattern if tail else "")).match
 
 
-_MATCHER_BY_KEYWORD = {s.keyword: (s.entry, s.shape, s.tail, *_matcher(s.shape)) for s in _SECTIONS}
+def _entries(section: _Section, run: list[Match[str]],
+             conditions: dict[str, ConditionExpr]) -> Iterable:
+    """The entries of a run of declarations of `section`, built column by
+    column of their matches' groups: the shape's fields (strings unescaped),
+    then the tail's."""
+    kinds = [token for token in section.shape if token in ("ident", "string")]
+    columns = list(zip(*map(Match.groups, run)))
+    fields = [_texts(column) if kind == "string" else column
+              for kind, column in zip(kinds, columns[1:])]
+    if section.tail is not None:
+        fields += section.tail.fields(conditions, *columns[len(kinds) + 1:])
+    return map(_new, repeat(section.entry), zip(*fields))
+
+
+_HEAD = _compile(rf"{_GAP}policy\b {_STRING}")
+_SECTION_HEAD = _compile(rf"{_GAP}({_ID}) \{{")
+_CLOSE = _compile(rf"{_GAP}\}}")
+_END = _compile(rf"{_GAP}\Z")
+_SECTION_BY_KEYWORD = {section.keyword: section for section in _SECTIONS}
 _FIELD_BY_ENTRY = {section.entry: section.field for section in _SECTIONS}
 
 
@@ -548,7 +459,7 @@ def serialize(model: PolicyModel) -> str:
     """
     ids = [e.id for s in _SECTIONS if s.entry._fields[0] == "id" for e in getattr(model, s.field)]
     joined = "\n".join([*ids, ""])
-    if not _ID_LINES.fullmatch(joined) or joined.count("\n") != len(ids):
+    if not re.fullmatch(_ID_LINES, joined) or joined.count("\n") != len(ids):
         bad = next(i for i in ids if not IDENTIFIER.fullmatch(i))
         raise ValueError(f"cannot write id {bad!r}: a policy id must match {IDENTIFIER.pattern}")
     lines: list[str] = [f"policy {_quote(model.name)}"]

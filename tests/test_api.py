@@ -28,7 +28,7 @@ def test_star_import_binds_every_exported_name():
 
 # What each command may load beyond the parser and the model: the lazy
 # package and the per-command imports in the CLI keep start-up to these.
-OPTIONAL = ("pppm.lints", "pppm.query", "pppm.render", "dataclasses", "inspect")
+OPTIONAL = ("pppm.lints", "pppm.query", "pppm.render", "pppm.token_parser", "dataclasses", "inspect")
 COMMANDS = {
     "check": (),
     "lint": ("pppm.lints",),

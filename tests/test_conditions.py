@@ -324,9 +324,16 @@ def test_a_condition_parse_condition_cannot_return_is_refused(chains, message):
         parse_condition("a > 1")._replace(chains=chains)
     # `tuple.__new__` skips the check; a copy or an unpickled value does not.
     forged = tuple.__new__(ConditionExpr, (chains,))
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        try:
+            data = pickle.dumps(forged, protocol)
+        except ValueError as exc:
+            # Protocols 0 and 1 write an int in decimal, and one past the
+            # digit limit has no decimal form: nothing is written to load.
+            assert protocol < 2 and "integer string conversion" in str(exc)
+            continue
         with pytest.raises(ConditionTypeError, match=message):
-            pickle.loads(pickle.dumps(forged, protocol))
+            pickle.loads(data)
     for make_copy in (copy.copy, copy.deepcopy):
         with pytest.raises(ConditionTypeError, match=message):
             make_copy(forged)

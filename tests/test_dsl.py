@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pppm import dsl
+from pppm import dsl, token_parser
 from pppm.conditions import (Chain, ConditionExpr, ConditionSyntaxError, ConditionTypeError, Var,
                              parse_condition)
 from pppm.dsl import (
@@ -171,7 +171,7 @@ def test_lexed_tokens_are_no_objects_the_collector_tracks(shop_text, baby_text):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        fields = dsl._lex(text)
+        fields = token_parser._lex(text)
         tracked = [sum(map(gc.is_tracked, values)) for values in fields]
     finally:
         if enabled:
