@@ -127,7 +127,6 @@ RELOPS = ("<", "<=", ">", ">=", "==", "!=")
 ORDER_OPS = frozenset(("<", "<=", ">", ">="))
 
 
-@value_type
 class Chain(NamedTuple):
     """operand relop operand [relop operand ...], pairwise conjoined; ConditionExpr checks it."""
 
@@ -204,6 +203,17 @@ def _type_class(value: Operand) -> str | None:
         if isinstance(value, cls):
             return type_class
     raise ConditionTypeError(f"unsupported value type {type(value).__name__}")
+
+
+def _compared(chain: Chain) -> tuple:
+    """What a Chain's value-type equality and hash read: its operators, and each
+    operand with its type class, so that `a == 1` does not equal `a == true`."""
+    return chain.ops, tuple([(_TYPE_CLASSES.get(type(o)) or _type_class(o), o) for o in chain.operands])
+
+
+Chain.__eq__ = lambda self, other: type(other) is Chain and _compared(self) == _compared(other)
+Chain.__ne__ = lambda self, other: not self == other
+Chain.__hash__ = lambda self: hash(_compared(self))
 
 
 def _lex(text: str) -> list[tuple[str, object, int]]:
@@ -337,7 +347,7 @@ def render_condition(expr: ConditionExpr) -> str:
 def condition_texts(*grants: Sequence) -> dict[int, str]:
     """The text of each condition of an entry of `grants` (grants and purpose-task
     conditions) by its `id`, so an object shared by entries is rendered once; not
-    by value, since equal conditions can read differently (`a == 1`, `a == true`)."""
+    by value, since equal conditions can read differently (`a == 1`, `a == 1.0`)."""
     conditions = {id(e.condition): e.condition for entries in grants for e in entries}
     conditions.pop(id(None), None)
     return {key: render_condition(condition) for key, condition in conditions.items()}

@@ -28,10 +28,9 @@ order of PolicyModel's fields.  The pattern of one declaration is made of the
 shape and the tail, and compiled on first use.  `parse_policy` reads a text
 with one pattern match per header and per declaration: the policy header,
 then each section's header, its declarations and its `}`, then the end of
-the text.  A section's run of
-declarations becomes entries column by column of their matches' groups, and
-every span is computed from match offsets once the text is read.  Each
-distinct condition text is parsed once per `parse_policy` call.
+the text.  A section's run of declarations becomes entries column by column
+of their matches' groups, and every span is computed from match offsets once
+the text is read.  Each distinct condition text is parsed once per call.
 
 Where the patterns miss (no match where one is due, text left over, or a
 condition that does not parse), the token parser (`token_parser`, imported
@@ -53,6 +52,10 @@ is about, ordered by rule and then by source position.  A duplicated id is
 reported at each declaration after the first; references to it resolve to the
 first.  `serialize` writes a model back in canonical form (sections in table
 order, two-space indent, LF) such that lower(parse(serialize(m))) == m.
+
+`load_policy` builds no span: spans only place problems.  A text the patterns
+miss, or whose model has a problem, goes through `lower(parse_policy(text))`,
+so every ParseError and LoweringError is that path's.
 
 An attribute may be declared more than once under the same label; the
 declarations merge (group sets union).  Contradictory `collected` flags mark
@@ -149,47 +152,11 @@ _ID_LINES = f"(?:{IDENTIFIER.pattern}\n)*"  # ids each followed by a line break
 @collector_paused
 def parse_policy(text: str) -> Declarations:
     """Parse policy text into declarations; raises ParseError on bad input."""
-    try:
-        decls = _match_policy(text)
-    except ConditionError:
-        decls = None
-    if decls is None:
+    matched = _match_policy(text)
+    if matched is None:
         from .token_parser import parse_tokens  # the error path, imported on a miss
-        decls = parse_tokens(text)
-    return decls
-
-
-def _match_policy(text: str) -> Optional[Declarations]:
-    """`parse_policy` by the declaration patterns, or None where they miss."""
-    if "\f" in text or "\v" in text:  # see _GAP
-        return None
-    m = _HEAD.match(text)
-    if m is None:
-        return None
-    name, pos = _text(m[1]), m.end()
-    conditions: dict[str, ConditionExpr] = {}
-    entries: list[tuple] = []
-    firsts: list[int] = []  # each declaration's first character
-    ends: list[int] = []  # and the one after its last
-    while (m := _SECTION_HEAD.match(text, pos)) is not None:
-        section = _SECTION_BY_KEYWORD.get(m[1])
-        if section is None:
-            return None
-        pos = m.end()
-        run: list[Match[str]] = []  # the section's declarations
-        match = _declaration(section.shape, section.tail)
-        while (m := match(text, pos)) is not None:
-            run.append(m)
-            pos = m.end()
-        if run:
-            entries += _entries(section, run, conditions)
-            firsts += map(Match.start, run, repeat(1))
-            ends += map(Match.end, run)
-        if (m := _CLOSE.match(text, pos)) is None:
-            return None
-        pos = m.end()
-    if _END.match(text, pos) is None:
-        return None
+        return parse_tokens(text)
+    name, entries, firsts, ends = matched
     # An offset's line is one more than the line breaks before it, and its
     # column its distance from the last of them; -1 stands before line 1.
     breaks = [-1, *map(Match.start, re.finditer("\n", text))]
@@ -203,8 +170,52 @@ def _match_policy(text: str) -> Optional[Declarations]:
     return Declarations(name, tuple(entries), tuple(spans))
 
 
+def _match_policy(text: str) -> Optional[tuple[str, list[tuple], list[int], list[int]]]:
+    """The name, the entries, and each declaration's first offset and the one
+    after its last, by the declaration patterns; or None where they miss."""
+    if "\f" in text or "\v" in text:  # see _GAP
+        return None
+    m = _HEAD.match(text)
+    if m is None:
+        return None
+    name, pos = _text(m[1]), m.end()
+    conditions: dict[str, ConditionExpr] = {}
+    entries: list[tuple] = []
+    firsts: list[int] = []
+    ends: list[int] = []
+    while (m := _SECTION_HEAD.match(text, pos)) is not None:
+        section = _SECTION_BY_KEYWORD.get(m[1])
+        if section is None:
+            return None
+        pos = m.end()
+        run: list[Match[str]] = []  # the section's declarations
+        match = _declaration(section.shape, section.tail)
+        while (m := match(text, pos)) is not None:
+            run.append(m)
+            pos = m.end()
+        if run:
+            try:
+                entries += _entries(section, run, conditions)
+            except ConditionError:
+                return None
+            firsts += map(Match.start, run, repeat(1))
+            ends += map(Match.end, run)
+        if (m := _CLOSE.match(text, pos)) is None:
+            return None
+        pos = m.end()
+    if _END.match(text, pos) is None:
+        return None
+    return name, entries, firsts, ends
+
+
+@collector_paused
 def load_policy(text: str) -> PolicyModel:
-    """Parse and lower in one step."""
+    """Parse and lower in one step, as `lower(parse_policy(text))` does."""
+    matched = _match_policy(text)
+    if matched is not None:
+        model, problems = _model(matched[0], matched[1])
+        if not problems and not model.validation_errors:
+            return model
     return lower(parse_policy(text))
 
 
@@ -392,20 +403,37 @@ def lower(decls: Declarations) -> PolicyModel:
     problems are raised together as LoweringError, ordered by rule and then by
     source position.  Entries and spans of different lengths raise ValueError.
     """
+    if len(decls.entries) != len(decls.spans):
+        list(zip(decls.entries, decls.spans, strict=True))  # raises ValueError
+    model, problems = _model(decls.name, decls.entries)
+    if problems or model.validation_errors:
+        # Each model entry's declaration, by field: an attribute's is its first.
+        at: dict[str, list[int]] = {section.field: [] for section in _SECTIONS}
+        attributes: dict[str, int] = {}
+        for i, decl in enumerate(decls.entries):
+            if type(decl) is not AttributeDecl or attributes.setdefault(decl.id, i) == i:
+                at[_FIELD_BY_ENTRY[type(decl)]].append(i)
+        problems += [(error.rule, at[error.where[0]][error.where[1]], error.message)
+                     for error in model.validation_errors]
+        spans = decls.spans
+        problems.sort(key=lambda p: (p[0], spans[p[1]].line, spans[p[1]].col))
+        raise LoweringError([LowerDiagnostic(message, spans[i]) for _, i, message in problems])
+    return model
+
+
+def _model(name: str, decls: Sequence[tuple]) -> tuple[PolicyModel, list[tuple[str, int, str]]]:
+    """The model of declarations `decls`, not yet validated, and each attribute
+    redeclared with a different label as (rule, declaration index, message)."""
     entries: dict[str, list] = {section.field: [] for section in _SECTIONS}
-    spans: dict[str, list[Span]] = {section.field: [] for section in _SECTIONS}
     attributes: list[Attribute] = entries["attributes"]
     attr_index: dict[str, int] = {}
-    problems: list[tuple[str, Span, str]] = []
+    problems: list[tuple[str, int, str]] = []
 
-    for decl, span in zip(decls.entries, decls.spans, strict=True):
+    for i, decl in enumerate(decls):
         if type(decl) is not AttributeDecl:
-            field = _FIELD_BY_ENTRY[type(decl)]
-            entries[field].append(decl)
-            spans[field].append(span)
+            entries[_FIELD_BY_ENTRY[type(decl)]].append(decl)
         elif decl.id not in attr_index:
             attr_index[decl.id] = len(attributes)
-            spans["attributes"].append(span)
             attributes.append(
                 Attribute(decl.id, decl.label, frozenset(decl.groups), decl.collected)
             )
@@ -419,7 +447,7 @@ def lower(decls: Declarations) -> PolicyModel:
                     f"({existing.label!r} vs {decl.label!r})"
                 )
                 # Ordered among the duplicate-id errors, as a kind of one.
-                problems.append(("duplicate-id", span, message))
+                problems.append(("duplicate-id", i, message))
                 continue
             votes = {existing.collected, decl.collected} - {None}
             conflict = existing.collected_conflict or len(votes) > 1
@@ -433,15 +461,7 @@ def lower(decls: Declarations) -> PolicyModel:
     entries["attributes"] = [
         attr._replace(derived=True) if attr.id in derived else attr for attr in attributes
     ]
-    model = PolicyModel(decls.name, **{name: tuple(e) for name, e in entries.items()})
-
-    for error in model.validation_errors:
-        name, index = error.where
-        problems.append((error.rule, spans[name][index], error.message))
-    if problems:
-        problems.sort(key=lambda p: (p[0], p[1].line, p[1].col))
-        raise LoweringError([LowerDiagnostic(message, span) for _, span, message in problems])
-    return model
+    return PolicyModel(name, **{field: tuple(e) for field, e in entries.items()}), problems
 
 
 def serialize(model: PolicyModel) -> str:

@@ -9,9 +9,9 @@ aggregations (role closures, `aggregation_sources`, lint L2, each cycle that
 `validate` reports) is one `reach`.
 
 Models are immutable after construction and safe to share across threads.
-Lookup caches, the access index and the per-role closure memo are filled
-lazily on first use; sharing them stays safe because every fill is
-idempotent, so threads that race store equal values.  The six `*_by_id` maps
+Lookup caches and the per-role and per-attribute memos of the access index
+are filled lazily on first use; sharing them stays safe because every fill
+is idempotent, so threads that race store equal values.  The six `*_by_id` maps
 resolve a duplicated id to its first declaration.
 
 `validate` checks every structural invariant and returns a report instead of
@@ -23,6 +23,7 @@ report, and the lint findings name theirs the same way.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -200,15 +201,9 @@ class PolicyModel(_PolicyModelFields):
     def sources_by_purpose(self) -> dict[str, tuple[SourceEntry, ...]]:
         """What each purpose reaches: its tasks in task-list order, each with its
         first condition, then the members of its granted groups in grant order."""
-        conditions = {(c.purpose, c.task): c.condition for c in reversed(self.pt_conditions)}
         sources: dict[str, list[SourceEntry]] = {p: [] for p in self.purposes_by_id}
-        for purpose in self.purposes_by_id.values():
-            for task_id in purpose.tasks:
-                task = self.task(task_id)
-                condition = conditions.get((purpose.id, task_id))
-                sources[purpose.id].append(
-                    (task.reads, purpose.id, task_id, "task", task.via, condition)
-                )
+        for entry in self._source_maps[0]:
+            sources[entry[1]].append(entry)
         for grant in self.pg_grants:
             for attribute_id in self.group_members(grant.group):
                 sources.setdefault(grant.purpose, []).append(
@@ -217,15 +212,51 @@ class PolicyModel(_PolicyModelFields):
         return {p: tuple(entries) for p, entries in sources.items()}
 
     @cached_property
-    def sources_by_attribute(self) -> dict[str, tuple[tuple[SourceEntry, ...], ...]]:
-        """`sources_by_purpose` inverted, each attribute's entries grouped by (purpose,
-        source id) in order; a group keeps source order, a task before a group."""
-        index: dict[str, list[SourceEntry]] = {}
-        for entries in self.sources_by_purpose.values():
-            for entry in entries:
-                index.setdefault(entry[0], []).append(entry)
-        return {a: tuple(tuple(group) for _, group in groupby(sorted(entries, key=_TIE), _TIE))
-                for a, entries in index.items()}
+    def _source_maps(self) -> tuple[list, dict, dict, dict]:
+        """The access index's parts, each linear in the model and built in this
+        order, so a purpose's unknown task raises before a grant's unknown group:
+        the task entries of each purpose in turn, each with its first condition;
+        those entries by attribute; each group's grants; and each attribute's
+        groups, a group once per time it lists the attribute."""
+        conditions = {(c.purpose, c.task): c.condition for c in reversed(self.pt_conditions)}
+        listings = [(task.reads, purpose.id, task.id, "task", task.via,
+                     conditions.get((purpose.id, task.id)))
+                    for purpose in self.purposes_by_id.values()
+                    for task in map(self.task, purpose.tasks)]
+        tasks: dict[str, list[SourceEntry]] = {}
+        for entry in listings:
+            tasks.setdefault(entry[0], []).append(entry)
+        grants: dict[str, list[PurposeGroupGrant]] = {}
+        for grant in self.pg_grants:
+            self.group(grant.group)
+            grants.setdefault(grant.group, []).append(grant)
+        groups: dict[str, list[str]] = {}
+        for group_id, members in self.members_by_group.items():
+            for attribute_id in members:
+                groups.setdefault(attribute_id, []).append(group_id)
+        return listings, tasks, grants, groups
+
+    @cached_property
+    def _sources_by_attribute(self) -> dict[str, tuple[tuple[SourceEntry, ...], ...]]:
+        """Memo for `attribute_sources`, filled one attribute at a time; read
+        by `query.can_access` directly."""
+        return {}
+
+    def attribute_sources(self, attribute_id: str) -> tuple[tuple[SourceEntry, ...], ...]:
+        """What reaches `attribute_id`, computed once per attribute: its task
+        entries and its groups' grants, grouped by (purpose, source id) in order;
+        a group keeps source order, a task before a group."""
+        self.attribute(attribute_id)
+        _, tasks, grants, groups = self._source_maps
+        entries = list(tasks.get(attribute_id, ()))
+        for group_id, count in Counter(groups.get(attribute_id, ())).items():
+            for grant in grants.get(group_id, ()):
+                entries += [(attribute_id, grant.purpose, group_id, "group", None,
+                             grant.condition)] * count
+        entries.sort(key=_TIE)
+        sources = tuple(tuple(group) for _, group in groupby(entries, _TIE))
+        self._sources_by_attribute[attribute_id] = sources
+        return sources
 
     @cached_property
     def _role_closures(self) -> dict[str, RoleClosure]:

@@ -6,9 +6,10 @@ inferior's conditions kept unchanged).  A purpose reaches attributes through
 its tasks and through granted groups.  `can_access` joins the two sides into
 candidate paths, one per (attribute source, usable grant) pair, conjoins the
 conditions found along each, and picks the most permissive verdict: Allow >
-Conditional > Deny.  The access index keeps the sources in (purpose, source)
-order, so a query sorts nothing: it meets the candidates in (purpose, source,
-via) order, stops at the first Allow and builds only the deciding path.
+Conditional > Deny.  An attribute's sources are grouped in (purpose, source)
+order on its first query, so a query sorts nothing: it meets the candidates
+in (purpose, source, via) order, stops at the first Allow and builds only the
+deciding path.
 """
 
 from __future__ import annotations
@@ -149,11 +150,15 @@ def can_access(
     if purpose_id is not None and purpose_id not in model.purposes_by_id:
         model.purpose(purpose_id)
     ctx = ctx or {}
-    # The index groups the attribute's sources by (purpose, source id) in
-    # order and a purpose's grants come by supplying role, so this walk meets
-    # the candidates in (purpose, source, via) order: the first Allow decides.
+    # The attribute's sources come grouped by (purpose, source id) in order
+    # and a purpose's grants by supplying role, so this walk meets the
+    # candidates in (purpose, source, via) order: the first Allow decides.
+    # The memo is read inline: a method call would cost every request a frame.
+    groups = model._sources_by_attribute.get(attribute_id)
+    if groups is None:
+        groups = model.attribute_sources(attribute_id)
     first = conditional = None
-    for group in model.sources_by_attribute.get(attribute_id, ()):
+    for group in groups:
         purpose = group[0][1]
         if purpose_id is not None and purpose != purpose_id:
             continue

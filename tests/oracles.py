@@ -8,6 +8,8 @@ is meaningful.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from pppm.conditions import (
@@ -192,6 +194,33 @@ def brute_can_access(
     if TriBool.UNKNOWN in outcomes:
         return "Conditional"
     return "Deny"
+
+
+def whole_access_index(model: PolicyModel) -> dict[str, tuple[tuple[tuple, ...], ...]]:
+    """Every attribute's sources at once, by the formula the access index was
+    first built with: each purpose's sources (its tasks in task-list order,
+    each with its first condition, then its granted groups' members in grant
+    order) inverted by attribute, grouped by (purpose, source id) in order.
+    Raises as that build did: for a purpose's unknown task, then for a
+    grant's unknown group."""
+    conditions = {(c.purpose, c.task): c.condition for c in reversed(model.pt_conditions)}
+    sources: dict[str, list[tuple]] = {p: [] for p in model.purposes_by_id}
+    for purpose in model.purposes_by_id.values():
+        for task_id in purpose.tasks:
+            task = model.task(task_id)
+            condition = conditions.get((purpose.id, task_id))
+            sources[purpose.id].append((task.reads, purpose.id, task_id, "task", task.via, condition))
+    for grant in model.pg_grants:
+        for attribute_id in model.group_members(grant.group):
+            sources.setdefault(grant.purpose, []).append(
+                (attribute_id, grant.purpose, grant.group, "group", None, grant.condition))
+    index: dict[str, list[tuple]] = {}
+    for entries in sources.values():
+        for entry in entries:
+            index.setdefault(entry[0], []).append(entry)
+    tie = itemgetter(1, 2)
+    return {a: tuple(tuple(group) for _, group in groupby(sorted(entries, key=tie), tie))
+            for a, entries in index.items()}
 
 
 def make_time(hh: int, mm: int) -> TimeOfDay:

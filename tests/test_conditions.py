@@ -213,6 +213,24 @@ def test_subclasses_compare_as_their_base_type():
         evaluate(parse_condition("tier < name"), {"tier": _Name("basic"), "name": "gold"})
 
 
+def test_operands_compare_with_their_type_class():
+    one, true, decimal = (parse_condition(f"a == {v}") for v in ("1", "true", "1.0"))
+    assert one != true and not one == true and decimal != true
+    assert parse_condition("a == 0") != parse_condition("a == false")
+    # A number compares by value, and a subclass's value as its base type's.
+    assert one == decimal and hash(one) == hash(decimal)
+    level = ConditionExpr((Chain((Var("a"), _Level.HIGH), ("==",)),))
+    assert level == parse_condition("a == 20") and hash(level) == hash(parse_condition("a == 20"))
+    assert len({one, true, decimal}) == 2
+
+
+@given(seeds)
+def test_a_condition_read_back_equals_it_and_hashes_alike(seed):
+    expr = gen.random_condition(random.Random(seed))
+    read = parse_condition(render_condition(expr))
+    assert read == expr and not read != expr and hash(read) == hash(expr)
+
+
 def test_a_subclass_renders_as_its_base_type():
     expr = ConditionExpr((Chain((Var("tier"), _Level.HIGH), (">=",)),
                           Chain((Var("name"), _Name('a"b')), ("==",))))

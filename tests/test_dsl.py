@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pppm import dsl, token_parser
+from pppm import conditions, dsl, token_parser
 from pppm.conditions import (Chain, ConditionExpr, ConditionSyntaxError, ConditionTypeError, Var,
                              parse_condition)
 from pppm.dsl import (
@@ -387,6 +387,21 @@ def test_mini_round_trip_preserves_everything():
 def test_serialize_round_trips_random_models(seed):
     model = gen.random_model(random.Random(seed))
     assert lower(parse_policy(serialize(model))) == model
+
+
+@pytest.mark.parametrize("literal, wrong", [("true", "1"), ("false", "0"), ("1", "true")])
+def test_a_round_trip_sees_a_literal_written_back_as_another_type(monkeypatch, literal, wrong):
+    text = ('policy "x"\nroles { r1: "A" }\npurposes { p1: "P" }\n'
+            f'role_purpose {{ r1 allowed p1 when "flag == {literal}" }}\n')
+    model = load_policy(text)
+    assert lower(parse_policy(serialize(model))) == model
+    value = model.rp_grants[0].condition.chains[0].operands[1]
+    real = conditions._render_operand
+    monkeypatch.setattr(conditions, "_render_operand",
+                        lambda operand: wrong if operand is value else real(operand))
+    written = serialize(model)
+    assert f'when "flag == {wrong}"' in written
+    assert lower(parse_policy(written)) != model
 
 
 @given(seeds)

@@ -1,0 +1,91 @@
+"""Stages that must stay linear in the size of the model, checked by counting.
+
+`line_events` counts the `line` events of frames running code from
+`src/pppm` while one call runs.  The count does not depend on the host's
+speed or load, so a tier-1 test can assert on it: a stage is taken as linear
+when its count grows at most 4.5 times while the input grows 4 times, from
+n=50 to n=200.  Only ratios are asserted, since the events of one line differ
+between Python versions.
+
+Blind spot: work done inside one C call (`sorted`, `x in list`, `str.join`,
+a regular expression's match) counts as one line however long it runs, so a
+stage that is superlinear only inside C calls passes.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+import pppm
+from pppm.dsl import load_policy
+from pppm.query import can_access
+
+import gen
+
+PPPM = os.path.dirname(pppm.__file__) + os.sep
+GROWTH = 4.5  # the most a count may grow for 4 times the input
+
+
+def line_events(fn, *args) -> int:
+    """The `line` events of frames from `src/pppm` while `fn(*args)` runs.
+    The trace function in place before the call is put back after it."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(PPPM) else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_the_counter_restores_the_previous_trace_function():
+    def outer(frame, event, arg):
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        assert line_events(load_policy, 'policy "x"\nroles { r1: "R" }\n') > 0
+        assert sys.gettrace() is outer
+    finally:
+        sys.settrace(previous)
+
+
+def test_the_counter_sees_a_quadratic_stage():
+    def pairs(n: int) -> None:  # stands for a stage: its frames count
+        for _ in range(n):
+            for _ in range(n):
+                pass
+
+    code = pairs.__code__.replace(co_filename=PPPM + "pairs.py")
+    quadratic = type(pairs)(code, globals())
+    assert line_events(quadratic, 200) / line_events(quadratic, 50) > 15
+
+
+def test_the_first_query_on_star_is_linear():
+    # One superior over n roles, each holding a purpose granted the n-member
+    # group: building every attribute's sources is n**2, and the first query
+    # builds those of one attribute.
+    counts = [line_events(can_access, gen.shape_model("star", n), "top", "d0") for n in (50, 200)]
+    assert counts[1] / counts[0] <= GROWTH, counts
+
+
+def test_loading_a_generated_policy_is_linear(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from policygen import generate  # the benchmark's policy generator
+
+    counts = [line_events(load_policy, generate(7, n)[0]) for n in (50, 200)]
+    assert counts[1] / counts[0] <= GROWTH, counts

@@ -4,6 +4,7 @@ the access index) and the per-parse condition memo."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -13,12 +14,18 @@ import pppm.dsl
 import pppm.lints
 import pppm.model
 import pppm.render
+from pppm.conditions import parse_condition
 from pppm.dsl import lower, parse_policy
 from pppm.lints import run_lints
 from pppm.model import (
+    Attribute,
+    AttributeGroup,
     InvalidModelError,
     PolicyModel,
+    Purpose,
+    PurposeGroupGrant,
     RolePurposeGrant,
+    Task,
     UnknownEntityError,
     inferiors,
     validate,
@@ -27,6 +34,8 @@ from pppm.query import can_access
 from pppm.render import emit_graph, emit_tables
 
 import gen
+from oracles import whole_access_index
+from test_fuzz_validate import SEED, corrupted_models
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -108,15 +117,34 @@ def test_caches_do_not_take_part_in_equality(baby_text):
 def test_the_access_index_is_built_lazily(shop_text):
     model = pppm.dsl.load_policy(shop_text)
     index = {"children_by_role", "grants_by_role", "_role_closures",
-             "sources_by_purpose", "sources_by_attribute"}
-    assert not index & set(vars(model))
+             "_source_maps", "_sources_by_attribute"}
+    assert not (index | {"sources_by_purpose"}) & set(vars(model))
     inferiors(model, "r3")
     assert set(model._role_closures) == {"r3"}
-    assert "sources_by_attribute" not in vars(model)
+    assert "_source_maps" not in vars(model)
     can_access(model, "r1", "d1")
     assert set(model._role_closures) == {"r3", "r1"}
     assert index <= set(vars(model))
+    # The first query fills the queried attribute's sources alone, and a
+    # purpose's sources are left to `accessible_attributes`.
+    assert set(model._sources_by_attribute) == {"d1"}
+    assert "sources_by_purpose" not in vars(model)
+    can_access(model, "r2", "d1", "p1")
+    can_access(model, "r1", "d2")
+    assert set(model._sources_by_attribute) == {"d1", "d2"}
     assert model == pppm.dsl.load_policy(shop_text)
+
+
+def test_each_attributes_sources_are_computed_once(monkeypatch, shop_text):
+    model = pppm.dsl.load_policy(shop_text)
+    calls = []
+    real = PolicyModel.attribute_sources
+    monkeypatch.setattr(PolicyModel, "attribute_sources",
+                        lambda self, attribute: calls.append(attribute) or real(self, attribute))
+    for _ in range(3):
+        can_access(model, "r1", "d1")
+        can_access(model, "r2", "d2", "p1")
+    assert calls == ["d1", "d2"]
 
 
 def test_unknown_roles_are_not_memoised(shop_model):
@@ -151,3 +179,77 @@ def test_each_distinct_condition_text_is_parsed_once_per_call(monkeypatch):
     # Nothing is kept between calls.
     parse_policy(text)
     assert len(calls) == 6
+
+
+def _first_query_outcome(model: PolicyModel):
+    """What the first `can_access` on a copy of `model` raises, or None."""
+    fresh = model._replace()
+    role, attribute = next(iter(fresh.roles_by_id)), next(iter(fresh.attributes_by_id))
+    try:
+        can_access(fresh, role, attribute)
+    except UnknownEntityError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_memo_is_the_whole_index(model: PolicyModel):
+    """Each attribute's sources equal those of the whole index, and an
+    invalid model's first query raises what building that index raises."""
+    try:
+        whole = whole_access_index(model)
+    except UnknownEntityError as exc:
+        whole = str(exc)
+    if model.roles and model.attributes:
+        assert _first_query_outcome(model) == (whole if type(whole) is str else None)
+    if type(whole) is str:
+        for attribute in model.attributes_by_id:
+            with pytest.raises(UnknownEntityError) as info:
+                model.attribute_sources(attribute)
+            assert str(info.value) == whole
+        return whole
+    for attribute in model.attributes_by_id:
+        assert model.attribute_sources(attribute) == whole.get(attribute, ())
+    return None
+
+
+@given(seeds)
+def test_each_attributes_sources_are_those_of_the_whole_index(seed):
+    rng = random.Random(seed)
+    _assert_memo_is_the_whole_index(gen.random_model(rng))
+    _assert_memo_is_the_whole_index(gen.hierarchy_model(rng))
+
+
+def test_the_shapes_sources_are_those_of_the_whole_index():
+    for kind in gen.SHAPES:
+        for n in (1, 7, 30):
+            _assert_memo_is_the_whole_index(gen.shape_model(kind, n))
+
+
+def test_an_invalid_models_sources_and_first_query_are_those_of_the_whole_index():
+    raised = Counter()
+    for model in corrupted_models(SEED, 1500):
+        message = _assert_memo_is_the_whole_index(model)
+        if message is not None:
+            raised[message.split(" ")[1]] += 1
+    # Both raise in some models, and most models raise neither.
+    assert raised["task"] and raised["group"], raised
+    assert sum(raised.values()) < 1500 // 2, raised
+
+
+def test_a_tie_group_keeps_source_order_in_an_invalid_model():
+    # d1 is declared twice in g1, and p1 is granted g1 twice and lists a
+    # task whose id is g1: the task comes first, then each grant's entries
+    # once per time g1 lists d1, grant by grant.
+    first, second = parse_condition("age > 1"), parse_condition("age > 2")
+    model = PolicyModel(
+        "x",
+        groups=(AttributeGroup("g1", "G"),),
+        attributes=(Attribute("d1", "A", frozenset({"g1"})), Attribute("d1", "B", frozenset({"g1"}))),
+        tasks=(Task("g1", "T", "d1"),),
+        purposes=(Purpose("p1", "P", ("g1",)),),
+        pg_grants=(PurposeGroupGrant("p1", "g1", first), PurposeGroupGrant("p1", "g1", second)),
+    )
+    assert _assert_memo_is_the_whole_index(model) is None
+    [group] = model.attribute_sources("d1")
+    assert [(entry[3], entry[5]) for entry in group] == [
+        ("task", None), ("group", first), ("group", first), ("group", second), ("group", second)]

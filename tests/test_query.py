@@ -365,7 +365,9 @@ def _assert_access_index_order(model):
             vias = [grant.role for grant in grants]
             assert vias == sorted(set(vias))
     entries = [entry for per_purpose in model.sources_by_purpose.values() for entry in per_purpose]
-    for attribute, groups in model.sources_by_attribute.items():
+    for attribute in model.attributes_by_id:
+        groups = model.attribute_sources(attribute)
+        assert model._sources_by_attribute[attribute] is groups
         keys = [group[0][1:3] for group in groups]
         assert keys == sorted(set(keys))
         for key, group in zip(keys, groups):
@@ -376,7 +378,9 @@ def _assert_access_index_order(model):
         in_source_order = [entry for entry in entries if entry[0] == attribute]
         expected = sorted(in_source_order, key=itemgetter(1, 2))
         assert [entry for group in groups for entry in group] == expected
-    assert set(model.sources_by_attribute) == {entry[0] for entry in entries}
+    # Every attribute a source reaches has some; the others have none.
+    assert {a for a, groups in model._sources_by_attribute.items() if groups} == {
+        entry[0] for entry in entries}
 
 
 @given(seeds)

@@ -302,8 +302,9 @@ def shared_conditions_model() -> PolicyModel:
     """Grants and purpose-task conditions of every kind sharing condition
     objects, among them two equal conditions that read differently."""
     adult, gold = parse_condition("age > 18"), parse_condition('tier == "gold"')
-    one, true = parse_condition("a == 1"), parse_condition("a == true")
-    assert one == true
+    # A number compares by value, so `1` equals `1.0`; `true` equals neither.
+    one, decimal = parse_condition("a == 1"), parse_condition("a == 1.0")
+    assert one == decimal
     return PolicyModel(
         name="shared",
         roles=(Role("r1", "R1"), Role("r2", "R2"), Role("r3", "R3")),
@@ -313,7 +314,7 @@ def shared_conditions_model() -> PolicyModel:
         purposes=(Purpose("p1", "P1", ("t1", "t2")), Purpose("p2", "P2", ("t1",)),
                   Purpose("p3", "P3", ("t2",))),
         rp_grants=(RolePurposeGrant("r1", "p1", adult), RolePurposeGrant("r2", "p1", adult),
-                   RolePurposeGrant("r3", "p2", one), RolePurposeGrant("r1", "p3", true),
+                   RolePurposeGrant("r3", "p2", one), RolePurposeGrant("r1", "p3", decimal),
                    RolePurposeGrant("r2", "p2")),
         pt_conditions=(PurposeTaskCondition("p1", "t1", gold),
                        PurposeTaskCondition("p1", "t2", adult),
@@ -346,8 +347,8 @@ def test_equal_conditions_keep_their_own_text():
     model = shared_conditions_model()
     graph = emit_graph(model).splitlines()
     assert '  "role:r3" -> "purpose:p2" [style=dashed, label="a == 1"];' in graph
-    assert '  "role:r1" -> "purpose:p3" [style=dashed, label="a == true"];' in graph
+    assert '  "role:r1" -> "purpose:p3" [style=dashed, label="a == 1.0"];' in graph
     tables = emit_tables(model).splitlines()
-    assert "r3\tp2\ta == 1" in tables and "r1\tp3\ta == true" in tables
+    assert "r3\tp2\ta == 1" in tables and "r1\tp3\ta == 1.0" in tables
     text = serialize(model).splitlines()
-    assert '  r3 allowed p2 when "a == 1"' in text and '  r1 allowed p3 when "a == true"' in text
+    assert '  r3 allowed p2 when "a == 1"' in text and '  r1 allowed p3 when "a == 1.0"' in text
