@@ -22,15 +22,24 @@ condition text, which `conditions` defines once.
 
 Each section is described once, by its row in `_SECTIONS`: its keyword, the
 PolicyModel field it fills, the type a declaration is built as, its shape (the
-tokens every declaration starts with), its tail (what may follow them), and
-the writer of an entry's canonical row(s).  The table is in grammar order, the
-order of PolicyModel's fields.  The pattern of one declaration is made of the
-shape and the tail, and compiled on first use.  `parse_policy` reads a text
-with one pattern match per header and per declaration: the policy header,
-then each section's header, its declarations and its `}`, then the end of
-the text.  A section's run of declarations becomes entries column by column
-of their matches' groups, and every span is computed from match offsets once
-the text is read.  Each distinct condition text is parsed once per call.
+tokens every declaration starts with) and its trailers (what may follow them,
+each optional, in order).  A token is punctuation, a quoted keyword, or a field
+of a kind in `_KINDS`: an identifier, a string, an id list, `yes` or `no`, or a
+condition string.  A trailer is a lead (the tokens that commit to it) and the
+tokens that must follow; it holds one field, or none and is then a flag.  A
+kind gives a field's pattern, the converter of a column of its captures, the
+writer of a column of its values, and its value where its trailer is left out.
+So one row serves the declaration pattern (`_declaration`), the entries built
+of its matches (`_entries`), the token parser's walk, `serialize`'s rows and
+the README's grammar.  The table is in grammar order, the order of
+PolicyModel's fields.
+
+`parse_policy` reads a text with one pattern match per header and per
+declaration: the policy header, then each section's header, its declarations
+and its `}`, then the end of the text.  A section's run of declarations
+becomes entries column by column of their matches' groups, and spans are
+computed from match offsets once the text is read.  Each distinct condition
+text is parsed once per call.
 
 Where the patterns miss (no match where one is due, text left over, or a
 condition that does not parse), the token parser (`token_parser`, imported
@@ -53,9 +62,10 @@ reported at each declaration after the first; references to it resolve to the
 first.  `serialize` writes a model back in canonical form (sections in table
 order, two-space indent, LF) such that lower(parse(serialize(m))) == m.
 
-`load_policy` builds no span: spans only place problems.  A text the patterns
-miss, or whose model has a problem, goes through `lower(parse_policy(text))`,
-so every ParseError and LoweringError is that path's.
+`load_policy` builds no span for a valid text: spans only place problems.
+It lowers the token parser's declarations where the patterns miss, and
+places a model's problems at its matches' spans, so every ParseError and
+LoweringError is that of `lower(parse_policy(text))`.
 
 An attribute may be declared more than once under the same label; the
 declarations merge (group sets union).  Contradictory `collected` flags mark
@@ -152,11 +162,64 @@ _ID_LINES = f"(?:{IDENTIFIER.pattern}\n)*"  # ids each followed by a line break
 @collector_paused
 def parse_policy(text: str) -> Declarations:
     """Parse policy text into declarations; raises ParseError on bad input."""
+    return _declarations(text, _match_policy(text))
+
+
+@collector_paused
+def load_policy(text: str) -> PolicyModel:
+    """Parse and lower in one step, as `lower(parse_policy(text))` does."""
     matched = _match_policy(text)
+    if matched is not None:
+        model, problems = _model(matched[0], matched[1])
+        if not problems and not model.validation_errors:
+            return model
+    return lower(_declarations(text, matched))
+
+
+def _match_policy(text: str) -> Optional[tuple[str, list[tuple], list[Match[str]]]]:
+    """The name, the entries and each declaration's match, by the
+    declaration patterns; or None where they miss."""
+    if "\f" in text or "\v" in text:  # see _GAP
+        return None
+    m = _HEAD.match(text)
+    if m is None:
+        return None
+    name, pos = _text(m[1]), m.end()
+    conditions: dict[str, ConditionExpr] = {}
+    entries: list[tuple] = []
+    matches: list[Match[str]] = []
+    while (m := _SECTION_HEAD.match(text, pos)) is not None:
+        section = _SECTION_BY_KEYWORD.get(m[1])
+        if section is None:
+            return None
+        pos = m.end()
+        run: list[Match[str]] = []  # the section's declarations
+        match = _declaration(section.shape, section.trailers)
+        while (m := match(text, pos)) is not None:
+            run.append(m)
+            pos = m.end()
+        if run:
+            try:
+                entries += _entries(section, run, conditions)
+            except ConditionError:
+                return None
+            matches += run
+        if (m := _CLOSE.match(text, pos)) is None:
+            return None
+        pos = m.end()
+    if _END.match(text, pos) is None:
+        return None
+    return name, entries, matches
+
+
+def _declarations(text: str, matched: Optional[tuple]) -> Declarations:
+    """The declarations of `text` made of what `_match_policy` matched, or
+    the token parser's where the patterns missed."""
     if matched is None:
         from .token_parser import parse_tokens  # the error path, imported on a miss
         return parse_tokens(text)
-    name, entries, firsts, ends = matched
+    name, entries, matches = matched
+    firsts, ends = list(map(Match.start, matches, repeat(1))), list(map(Match.end, matches))
     # An offset's line is one more than the line breaks before it, and its
     # column its distance from the last of them; -1 stands before line 1.
     breaks = [-1, *map(Match.start, re.finditer("\n", text))]
@@ -170,55 +233,6 @@ def parse_policy(text: str) -> Declarations:
     return Declarations(name, tuple(entries), tuple(spans))
 
 
-def _match_policy(text: str) -> Optional[tuple[str, list[tuple], list[int], list[int]]]:
-    """The name, the entries, and each declaration's first offset and the one
-    after its last, by the declaration patterns; or None where they miss."""
-    if "\f" in text or "\v" in text:  # see _GAP
-        return None
-    m = _HEAD.match(text)
-    if m is None:
-        return None
-    name, pos = _text(m[1]), m.end()
-    conditions: dict[str, ConditionExpr] = {}
-    entries: list[tuple] = []
-    firsts: list[int] = []
-    ends: list[int] = []
-    while (m := _SECTION_HEAD.match(text, pos)) is not None:
-        section = _SECTION_BY_KEYWORD.get(m[1])
-        if section is None:
-            return None
-        pos = m.end()
-        run: list[Match[str]] = []  # the section's declarations
-        match = _declaration(section.shape, section.tail)
-        while (m := match(text, pos)) is not None:
-            run.append(m)
-            pos = m.end()
-        if run:
-            try:
-                entries += _entries(section, run, conditions)
-            except ConditionError:
-                return None
-            firsts += map(Match.start, run, repeat(1))
-            ends += map(Match.end, run)
-        if (m := _CLOSE.match(text, pos)) is None:
-            return None
-        pos = m.end()
-    if _END.match(text, pos) is None:
-        return None
-    return name, entries, firsts, ends
-
-
-@collector_paused
-def load_policy(text: str) -> PolicyModel:
-    """Parse and lower in one step, as `lower(parse_policy(text))` does."""
-    matched = _match_policy(text)
-    if matched is not None:
-        model, problems = _model(matched[0], matched[1])
-        if not problems and not model.validation_errors:
-            return model
-    return lower(parse_policy(text))
-
-
 # The declaration patterns spell the lexer's rules one declaration at a time.
 # In a pattern below, a space stands for the whitespace that may separate two
 # tokens; `\s` also takes a form feed and a vertical tab, which the lexer
@@ -230,7 +244,6 @@ def load_policy(text: str) -> PolicyModel:
 _GAP = r"\s*(?:#.*(?!.)\s*)*"
 _ID = r"[A-Za-z_]\w*\b"  # IDENTIFIER, under re.ASCII
 _STRING = r'"([^"\\\n]*(?:\\["\\][^"\\\n]*)*)"'  # STRING_BODY on one line, captured
-_IDS = rf"({_ID}(?: , {_ID})*)"  # `id (, id)*`, captured
 
 
 def _compile(pattern: str) -> re.Pattern[str]:
@@ -263,123 +276,131 @@ def _conditions(conditions: dict[str, ConditionExpr],
     return map(conditions.get, bodies)
 
 
-class _Tail(NamedTuple):
-    """What may follow a shape: `pattern` matches it, with the lookahead of
-    its reader in `token_parser._READERS`, and `fields` makes the entry's
-    remaining fields, a column each, of the columns of the pattern's groups
-    and the call's condition cache."""
-
-    pattern: str
-    fields: Callable[..., tuple[Iterable, ...]]
-
-
-_ATTRIBUTE_TAIL = _Tail(rf"(?: groups\b \( {_IDS} \))?(?: collected\b = (yes|no)\b)?",
-                        lambda conditions, groups, flags: (
-                            map(_ids, groups), map({"yes": True, "no": False}.get, flags)))
-_VIA_TAIL = _Tail(rf"(?: via\b ({_ID})(?! :))?", lambda conditions, vias: (vias,))
-_PURPOSE_TAIL = _Tail(rf"(?: = \[ {_IDS} \])?(?: universal\b(?! :)())?",
-                      lambda conditions, tasks, universals: (
-                          map(_ids, tasks), map(is_not, repeat(None), universals)))
-_CONDITION_TAIL = _Tail(" " + _STRING,
-                        lambda conditions, bodies: (_conditions(conditions, bodies),))
-_WHEN_TAIL = _Tail(rf"(?: when\b {_STRING})?",
-                   lambda conditions, bodies: (_conditions(conditions, bodies),))
-
-
 def _quote(text: str) -> str:
     if "\n" in text:
         raise ValueError(f"cannot write {text!r}: a policy string cannot hold a line break")
     return f'"{escape_string(text)}"'
 
 
-def _write_attribute(attr: Attribute) -> tuple[str, ...]:
-    row = f"{attr.id}: {_quote(attr.label)}"
-    if attr.groups:
-        row += f" groups ({', '.join(sorted(attr.groups))})"
-    if attr.collected_conflict:
-        return (row + " collected = yes", f"{attr.id}: {_quote(attr.label)} collected = no")
-    if attr.collected is not None:
-        row += f" collected = {'yes' if attr.collected else 'no'}"
-    return (row,)
+class _Kind(NamedTuple):
+    """A kind of field token, the same in every section.  None stands for the
+    field of a trailer left out, as a capture and as a written text."""
+
+    pattern: str  # the declaration pattern's text for it, one group
+    # A column of its values, of a column of captures and the call's condition cache.
+    column: Callable[[dict[str, ConditionExpr], Sequence[Optional[str]]], Iterable]
+    # The texts of a column of its values, given each condition's quoted text by `id`.
+    write: Callable[[dict[int, str], Sequence], Iterable[Optional[str]]]
 
 
-def _write_task(task: Task) -> tuple[str, ...]:
-    via = "" if task.via is None else f" via {task.via}"
-    return (f"{task.id}: {_quote(task.label)} reads {task.reads}{via}",)
+_KINDS = {
+    "ident": _Kind(f"({_ID})", lambda conditions, column: column,
+                   lambda quoted, values: values),
+    "string": _Kind(_STRING, lambda conditions, column: _texts(column),
+                    lambda quoted, values: map(_quote, values)),
+    # An id list is written as it is, but a set (an attribute's groups) sorted.
+    "ids": _Kind(rf"({_ID}(?: , {_ID})*)", lambda conditions, column: map(_ids, column),
+                 lambda quoted, values: [(", ".join(ids if type(ids) is tuple else sorted(ids))
+                                          if ids else None) for ids in values]),
+    "yes_no": _Kind(r"(yes|no)\b",
+                    lambda conditions, column: map({"yes": True, "no": False}.get, column),
+                    lambda quoted, values: map({True: "yes", False: "no"}.get, values)),
+    "condition": _Kind(_STRING, _conditions,
+                       lambda quoted, values: map(quoted.get, map(id, values))),
+    # The field of a trailer that holds no other: whether it is there.
+    "flag": _Kind("()", lambda conditions, column: map(is_not, repeat(None), column),
+                  lambda quoted, values: map({True: ""}.get, values)),
+}
 
 
-def _write_purpose(purpose: Purpose) -> tuple[str, ...]:
-    row = f"{purpose.id}: {_quote(purpose.label)}"
-    if purpose.tasks:
-        row += f" = [{', '.join(purpose.tasks)}]"
-    if purpose.universal:
-        row += " universal"
-    return (row,)
+class _Trailer(NamedTuple):
+    """An optional part of a declaration, after its shape.  It is taken where
+    the tokens of `lead` match, unless `lead` ends in an identifier or
+    keyword and the next token is `:`, which starts the next declaration;
+    `rest` must then follow.  It holds one field, or none and is a flag."""
+
+    lead: tuple[str, ...]
+    rest: tuple[str, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        return next((token for token in self.lead + self.rest if token in _KINDS), "flag")
+
+    @property
+    def refusable(self) -> bool:
+        """Whether a `:` after the lead refuses the trailer."""
+        return self.lead[-1] == "ident" or self.lead[-1][0] == "'"
 
 
 class _Section(NamedTuple):
     keyword: str  # the section's name in a policy file
     field: str  # the PolicyModel field its entries lower into
     entry: type  # what a declaration is built as: its model entity, or AttributeDecl
-    # The tokens every declaration starts with: "ident" or "string" (the
-    # entry's leading fields, in order), punctuation, or a quoted keyword.
+    # The tokens every declaration starts with: a field (a key of `_KINDS`;
+    # the entry's leading fields, in order), punctuation, or a quoted keyword.
     shape: tuple[str, ...]
-    tail: Optional[_Tail]  # what may follow the shape: the entry's remaining fields
-    write: Callable[[Any], tuple[str, ...]]  # an entry's canonical row(s) but its `when`
+    trailers: tuple[_Trailer, ...] = ()  # the entry's remaining fields, one each
+
+    @property
+    def kinds(self) -> list[str]:
+        """The kind of each of the entry's fields."""
+        return [token for token in self.shape if token in _KINDS] + [t.kind for t in self.trailers]
 
 
 _NAMED = ("ident", ":", "string")  # `id: "label"`, which also starts attributes, tasks and purposes
+_WHEN = _Trailer(("'when'", "condition"))
 
 # Every section, in grammar order, which is also the order of PolicyModel's
 # fields and of `serialize`'s output.
 _SECTIONS = (
-    _Section("roles", "roles", Role, _NAMED, None,
-             lambda r: (f"{r.id}: {_quote(r.label)}",)),
-    _Section("role_hierarchy", "role_edges", RoleEdge, ("ident", "->", "ident"), None,
-             lambda e: (f"{e.superior} -> {e.inferior}",)),
-    _Section("groups", "groups", AttributeGroup, _NAMED, None,
-             lambda g: (f"{g.id}: {_quote(g.label)}",)),
-    _Section("attributes", "attributes", AttributeDecl, _NAMED, _ATTRIBUTE_TAIL, _write_attribute),
+    _Section("roles", "roles", Role, _NAMED),
+    _Section("role_hierarchy", "role_edges", RoleEdge, ("ident", "->", "ident")),
+    _Section("groups", "groups", AttributeGroup, _NAMED),
+    _Section("attributes", "attributes", AttributeDecl, _NAMED,
+             (_Trailer(("'groups'", "("), ("ids", ")")), _Trailer(("'collected'", "="), ("yes_no",)))),
     _Section("aggregations", "aggregations", Aggregation,
-             ("(", "ident", ",", "ident", ")", "->", "ident"), None,
-             lambda a: (f"({a.left}, {a.right}) -> {a.product}",)),
-    _Section("granularities", "granularities", GranularityFn, _NAMED, None,
-             lambda g: (f"{g.id}: {_quote(g.description)}",)),
-    _Section("tasks", "tasks", Task, (*_NAMED, "'reads'", "ident"), _VIA_TAIL, _write_task),
-    _Section("purposes", "purposes", Purpose, _NAMED, _PURPOSE_TAIL, _write_purpose),
+             ("(", "ident", ",", "ident", ")", "->", "ident")),
+    _Section("granularities", "granularities", GranularityFn, _NAMED),
+    _Section("tasks", "tasks", Task, (*_NAMED, "'reads'", "ident"), (_Trailer(("'via'", "ident")),)),
+    _Section("purposes", "purposes", Purpose, _NAMED,
+             (_Trailer(("=",), ("[", "ids", "]")), _Trailer(("'universal'",)))),
     _Section("role_purpose", "rp_grants", RolePurposeGrant, ("ident", "'allowed'", "ident"),
-             _WHEN_TAIL, lambda g: (f"{g.role} allowed {g.purpose}",)),
+             (_WHEN,)),
     _Section("purpose_task_conditions", "pt_conditions", PurposeTaskCondition,
-             ("ident", "'task'", "ident", "'when'"), _CONDITION_TAIL,
-             lambda c: (f"{c.purpose} task {c.task}",)),
+             ("ident", "'task'", "ident", "'when'", "condition")),
     _Section("purpose_group", "pg_grants", PurposeGroupGrant,
-             ("ident", "'allowed'", "'group'", "ident"), _WHEN_TAIL,
-             lambda g: (f"{g.purpose} allowed group {g.group}",)),
+             ("ident", "'allowed'", "'group'", "ident"), (_WHEN,)),
 )
+
+
+def _tokens(tokens: tuple[str, ...]) -> str:
+    """The pattern of `tokens`, a space between two."""
+    return " ".join(_KINDS[token].pattern if token in _KINDS else token[1:-1] + r"\b"
+                    if token[0] == "'" else re.escape(token) for token in tokens)
 
 
 @cache
 def _declaration(shape: tuple[str, ...],
-                 tail: Optional[_Tail]) -> Callable[[str, int], Optional[Match[str]]]:
+                 trailers: tuple[_Trailer, ...]) -> Callable[[str, int], Optional[Match[str]]]:
     """The match method of the pattern of one declaration of `shape` and
-    `tail`, after the gap before it: group 1 marks where the declaration
-    starts, and the match ends where it does.  Compiled on first use."""
-    tokens = [f"({_ID})" if token == "ident" else _STRING if token == "string"
-              else token[1:-1] + r"\b" if token[0] == "'" else re.escape(token) for token in shape]
-    return _compile(_GAP + "()" + " ".join(tokens) + (tail.pattern if tail else "")).match
+    `trailers`, after the gap before it: group 1 marks where the declaration
+    starts, a group follows for each field, and the match ends where the
+    declaration does.  Compiled on first use."""
+    pattern = _GAP + "()" + _tokens(shape)
+    for trailer in trailers:
+        pattern += ("(?: " + _tokens(trailer.lead) + ("(?! :)" if trailer.refusable else "")
+                    + (" " + _tokens(trailer.rest) if trailer.rest else "")
+                    + (_KINDS["flag"].pattern if trailer.kind == "flag" else "") + ")?")
+    return _compile(pattern).match
 
 
 def _entries(section: _Section, run: list[Match[str]],
              conditions: dict[str, ConditionExpr]) -> Iterable:
     """The entries of a run of declarations of `section`, built column by
-    column of their matches' groups: the shape's fields (strings unescaped),
-    then the tail's."""
-    kinds = [token for token in section.shape if token in ("ident", "string")]
-    columns = list(zip(*map(Match.groups, run)))
-    fields = [_texts(column) if kind == "string" else column
-              for kind, column in zip(kinds, columns[1:])]
-    if section.tail is not None:
-        fields += section.tail.fields(conditions, *columns[len(kinds) + 1:])
+    column of their matches' groups, each field by its kind."""
+    columns = list(zip(*map(Match.groups, run)))[1:]
+    fields = [_KINDS[kind].column(conditions, column)
+              for kind, column in zip(section.kinds, columns)]
     return map(_new, repeat(section.entry), zip(*fields))
 
 
@@ -479,13 +500,41 @@ def serialize(model: PolicyModel) -> str:
         bad = next(i for i in ids if not IDENTIFIER.fullmatch(i))
         raise ValueError(f"cannot write id {bad!r}: a policy id must match {IDENTIFIER.pattern}")
     texts = condition_texts(model.rp_grants, model.pt_conditions, model.pg_grants)
-    whens = {key: f" when {_quote(text)}" for key, text in texts.items()}
+    quoted = {key: _quote(text) for key, text in texts.items()}
     lines: list[str] = [f"policy {_quote(model.name)}"]
     for section in _SECTIONS:
         entries = getattr(model, section.field)
-        rows = [row for entry in entries for row in section.write(entry)]
-        if "condition" in section.entry._fields:  # a grant's one row, then its `when`
-            rows = [row + whens.get(id(e.condition), "") for row, e in zip(rows, entries)]
-        if rows:
-            lines += ["", f"{section.keyword} {{", *[f"  {row}" for row in rows], "}"]
+        if not entries:
+            continue
+        if section.entry is AttributeDecl and any(a.collected_conflict for a in entries):
+            # The one entry written as two declarations, so that it survives
+            # a round trip: a collection conflict, `yes` and then `no`.
+            entries = [row for a in entries for row in (
+                (a._replace(collected=True), a._replace(groups=(), collected=False))
+                if a.collected_conflict else (a,))]
+        literals, trailers = _templates(section.shape, section.trailers)
+        fields = [_KINDS[kind].write(quoted, column)
+                  for kind, column in zip(section.kinds, zip(*entries))]
+        for i, (before, after) in enumerate(trailers, len(fields) - len(trailers)):
+            fields[i] = ["" if text is None else before + text + after for text in fields[i]]
+        columns = [repeat(literals[0])]
+        for texts, literal in zip(fields, literals[1:]):
+            columns += (texts, repeat(literal)) if literal else (texts,)
+        lines += ["", f"{section.keyword} {{", *map("".join, zip(*columns)), "}"]
     return "\n".join(lines) + "\n"
+
+
+@cache
+def _templates(shape: tuple[str, ...], trailers: tuple[_Trailer, ...]) -> tuple[list, tuple]:
+    """The text of a declaration's row around its fields, indented, a trailer's
+    text being a field; and the text of each trailer before and after its
+    field.  A space stands between two tokens, but none after `(` or `[`, or
+    before `)`, `]`, `,` or `:`."""
+    def spell(tokens: tuple[str, ...]) -> str:
+        text = ""
+        for token in tokens:
+            word = "{}" if token in _KINDS else token.strip("'")
+            text += word if not text or text[-1] in "([" or word in ")],:" else " " + word
+        return text
+    return (("  " + spell(shape) + "{}" * len(trailers)).split("{}"),
+            tuple((" " + spell(t.lead + t.rest)).partition("{}")[::2] for t in trailers))

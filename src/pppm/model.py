@@ -219,10 +219,11 @@ class PolicyModel(_PolicyModelFields):
         those entries by attribute; each group's grants; and each attribute's
         groups, a group once per time it lists the attribute."""
         conditions = {(c.purpose, c.task): c.condition for c in reversed(self.pt_conditions)}
+        tasks_by_id = self.tasks_by_id  # `task` only for an unknown id, which raises
         listings = [(task.reads, purpose.id, task.id, "task", task.via,
                      conditions.get((purpose.id, task.id)))
-                    for purpose in self.purposes_by_id.values()
-                    for task in map(self.task, purpose.tasks)]
+                    for purpose in self.purposes_by_id.values() for task_id in purpose.tasks
+                    for task in [tasks_by_id.get(task_id) or self.task(task_id)]]
         tasks: dict[str, list[SourceEntry]] = {}
         for entry in listings:
             tasks.setdefault(entry[0], []).append(entry)

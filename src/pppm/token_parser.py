@@ -26,10 +26,8 @@ import re
 from itertools import repeat
 from typing import Optional
 
-from .conditions import (IDENTIFIER, STRING_BODY, ConditionError, ConditionExpr, parse_condition,
-                         unescape_string)
-from .dsl import (_ATTRIBUTE_TAIL, _CONDITION_TAIL, _PURPOSE_TAIL, _SECTION_BY_KEYWORD, _VIA_TAIL,
-                  _WHEN_TAIL, Declarations, ParseError, Span, _new)
+from .conditions import IDENTIFIER, STRING_BODY, ConditionError, ConditionExpr
+from .dsl import _KINDS, _SECTION_BY_KEYWORD, Declarations, ParseError, Span, _new, _Trailer
 
 # The whitespace before a token, then one token, comment or stray character.
 # Each match starts where the last one ended (only trailing whitespace is
@@ -70,8 +68,6 @@ def _lex(text: str) -> tuple[list[str], list[str], list[int], list[int], list[in
                 kind, word, end = punct, punct, col + len(punct)
             elif string:
                 kind, word, end = "string", string[1:-1], col + len(string)
-                if "\\" in word:
-                    word = unescape_string(word)
             elif bad:
                 raise _lex_error(line, lineno, col - 1)
             else:
@@ -104,32 +100,30 @@ def _lex_error(line: str, lineno: int, start: int) -> ParseError:
     return ParseError("unterminated string", Span(lineno, start + 1, lineno, end + 1))
 
 
-_EXPECTED = {"ident": "an identifier", "string": "a string"}
+# The token of each field kind as the lexer names it, and what an error says
+# is expected in its place.
+_FIELD_TOKENS = {
+    "ident": ("ident", "an identifier"),
+    "string": ("string", "a string"),
+    "ids": ("ident", "an identifier"),
+    "yes_no": ("ident", "'yes' or 'no'"),
+    "condition": ("string", "a string"),
+}
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
         self.kinds, self.texts, self.lines, self.cols, self.ends = _lex(text)
         self.pos = 0
-        # Condition text -> ConditionExpr: each distinct text is parsed once.
+        # String body -> ConditionExpr: each distinct condition is parsed once.
         self.conditions: dict[str, ConditionExpr] = {}
 
-    def expect(self, kind: str, expected: Optional[str] = None) -> str:
-        """The current token's text if it is of `kind` (a punctuation text,
-        "ident" or "string"), else a ParseError naming `expected` or `kind`."""
-        pos = self.pos
-        if self.kinds[pos] != kind:
-            raise self.unexpected(pos, expected or _EXPECTED.get(kind, repr(kind)))
-        self.pos = pos + 1
-        return self.texts[pos]
-
-    def at_keyword(self, word: str) -> bool:
-        pos = self.pos
-        return self.texts[pos] == word and self.kinds[pos] == "ident"
-
-    def at(self, kind: str, ahead: int = 0) -> bool:
-        """Whether the token `ahead` past the current one is of `kind`."""
-        return self.kinds[self.pos + ahead] == kind
+    def fits(self, token: str, pos: int) -> bool:
+        """Whether the token at `pos` can be `token`, a token of a shape or
+        trailer; an id list's first, for an id list."""
+        if token[0] == "'":
+            return self.kinds[pos] == "ident" and self.texts[pos] == token[1:-1]
+        return self.kinds[pos] == _FIELD_TOKENS.get(token, (token,))[0]
 
     def span(self, pos: int) -> Span:
         """The span of the token at `pos`."""
@@ -145,28 +139,59 @@ class _Parser:
             found = repr(self.texts[pos])
         return ParseError(f"found {found}", self.span(pos), expected=expected)
 
-    def fields(self, shape: tuple[str, ...]) -> list[str]:
-        """The texts of `shape`'s fields, read token by token from the current
-        one; the first token that does not fit `shape` raises.  No shape token
-        fits an end-of-input sentinel, so the walk stops before the lists end."""
-        fields = []
-        for pos, token in enumerate(shape, self.pos):
-            if token[0] == "'":
-                if self.kinds[pos] != "ident" or self.texts[pos] != token[1:-1]:
-                    raise self.unexpected(pos, token)
-            elif self.kinds[pos] != token:
-                raise self.unexpected(pos, _EXPECTED.get(token, repr(token)))
-            elif token in _EXPECTED:
-                fields.append(self.texts[pos])
-        self.pos += len(shape)
-        return fields
+    def walk(self, tokens: tuple[str, ...]) -> list:
+        """The values of the fields among `tokens`, read token by token from
+        the current one (an id list's `id (, id)*` as one), each converted by
+        its kind as `dsl` converts a pattern's capture; the first token that
+        does not fit raises.  No token fits an end-of-input sentinel, so the
+        walk stops before the lists end."""
+        values = []
+        pos = self.pos
+        for token in tokens:
+            field = _FIELD_TOKENS.get(token)
+            if not self.fits(token, pos):
+                raise self.unexpected(pos, field[1] if field else
+                                      token if token[0] == "'" else repr(token))
+            if field is not None:
+                text = self.texts[pos]
+                while token == "ids" and self.kinds[pos + 1] == ",":
+                    pos += 2
+                    if self.kinds[pos] != "ident":
+                        raise self.unexpected(pos, field[1])
+                    text += "," + self.texts[pos]
+                try:
+                    (value,) = _KINDS[token].column(self.conditions, (text,))
+                except ConditionError as exc:
+                    raise ParseError(f"invalid condition: {exc}", self.span(pos)) from exc
+                if value is None:  # an identifier other than `yes` or `no`
+                    raise self.unexpected(pos, field[1])
+                values.append(value)
+            pos += 1
+        self.pos = pos
+        return values
+
+    def fields(self, shape: tuple[str, ...], trailers: tuple[_Trailer, ...] = ()) -> list:
+        """The field values of a declaration of `shape` and `trailers`, read
+        from the current token.  A trailer is taken where its lead's tokens
+        fit, unless the lead ends in an identifier or keyword and a `:`
+        follows; a flag is True where taken.  A trailer left out has the
+        value its kind converts a missing capture (None) to."""
+        values = self.walk(shape)
+        for trailer in trailers:
+            end = self.pos + len(trailer.lead)
+            if (all(map(self.fits, trailer.lead, range(self.pos, end)))
+                    and not (trailer.refusable and self.kinds[end] == ":")):
+                values += self.walk(trailer.lead + trailer.rest) or [True]
+            else:
+                values += _KINDS[trailer.kind].column(self.conditions, (None,))
+        return values
 
 
 def parse_tokens(text: str) -> Declarations:
     """`dsl.parse_policy` by the token parser, which reports every error."""
     parser = _Parser(text)
     kinds, texts = parser.kinds, parser.texts
-    (name,) = parser.fields(("'policy'", "string"))
+    (name,) = parser.walk(("'policy'", "string"))
     entries: list[tuple] = []
     firsts: list[int] = []  # each declaration's first token
     lasts: list[int] = []  # and its last
@@ -175,97 +200,13 @@ def parse_tokens(text: str) -> Declarations:
         if section is None or kinds[parser.pos] != "ident":
             raise parser.unexpected(parser.pos, "a section name")
         parser.pos += 1
-        parser.expect("{")
+        parser.walk(("{",))
         while kinds[parser.pos] != "}":
             firsts.append(parser.pos)
-            fields = parser.fields(section.shape)
-            if section.tail is not None:
-                fields += _READERS[section.tail](parser)
-            entries.append(_new(section.entry, fields))
+            entries.append(_new(section.entry, parser.fields(section.shape, section.trailers)))
             lasts.append(parser.pos - 1)
         parser.pos += 1
     line, col, end = parser.lines.__getitem__, parser.cols.__getitem__, parser.ends.__getitem__
     spans = map(_new, repeat(Span), zip(map(line, firsts), map(col, firsts),
                                         map(line, lasts), map(end, lasts)))
     return Declarations(name, tuple(entries), tuple(spans))
-
-
-def _parse_id_list(parser: _Parser, close: str) -> tuple[str, ...]:
-    """`id (, id)*` then `close`."""
-    members = [parser.expect("ident")]
-    while parser.at(","):
-        parser.pos += 1
-        members.append(parser.expect("ident"))
-    parser.expect(close)
-    return tuple(members)
-
-
-# A tail reads the fields of the entry that follow its shape's, from the token
-# after the shape, and returns them in order: `parse_policy` builds the entry
-# with `tuple.__new__`.
-def _attribute_tail(parser: _Parser) -> tuple[tuple[str, ...], Optional[bool]]:
-    groups: tuple[str, ...] = ()
-    collected: Optional[bool] = None
-    # Both trailers are optional; two-token lookahead separates them from the
-    # next declaration, whose id is always followed by ':'.
-    if parser.at_keyword("groups") and parser.at("(", 1):
-        parser.pos += 2
-        groups = _parse_id_list(parser, ")")
-    if parser.at_keyword("collected") and parser.at("=", 1):
-        parser.pos += 2
-        flag = parser.expect("ident", "'yes' or 'no'")
-        if flag not in ("yes", "no"):
-            raise parser.unexpected(parser.pos - 1, "'yes' or 'no'")
-        collected = flag == "yes"
-    return groups, collected
-
-
-def _via_tail(parser: _Parser) -> tuple[Optional[str]]:
-    if parser.at_keyword("via") and parser.at("ident", 1) and not parser.at(":", 2):
-        parser.pos += 2
-        return (parser.texts[parser.pos - 1],)
-    return (None,)
-
-
-def _purpose_tail(parser: _Parser) -> tuple[tuple[str, ...], bool]:
-    tasks: tuple[str, ...] = ()
-    if parser.at("="):
-        parser.pos += 1
-        parser.expect("[")
-        tasks = _parse_id_list(parser, "]")
-    # 'universal' could also start the next declaration as an id; a following
-    # ':' disambiguates.
-    if parser.at_keyword("universal") and not parser.at(":", 1):
-        parser.pos += 1
-        return tasks, True
-    return tasks, False
-
-
-def _condition_tail(parser: _Parser) -> tuple[ConditionExpr]:
-    """A condition string, parsed once per distinct text."""
-    text = parser.expect("string")
-    condition = parser.conditions.get(text)
-    if condition is None:
-        try:
-            condition = parser.conditions[text] = parse_condition(text)
-        except ConditionError as exc:
-            raise ParseError(f"invalid condition: {exc}", parser.span(parser.pos - 1)) from exc
-    return (condition,)
-
-
-def _when_tail(parser: _Parser) -> tuple[Optional[ConditionExpr]]:
-    """The condition of a following `when "..."`, or None."""
-    if parser.at_keyword("when") and parser.at("string", 1):
-        parser.pos += 1
-        return _condition_tail(parser)
-    return (None,)
-
-
-# The reader of each tail in `dsl._SECTIONS`.
-_READERS = {
-    _ATTRIBUTE_TAIL: _attribute_tail,
-    _VIA_TAIL: _via_tail,
-    _PURPOSE_TAIL: _purpose_tail,
-    _CONDITION_TAIL: _condition_tail,
-    _WHEN_TAIL: _when_tail,
-}

@@ -182,6 +182,20 @@ def test_lexed_tokens_are_no_objects_the_collector_tracks(shop_text, baby_text):
     assert tracked == [0] * 5
 
 
+def test_a_text_with_a_lowering_problem_is_matched_once(monkeypatch):
+    # `load_policy` places the problem at the spans of the matches it has,
+    # rather than parsing the text again.
+    calls = []
+    match_policy = dsl._match_policy
+    monkeypatch.setattr(dsl, "_match_policy", lambda text: calls.append(text) or match_policy(text))
+    text = 'policy "x"\nroles { r1: "A" }\nrole_hierarchy { r1 -> r9 }\n'
+    with pytest.raises(LoweringError) as info:
+        load_policy(text)
+    assert [(d.message, d.span) for d in info.value.diagnostics] == [
+        ("unknown role 'r9' in role_hierarchy", dsl.Span(3, 18, 3, 26))]
+    assert calls == [text]
+
+
 def test_lowering_reports_unknown_reference_once():
     with pytest.raises(LoweringError) as info:
         load_policy('policy "x"\nroles { r1: "A" }\nrole_hierarchy { r1 -> r9 }\n')
