@@ -8,16 +8,18 @@ reaches this module, it is imported on the first miss only.
 
 The lexer fills five parallel lists indexed by token number: kind, text,
 line, column and end column.  `kind` is "ident", "string", "eof" or the
-punctuation text itself ("{", "->", ...), and a string's text is its
-unescaped content.  Every element is a str or an int, so a token is no object
-of its own and the garbage collector tracks none of them.  The lists end with
-end-of-input sentinels, so lookahead is a plain index.  A Span is built only
-for a declaration (from its first token to its last, all of them once the
-text is read) or an error, and each distinct condition text is parsed once
-per call.  Each declaration's shape (from its section's row in
-`dsl._SECTIONS`) is walked token by token, and its tail is read by the
-tail's reader in `_READERS`, with the lookahead that the tail's trailer
-pattern has.
+punctuation text itself ("{", "->", ...), and a string's text is its body as
+written, escapes included.  Every element is a str or an int, so a token is
+no object of its own and the garbage collector tracks none of them.  The
+lists end with end-of-input sentinels, so lookahead is a plain index.  A
+Span is built only for a declaration (from its first token to its last, all
+of them once the text is read) or an error.
+
+Each declaration is walked token by token along its section's row in
+`dsl._SECTIONS`: its shape, then each trailer that its lead's tokens start
+(with the `:` rule of `dsl._Trailer`).  A field is converted by its kind's
+converter in `dsl._KINDS`, as the patterns' path converts a capture, so a
+string is unescaped there and each distinct condition parsed once per call.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ inputs are fixture mutants, fixtures with two words glued or a string broken
 across lines, serialized random models with their tokens edited and
 re-spaced by whitespace, CRLF and comment lines, and the policy texts of the
 span tests.  Fixtures and serialized models must never reach the token
-parser.
+parser.  Since a change to both parsers alike would pass these, one digest
+also pins the token parser's own outcomes on a seeded corpus.
 """
 
 from __future__ import annotations
@@ -45,7 +46,20 @@ _HAND_INSERTS = (
     "= [t0, t1]", "= []", 'when "age >\n 1"', 'when "age >\r 1"', "(", ")", "[", "]", ":", ",",
     "=", "->", "{", "}", '"a\\"b\\\\"', '""', '"\\q"', '"', "\f", "\v", "-", "é", "\u2028",
 )
-_INSERTS = _HAND_INSERTS
+# A token of each field kind, to spell the trailers of the section table with.
+_SAMPLES = {"ident": "d0", "string": '"S"', "ids": "g0, t0", "yes_no": "no",
+            "condition": '"age > 1"'}
+
+
+def _spelled(tokens: tuple[str, ...]) -> str:
+    return " ".join(_SAMPLES.get(token, token.strip("'")) for token in tokens)
+
+
+# And every trailer of the section table, whole and cut off after its lead,
+# so a trailer added to the grammar is fuzzed as it is.
+_INSERTS = (*_HAND_INSERTS, *dict.fromkeys(
+    text for section in dsl._SECTIONS for trailer in section.trailers
+    for text in (_spelled(trailer.lead + trailer.rest), _spelled(trailer.lead))))
 
 
 def _outcome(parse, text: str) -> tuple:
