@@ -81,7 +81,7 @@ from functools import cache, partial
 from itertools import repeat
 from operator import is_not, sub
 from re import Match
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .conditions import (IDENTIFIER, ConditionError, ConditionExpr, collector_paused,
                          condition_texts, escape_string, parse_condition, unescape_string,
@@ -263,11 +263,6 @@ def _texts(bodies: tuple[str, ...]) -> Sequence[str]:
     return unescape_string(joined).split("\n") if "\\" in joined else bodies
 
 
-def _ids(ids: Optional[str]) -> tuple[str, ...]:
-    """The ids of a captured id list, or none."""
-    return () if ids is None else tuple(map(str.strip, ids.split(",")))
-
-
 def _conditions(conditions: dict[str, ConditionExpr],
                 bodies: tuple[Optional[str], ...]) -> Iterable:
     """The condition of each string body, or None for none; each distinct body
@@ -300,7 +295,9 @@ _KINDS = {
     "string": _Kind(_STRING, lambda conditions, column: _texts(column),
                     lambda quoted, values: map(_quote, values)),
     # An id list is written as it is, but a set (an attribute's groups) sorted.
-    "ids": _Kind(rf"({_ID}(?: , {_ID})*)", lambda conditions, column: map(_ids, column),
+    "ids": _Kind(rf"({_ID}(?: , {_ID})*)",
+                 lambda conditions, column: [() if ids is None else tuple(
+                     map(str.strip, ids.split(","))) for ids in column],
                  lambda quoted, values: [(", ".join(ids if type(ids) is tuple else sorted(ids))
                                           if ids else None) for ids in values]),
     "yes_no": _Kind(r"(yes|no)\b",

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from itertools import repeat
-from typing import Optional
 
 from .conditions import IDENTIFIER, STRING_BODY, ConditionError, ConditionExpr
 from .dsl import _KINDS, _SECTION_BY_KEYWORD, Declarations, ParseError, Span, _new, _Trailer
