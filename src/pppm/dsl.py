@@ -27,12 +27,13 @@ each optional, in order).  A token is punctuation, a quoted keyword, or a field
 of a kind in `_KINDS`: an identifier, a string, an id list, `yes` or `no`, or a
 condition string.  A trailer is a lead (the tokens that commit to it) and the
 tokens that must follow; it holds one field, or none and is then a flag.  A
-kind gives a field's pattern, the converter of a column of its captures, the
-writer of a column of its values, and its value where its trailer is left out.
-So one row serves the declaration pattern (`_declaration`), the entries built
-of its matches (`_entries`), the token parser's walk, `serialize`'s rows and
-the README's grammar.  The table is in grammar order, the order of
-PolicyModel's fields.
+kind gives a field's pattern, the converter of a column of its captures (a
+missing one, None, becomes the value of a trailer left out), the writer of a
+column of its values, and the token the token parser reads.  So one row
+serves the declaration pattern (`_declaration`), the entries built of its
+matches (`_entries`), the token parser's walk, `serialize`'s rows and the
+README's grammar.  The table is in grammar order, the order of PolicyModel's
+fields.
 
 `parse_policy` reads a text with one pattern match per header and per
 declaration: the policy header, then each section's header, its declarations
@@ -287,24 +288,31 @@ class _Kind(NamedTuple):
     column: Callable[[dict[str, ConditionExpr], Sequence[Optional[str]]], Iterable]
     # The texts of a column of its values, given each condition's quoted text by `id`.
     write: Callable[[dict[int, str], Sequence], Iterable[Optional[str]]]
+    # For the token parser: the lexer's kind of its (first) token, and what an
+    # error names as expected in its place.
+    token: Optional[str] = None
+    expected: Optional[str] = None
 
 
 _KINDS = {
     "ident": _Kind(f"({_ID})", lambda conditions, column: column,
-                   lambda quoted, values: values),
+                   lambda quoted, values: values, "ident", "an identifier"),
     "string": _Kind(_STRING, lambda conditions, column: _texts(column),
-                    lambda quoted, values: map(_quote, values)),
+                    lambda quoted, values: map(_quote, values), "string", "a string"),
     # An id list is written as it is, but a set (an attribute's groups) sorted.
     "ids": _Kind(rf"({_ID}(?: , {_ID})*)",
                  lambda conditions, column: [() if ids is None else tuple(
                      map(str.strip, ids.split(","))) for ids in column],
                  lambda quoted, values: [(", ".join(ids if type(ids) is tuple else sorted(ids))
-                                          if ids else None) for ids in values]),
+                                          if ids else None) for ids in values],
+                 "ident", "an identifier"),
     "yes_no": _Kind(r"(yes|no)\b",
                     lambda conditions, column: map({"yes": True, "no": False}.get, column),
-                    lambda quoted, values: map({True: "yes", False: "no"}.get, values)),
+                    lambda quoted, values: map({True: "yes", False: "no"}.get, values),
+                    "ident", "'yes' or 'no'"),
     "condition": _Kind(_STRING, _conditions,
-                       lambda quoted, values: map(quoted.get, map(id, values))),
+                       lambda quoted, values: map(quoted.get, map(id, values)),
+                       "string", "a string"),
     # The field of a trailer that holds no other: whether it is there.
     "flag": _Kind("()", lambda conditions, column: map(is_not, repeat(None), column),
                   lambda quoted, values: map({True: ""}.get, values)),
@@ -497,8 +505,8 @@ def serialize(model: PolicyModel) -> str:
     if not re.fullmatch(_ID_LINES, joined) or joined.count("\n") != len(ids):
         bad = next(i for i in ids if not IDENTIFIER.fullmatch(i))
         raise ValueError(f"cannot write id {bad!r}: a policy id must match {IDENTIFIER.pattern}")
-    texts = condition_texts(model.rp_grants, model.pt_conditions, model.pg_grants)
-    quoted = {key: _quote(text) for key, text in texts.items()}
+    quoted = {key: _quote(text) for key, text in
+              condition_texts(model.rp_grants, model.pt_conditions, model.pg_grants).items()}
     lines: list[str] = [f"policy {_quote(model.name)}"]
     for section in _SECTIONS:
         entries = getattr(model, section.field)
@@ -523,7 +531,7 @@ def serialize(model: PolicyModel) -> str:
 
 
 @cache
-def _templates(shape: tuple[str, ...], trailers: tuple[_Trailer, ...]) -> tuple[list, tuple]:
+def _templates(shape: tuple[str, ...], trailers: tuple[_Trailer, ...]) -> tuple[tuple, tuple]:
     """The text of a declaration's row around its fields, indented, a trailer's
     text being a field; and the text of each trailer before and after its
     field.  A space stands between two tokens, but none after `(` or `[`, or
@@ -534,5 +542,5 @@ def _templates(shape: tuple[str, ...], trailers: tuple[_Trailer, ...]) -> tuple[
             word = "{}" if token in _KINDS else token.strip("'")
             text += word if not text or text[-1] in "([" or word in ")],:" else " " + word
         return text
-    return (("  " + spell(shape) + "{}" * len(trailers)).split("{}"),
+    return (tuple(("  " + spell(shape) + "{}" * len(trailers)).split("{}")),
             tuple((" " + spell(t.lead + t.rest)).partition("{}")[::2] for t in trailers))

@@ -101,17 +101,6 @@ def _lex_error(line: str, lineno: int, start: int) -> ParseError:
     return ParseError("unterminated string", Span(lineno, start + 1, lineno, end + 1))
 
 
-# The token of each field kind as the lexer names it, and what an error says
-# is expected in its place.
-_FIELD_TOKENS = {
-    "ident": ("ident", "an identifier"),
-    "string": ("string", "a string"),
-    "ids": ("ident", "an identifier"),
-    "yes_no": ("ident", "'yes' or 'no'"),
-    "condition": ("string", "a string"),
-}
-
-
 class _Parser:
     def __init__(self, text: str) -> None:
         self.kinds, self.texts, self.lines, self.cols, self.ends = _lex(text)
@@ -124,7 +113,7 @@ class _Parser:
         trailer; an id list's first, for an id list."""
         if token[0] == "'":
             return self.kinds[pos] == "ident" and self.texts[pos] == token[1:-1]
-        return self.kinds[pos] == _FIELD_TOKENS.get(token, (token,))[0]
+        return self.kinds[pos] == (_KINDS[token].token if token in _KINDS else token)
 
     def span(self, pos: int) -> Span:
         """The span of the token at `pos`."""
@@ -149,23 +138,23 @@ class _Parser:
         values = []
         pos = self.pos
         for token in tokens:
-            field = _FIELD_TOKENS.get(token)
+            kind = _KINDS.get(token)
             if not self.fits(token, pos):
-                raise self.unexpected(pos, field[1] if field else
+                raise self.unexpected(pos, kind.expected if kind else
                                       token if token[0] == "'" else repr(token))
-            if field is not None:
+            if kind is not None:
                 text = self.texts[pos]
                 while token == "ids" and self.kinds[pos + 1] == ",":
                     pos += 2
                     if self.kinds[pos] != "ident":
-                        raise self.unexpected(pos, field[1])
+                        raise self.unexpected(pos, kind.expected)
                     text += "," + self.texts[pos]
                 try:
-                    (value,) = _KINDS[token].column(self.conditions, (text,))
+                    (value,) = kind.column(self.conditions, (text,))
                 except ConditionError as exc:
                     raise ParseError(f"invalid condition: {exc}", self.span(pos)) from exc
                 if value is None:  # an identifier other than `yes` or `no`
-                    raise self.unexpected(pos, field[1])
+                    raise self.unexpected(pos, kind.expected)
                 values.append(value)
             pos += 1
         self.pos = pos
