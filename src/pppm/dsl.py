@@ -65,8 +65,8 @@ order, two-space indent, LF) such that lower(parse(serialize(m))) == m.
 
 `load_policy` builds no span for a valid text: spans only place problems.
 It lowers the token parser's declarations where the patterns miss, and
-places a model's problems at its matches' spans, so every ParseError and
-LoweringError is that of `lower(parse_policy(text))`.
+places a model's problems at spans made of the matched offsets, so every
+ParseError and LoweringError is that of `lower(parse_policy(text))`.
 
 An attribute may be declared more than once under the same label; the
 declarations merge (group sets union).  Contradictory `collected` flags mark
@@ -78,15 +78,15 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from functools import cache, partial
-from itertools import repeat
-from operator import is_not, sub
+from functools import cache
+from itertools import compress, count, groupby, repeat
+from operator import add, attrgetter, is_, is_not, itemgetter, ne, sub
 from re import Match
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .conditions import (IDENTIFIER, ConditionError, ConditionExpr, collector_paused,
-                         condition_texts, escape_string, parse_condition, unescape_string,
-                         value_type)
+                         condition_texts, escape_string, escape_strings, parse_condition,
+                         unescape_string, value_type)
 from .model import (
     Aggregation,
     Attribute,
@@ -177,9 +177,9 @@ def load_policy(text: str) -> PolicyModel:
     return lower(_declarations(text, matched))
 
 
-def _match_policy(text: str) -> Optional[tuple[str, list[tuple], list[Match[str]]]]:
-    """The name, the entries and each declaration's match, by the
-    declaration patterns; or None where they miss."""
+def _match_policy(text: str) -> Optional[tuple[str, list[tuple], list[int], list[int]]]:
+    """The name, the entries and each declaration's start and end offsets, by
+    the declaration patterns; or None where they miss."""
     if "\f" in text or "\v" in text:  # see _GAP
         return None
     m = _HEAD.match(text)
@@ -188,13 +188,14 @@ def _match_policy(text: str) -> Optional[tuple[str, list[tuple], list[Match[str]
     name, pos = _text(m[1]), m.end()
     conditions: dict[str, ConditionExpr] = {}
     entries: list[tuple] = []
-    matches: list[Match[str]] = []
+    firsts: list[int] = []
+    ends: list[int] = []
     while (m := _SECTION_HEAD.match(text, pos)) is not None:
         section = _SECTION_BY_KEYWORD.get(m[1])
         if section is None:
             return None
         pos = m.end()
-        run: list[Match[str]] = []  # the section's declarations
+        run: list[Match[str]] = []  # the section's declarations, dropped once read
         match = _declaration(section.shape, section.trailers)
         while (m := match(text, pos)) is not None:
             run.append(m)
@@ -204,13 +205,14 @@ def _match_policy(text: str) -> Optional[tuple[str, list[tuple], list[Match[str]
                 entries += _entries(section, run, conditions)
             except ConditionError:
                 return None
-            matches += run
+            firsts += map(Match.start, run, repeat(1))
+            ends += map(Match.end, run)
         if (m := _CLOSE.match(text, pos)) is None:
             return None
         pos = m.end()
     if _END.match(text, pos) is None:
         return None
-    return name, entries, matches
+    return name, entries, firsts, ends
 
 
 def _declarations(text: str, matched: Optional[tuple]) -> Declarations:
@@ -219,14 +221,14 @@ def _declarations(text: str, matched: Optional[tuple]) -> Declarations:
     if matched is None:
         from .token_parser import parse_tokens  # the error path, imported on a miss
         return parse_tokens(text)
-    name, entries, matches = matched
-    firsts, ends = list(map(Match.start, matches, repeat(1))), list(map(Match.end, matches))
-    matches.clear()  # about 1 MB at n=2000, freed before the spans are built
+    name, entries, firsts, ends = matched
     # An offset's line is one more than the line breaks before it, and its
-    # column its distance from the last of them; -1 stands before line 1.
+    # column its distance from the last of them; -1 stands before line 1.  A
+    # declaration ends on its first line plus the line breaks inside it.
     breaks = [-1, *map(Match.start, re.finditer("\n", text))]
-    line_of, before = partial(bisect_left, breaks), [0, *breaks].__getitem__
-    first_lines, end_lines = list(map(line_of, firsts)), list(map(line_of, ends))
+    before = [0, *breaks].__getitem__
+    first_lines = list(map(bisect_left, repeat(breaks), firsts))
+    end_lines = list(map(add, first_lines, map(text.count, repeat("\n"), firsts, ends)))
     # `max` keeps the first of equal lines, so a span on one line holds one
     # int object for both.
     spans = map(_new, repeat(Span), zip(
@@ -279,6 +281,13 @@ def _quote(text: str) -> str:
     return f'"{escape_string(text)}"'
 
 
+def _escaped(texts: list[str]) -> Sequence[str]:
+    """`texts` escaped in one pass; the first holding a line break raises as in `_quote`."""
+    if any(map(str.__contains__, texts, repeat("\n"))):
+        list(map(_quote, texts))
+    return escape_strings(texts)
+
+
 class _Kind(NamedTuple):
     """A kind of field token, the same in every section.  None stands for the
     field of a trailer left out, as a capture and as a written text."""
@@ -287,7 +296,7 @@ class _Kind(NamedTuple):
     # A column of its values, of a column of captures and the call's condition cache.
     column: Callable[[dict[str, ConditionExpr], Sequence[Optional[str]]], Iterable]
     # The texts of a column of its values, given each condition's quoted text by `id`.
-    write: Callable[[dict[int, str], Sequence], Iterable[Optional[str]]]
+    write: Callable[[dict[int, str], Iterable], Iterable[Optional[str]]]
     # For the token parser: the lexer's kind of its (first) token, and what an
     # error names as expected in its place.
     token: Optional[str] = None
@@ -297,8 +306,9 @@ class _Kind(NamedTuple):
 _KINDS = {
     "ident": _Kind(f"({_ID})", lambda conditions, column: column,
                    lambda quoted, values: values, "ident", "an identifier"),
+    # A string is written escaped, between the quotes of its row's template.
     "string": _Kind(_STRING, lambda conditions, column: _texts(column),
-                    lambda quoted, values: map(_quote, values), "string", "a string"),
+                    lambda quoted, values: _escaped(list(values)), "string", "a string"),
     # An id list is written as it is, but a set (an attribute's groups) sorted.
     "ids": _Kind(rf"({_ID}(?: , {_ID})*)",
                  lambda conditions, column: [() if ids is None else tuple(
@@ -450,44 +460,38 @@ def lower(decls: Declarations) -> PolicyModel:
 
 def _model(name: str, decls: Sequence[tuple]) -> tuple[PolicyModel, list[tuple[str, int, str]]]:
     """The model of declarations `decls`, not yet validated, and each attribute
-    redeclared with a different label as (rule, declaration index, message)."""
+    redeclared with a different label as (rule, declaration index, message).
+    Attributes are built column by column; then only a repeated id's later
+    declarations are folded into its first, in order, merging group sets and
+    collection votes so a policy's own contradictions stay representable."""
     entries: dict[str, list] = {section.field: [] for section in _SECTIONS}
-    attributes: list[Attribute] = entries["attributes"]
-    attr_index: dict[str, int] = {}
-    problems: list[tuple[str, int, str]] = []
-
-    for i, decl in enumerate(decls):
-        if type(decl) is not AttributeDecl:
-            entries[_FIELD_BY_ENTRY[type(decl)]].append(decl)
-        elif decl.id not in attr_index:
-            attr_index[decl.id] = len(attributes)
-            attributes.append(
-                Attribute(decl.id, decl.label, frozenset(decl.groups), decl.collected)
-            )
-        else:
-            # Re-declaration: merge group sets and collection votes so a
-            # policy's own contradictions stay representable.
-            existing = attributes[attr_index[decl.id]]
+    for kind, run in groupby(decls, type):
+        entries[_FIELD_BY_ENTRY[kind]] += run
+    attributes, problems = entries["attributes"], []
+    ids = list(map(itemgetter(0), attributes))
+    derived = set(map(attrgetter("product"), entries["aggregations"]))
+    entries["attributes"] = built = list(map(_new, repeat(Attribute), zip(
+        ids, map(itemgetter(1), attributes), map(frozenset, map(itemgetter(2), attributes)),
+        map(itemgetter(3), attributes), repeat(False), map(derived.__contains__, ids))))
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # each id's first position
+    if len(first) < len(ids):
+        for k in compress(count(), map(ne, map(first.__getitem__, ids), count())):
+            existing, decl = built[first[ids[k]]], attributes[k]
             if existing.label != decl.label:
-                message = (
-                    f"attribute {decl.id!r} redeclared with a different label "
-                    f"({existing.label!r} vs {decl.label!r})"
-                )
+                message = (f"attribute {decl.id!r} redeclared with a different label "
+                           f"({existing.label!r} vs {decl.label!r})")
                 # Ordered among the duplicate-id errors, as a kind of one.
-                problems.append(("duplicate-id", i, message))
+                problems.append(("duplicate-id", k, message))  # k-th of the attributes
                 continue
             votes = {existing.collected, decl.collected} - {None}
             conflict = existing.collected_conflict or len(votes) > 1
-            attributes[attr_index[decl.id]] = existing._replace(
+            built[first[ids[k]]] = existing._replace(
                 groups=existing.groups | frozenset(decl.groups),
-                collected=None if conflict else next(iter(votes), None),
-                collected_conflict=conflict,
-            )
-
-    derived = {a.product for a in entries["aggregations"]}
-    entries["attributes"] = [
-        attr._replace(derived=True) if attr.id in derived else attr for attr in attributes
-    ]
+                collected=None if conflict else next(iter(votes), None), collected_conflict=conflict)
+        entries["attributes"] = list(map(built.__getitem__, sorted(first.values())))
+    if problems:  # the k-th attribute declaration's index among all declarations
+        at = list(compress(count(), map(is_, map(type, decls), repeat(AttributeDecl))))
+        problems = [(rule, at[k], message) for rule, k, message in problems]
     return PolicyModel(name, **{field: tuple(e) for field, e in entries.items()}), problems
 
 
@@ -519,8 +523,8 @@ def serialize(model: PolicyModel) -> str:
                 (a._replace(collected=True), a._replace(groups=(), collected=False))
                 if a.collected_conflict else (a,))]
         literals, trailers = _templates(section.shape, section.trailers)
-        fields = [_KINDS[kind].write(quoted, column)
-                  for kind, column in zip(section.kinds, zip(*entries))]
+        fields = [_KINDS[kind].write(quoted, map(itemgetter(i), entries))
+                  for i, kind in enumerate(section.kinds)]
         for i, (before, after) in enumerate(trailers, len(fields) - len(trailers)):
             fields[i] = ["" if text is None else before + text + after for text in fields[i]]
         columns = [repeat(literals[0])]
@@ -533,13 +537,13 @@ def serialize(model: PolicyModel) -> str:
 @cache
 def _templates(shape: tuple[str, ...], trailers: tuple[_Trailer, ...]) -> tuple[tuple, tuple]:
     """The text of a declaration's row around its fields, indented, a trailer's
-    text being a field; and the text of each trailer before and after its
-    field.  A space stands between two tokens, but none after `(` or `[`, or
-    before `)`, `]`, `,` or `:`."""
+    text being a field and a string's quotes text; and the text of each trailer
+    before and after its field.  A space stands between two tokens, but none
+    after `(` or `[`, or before `)`, `]`, `,` or `:`."""
     def spell(tokens: tuple[str, ...]) -> str:
         text = ""
         for token in tokens:
-            word = "{}" if token in _KINDS else token.strip("'")
+            word = '"{}"' if token == "string" else "{}" if token in _KINDS else token.strip("'")
             text += word if not text or text[-1] in "([" or word in ")],:" else " " + word
         return text
     return (tuple(("  " + spell(shape) + "{}" * len(trailers)).split("{}")),

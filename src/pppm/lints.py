@@ -15,12 +15,14 @@ grant as `role:purpose` and a purpose-group grant as `purpose:group`.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .conditions import collector_paused, tsv, value_type
 from .model import PolicyModel, PurposeGroupGrant, reach, require_valid, subject
 
 SEVERITIES = ("error", "warning", "info")
+_new = tuple.__new__  # builds a value without its constructor's frame; see `value_type`
 
 
 @value_type
@@ -230,9 +232,9 @@ def run_lints(model: PolicyModel, config: Optional[LintConfig] = None) -> list[F
         if not config.is_enabled(rule):
             continue
         severity = config.severity_for(rule)
-        for name, message in rule.check(model):
-            findings.append(Finding(rule.id, severity, name, message))
-    findings.sort(key=lambda f: (f.rule, f.subject, f.message))
+        findings += [_new(Finding, (rule.id, severity, name, message))
+                     for name, message in rule.check(model)]
+    findings.sort(key=itemgetter(0, 2, 3))  # rule, subject, message
     return findings
 
 

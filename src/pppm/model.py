@@ -17,16 +17,18 @@ resolve a duplicated id to its first declaration.
 `validate` checks every structural invariant and returns a report instead of
 raising, so callers can show all problems at once.  Each reference rule is a
 row of `_REFERENCES`, checked against the id maps, and each uniqueness rule a
-row of `_KEYS`; one loop walks each table.  `subject` names an entry for its
-report, and the lint findings name theirs the same way.
+row of `_KEYS`; one loop walks each table.  A row is checked in bulk, a column
+at a time, and its entries are walked one by one only to place a problem.
+`subject` names an entry for its report, and the lint findings name theirs
+the same way.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
-from itertools import groupby
-from operator import attrgetter, itemgetter
+from functools import cached_property, partial
+from itertools import chain, groupby
+from operator import attrgetter, is_not, itemgetter
 from typing import Container, Iterable, Mapping, NamedTuple, Optional
 
 from .conditions import ConditionExpr, value_type
@@ -342,9 +344,9 @@ class RoleClosure(NamedTuple):
 
 def _first_by_id(entities: tuple) -> dict:
     """Each id's first declaration, in declaration order."""
-    by_id: dict = {}
-    for entity in entities:
-        by_id.setdefault(entity.id, entity)
+    by_id = dict(zip(map(_ID, entities), entities))
+    if len(by_id) < len(entities):  # an id repeats: keep its place, put its first last
+        by_id.update(zip(map(_ID, reversed(entities)), reversed(entities)))
     return by_id
 
 
@@ -408,31 +410,34 @@ _KEYS = (
      "purpose {e.purpose!r} is granted group {e.group!r} more than once"),
 )
 
-# (field, id map of the kind referred to, the ids an entry names, message):
-# each named id missing from the map is an `unknown-id` report.
+# (field, id map of the kind referred to, the entry columns naming ids,
+# message): each named id missing from the map is an `unknown-id` report.
 _REFERENCES = (
-    ("role_edges", "roles_by_id", attrgetter("superior", "inferior"),
-     "unknown role {ref!r} in role_hierarchy"),
-    ("attributes", "groups_by_id", attrgetter("groups"),
-     "attribute {e.id!r} references unknown group {ref!r}"),
-    ("aggregations", "attributes_by_id", attrgetter("left", "right", "product"),
+    ("role_edges", "roles_by_id", ("superior", "inferior"), "unknown role {ref!r} in role_hierarchy"),
+    ("attributes", "groups_by_id", ("groups",), "attribute {e.id!r} references unknown group {ref!r}"),
+    ("aggregations", "attributes_by_id", ("left", "right", "product"),
      "unknown attribute {ref!r} in aggregation"),
-    ("tasks", "attributes_by_id", lambda t: (t.reads,),
-     "task {e.id!r} reads unknown attribute {ref!r}"),
-    ("tasks", "granularities_by_id", lambda t: () if t.via is None else (t.via,),
+    ("tasks", "attributes_by_id", ("reads",), "task {e.id!r} reads unknown attribute {ref!r}"),
+    ("tasks", "granularities_by_id", ("via",),
      "task {e.id!r} uses unknown granularity function {ref!r}"),
-    ("purposes", "tasks_by_id", attrgetter("tasks"), "purpose {e.id!r} lists unknown task {ref!r}"),
-    ("rp_grants", "roles_by_id", lambda g: (g.role,), "unknown role {ref!r} in role_purpose"),
-    ("rp_grants", "purposes_by_id", lambda g: (g.purpose,),
-     "unknown purpose {ref!r} in role_purpose"),
-    ("pt_conditions", "purposes_by_id", lambda c: (c.purpose,),
+    ("purposes", "tasks_by_id", ("tasks",), "purpose {e.id!r} lists unknown task {ref!r}"),
+    ("rp_grants", "roles_by_id", ("role",), "unknown role {ref!r} in role_purpose"),
+    ("rp_grants", "purposes_by_id", ("purpose",), "unknown purpose {ref!r} in role_purpose"),
+    ("pt_conditions", "purposes_by_id", ("purpose",),
      "unknown purpose {ref!r} in purpose_task_conditions"),
-    ("pt_conditions", "tasks_by_id", lambda c: (c.task,),
-     "unknown task {ref!r} in purpose_task_conditions"),
-    ("pg_grants", "purposes_by_id", lambda g: (g.purpose,),
-     "unknown purpose {ref!r} in purpose_group"),
-    ("pg_grants", "groups_by_id", lambda g: (g.group,), "unknown group {ref!r} in purpose_group"),
+    ("pt_conditions", "tasks_by_id", ("task",), "unknown task {ref!r} in purpose_task_conditions"),
+    ("pg_grants", "purposes_by_id", ("purpose",), "unknown purpose {ref!r} in purpose_group"),
+    ("pg_grants", "groups_by_id", ("group",), "unknown group {ref!r} in purpose_group"),
 )
+
+
+def _named(entries: Iterable, column: str) -> Iterable:
+    """The ids that `column` of `entries` names, in order: each of a `groups` or
+    `tasks` collection, and none for a `via` of None."""
+    values = map(attrgetter(column), entries)
+    if column in ("groups", "tasks"):
+        return chain.from_iterable(values)
+    return filter(partial(is_not, None), values) if column == "via" else values
 
 
 def validate(model: PolicyModel) -> list[ValidationError]:
@@ -452,17 +457,22 @@ def validate(model: PolicyModel) -> list[ValidationError]:
         errors.append(ValidationError(rule, subject(name, entry), message, (name, i)))
 
     for rule, name, key, message in _KEYS:
-        seen: set = set()
-        for i, entry in enumerate(getattr(model, name)):
-            k = key(entry)
-            if k in seen:
-                report(rule, name, i, message)
-            seen.add(k)
+        entries = getattr(model, name)
+        keys = getattr(model, name + "_by_id") if key is _ID else set(map(key, entries))
+        if len(keys) < len(entries):
+            seen: set = set()
+            for i, entry in enumerate(entries):
+                k = key(entry)
+                if k in seen:
+                    report(rule, name, i, message)
+                seen.add(k)
 
-    for name, by_id, ids, message in _REFERENCES:
-        known = getattr(model, by_id)
-        for i, entry in enumerate(getattr(model, name)):
-            for ref in ids(entry):
+    for name, by_id, columns, message in _REFERENCES:
+        known, entries = getattr(model, by_id), getattr(model, name)
+        if not set().union(*(_named(entries, column) for column in columns)).difference(known):
+            continue
+        for i, entry in enumerate(entries):
+            for ref in chain.from_iterable(_named((entry,), column) for column in columns):
                 if ref not in known:
                     report("unknown-id", name, i, message, ref)
 

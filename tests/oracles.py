@@ -20,7 +20,8 @@ from pppm.conditions import (
     TriBool,
     Var,
 )
-from pppm.model import PolicyModel
+from pppm.dsl import _FIELD_BY_ENTRY, _SECTIONS, AttributeDecl
+from pppm.model import Attribute, PolicyModel
 
 
 def brute_inferiors(model: PolicyModel, role_id: str) -> set[str]:
@@ -221,6 +222,49 @@ def whole_access_index(model: PolicyModel) -> dict[str, tuple[tuple[tuple, ...],
     tie = itemgetter(1, 2)
     return {a: tuple(tuple(group) for _, group in groupby(sorted(entries, key=tie), tie))
             for a, entries in index.items()}
+
+
+def loop_model(name: str, decls) -> tuple[PolicyModel, list[tuple[str, int, str]]]:
+    """`dsl._model` as it was before it built column by column: one
+    declaration at a time, an attribute's repeats merged as they come."""
+    entries: dict[str, list] = {section.field: [] for section in _SECTIONS}
+    attributes: list[Attribute] = entries["attributes"]
+    attr_index: dict[str, int] = {}
+    problems: list[tuple[str, int, str]] = []
+
+    for i, decl in enumerate(decls):
+        if type(decl) is not AttributeDecl:
+            entries[_FIELD_BY_ENTRY[type(decl)]].append(decl)
+        elif decl.id not in attr_index:
+            attr_index[decl.id] = len(attributes)
+            attributes.append(
+                Attribute(decl.id, decl.label, frozenset(decl.groups), decl.collected)
+            )
+        else:
+            # Re-declaration: merge group sets and collection votes so a
+            # policy's own contradictions stay representable.
+            existing = attributes[attr_index[decl.id]]
+            if existing.label != decl.label:
+                message = (
+                    f"attribute {decl.id!r} redeclared with a different label "
+                    f"({existing.label!r} vs {decl.label!r})"
+                )
+                # Ordered among the duplicate-id errors, as a kind of one.
+                problems.append(("duplicate-id", i, message))
+                continue
+            votes = {existing.collected, decl.collected} - {None}
+            conflict = existing.collected_conflict or len(votes) > 1
+            attributes[attr_index[decl.id]] = existing._replace(
+                groups=existing.groups | frozenset(decl.groups),
+                collected=None if conflict else next(iter(votes), None),
+                collected_conflict=conflict,
+            )
+
+    derived = {a.product for a in entries["aggregations"]}
+    entries["attributes"] = [
+        attr._replace(derived=True) if attr.id in derived else attr for attr in attributes
+    ]
+    return PolicyModel(name, **{field: tuple(e) for field, e in entries.items()}), problems
 
 
 def make_time(hh: int, mm: int) -> TimeOfDay:

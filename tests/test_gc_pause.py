@@ -5,7 +5,8 @@ tracked objects per large policy and create no reference cycles, so they run
 with the collector disabled.  These tests pin the three things that make it
 safe and worth it: the caller's collector state survives every call, the
 builders leave no cyclic garbage behind, and a large policy triggers at most
-one collection per paused call.
+one collection per paused call.  `serialize` is not paused: it writes a large
+model column by column and starts no collection at all.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import gc
 import inspect
 import random
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +208,25 @@ def test_a_large_policy_triggers_at_most_one_collection_per_paused_call(collecto
         gc.callbacks.remove(count)
     assert len(decls.entries) > 5000
     assert len(collections) <= len(PAUSED), collections
+
+
+def test_serializing_a_large_model_starts_no_collection(collector_state, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from policygen import generate  # the benchmark's policy generator
+
+    model = load_policy(generate(7, 2000)[0])
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        text = serialize(model)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(text) > 100_000
+    assert collections == []

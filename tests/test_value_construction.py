@@ -1,12 +1,14 @@
-"""Values that the query and parse paths build with `tuple.__new__`.
+"""Values that the query, parse, lower and lint paths build with `tuple.__new__`.
 
 `can_access` and `parse_policy` build their decisions, paths, path
-conditions, declaration entries and spans without the NamedTuple's generated
-constructor, which costs a Python frame per value (see
-`conditions.value_type`).  These tests pin that no such constructor runs on
-those paths, so a later `Decision(...)` fails here and not only in a
-benchmark, and that every value so built is the one its constructor would
-build: it has one item per field and rebuilds equal from its own items.
+conditions, declaration entries and spans, `lower` and `load_policy` the
+attributes of a text that declares each once, and `run_lints` its findings,
+without the NamedTuple's generated constructor, which costs a Python frame
+per value (see `conditions.value_type`).  These tests pin that no such
+constructor runs on those paths, so a later `Decision(...)` fails here and
+not only in a benchmark, and that every value so built is the one its
+constructor would build: it has one item per field and rebuilds equal from
+its own items.
 """
 
 from __future__ import annotations
@@ -19,13 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pppm import dsl
-from pppm.dsl import Span, parse_policy
+from pppm.dsl import Span, load_policy, lower, parse_policy, serialize
+from pppm.lints import Finding, run_lints
+from pppm.model import Attribute
 from pppm.query import AccessPath, Decision, Outcome, PathCondition, can_access
 
 import gen
 from oracles import make_time
 
-FAST_TYPES = (Decision, AccessPath, PathCondition, Span,
+FAST_TYPES = (Decision, AccessPath, PathCondition, Span, Attribute, Finding,
               *(section.entry for section in dsl._SECTIONS))
 CONTEXTS = ({}, {"age": 25}, {"age": 10, "now": make_time(9, 0)},
             {"age": 25, "now": make_time(10, 0)})
@@ -78,6 +82,30 @@ def test_parse_policy_runs_no_generated_constructor(shop_text, baby_text):
         for text in (shop_text, baby_text):
             parse_policy(text)
     assert called == []
+
+
+def test_lower_and_load_policy_build_attributes_without_their_constructor(shop_text):
+    models = [gen.random_model(random.Random(seed)) for seed in range(40)]
+    texts = [shop_text, *(serialize(m) for m in models if not any(
+        a.collected_conflict for a in m.attributes))]  # a conflict is written twice
+    assert len(texts) > 10
+    for text in texts:
+        decls = parse_policy(text)
+        ids = [decl.id for decl in decls.entries if type(decl) is dsl.AttributeDecl]
+        assert len(set(ids)) == len(ids)  # no attribute is declared twice
+        with constructor_calls() as called:
+            models = [lower(decls), load_policy(text)]
+        assert called == []
+        for attribute in models[0].attributes + models[1].attributes:
+            _assert_whole(attribute)
+
+
+def test_run_lints_builds_findings_without_their_constructor(shop_model, baby_model):
+    with constructor_calls() as called:
+        findings = run_lints(shop_model) + run_lints(baby_model)
+    assert findings and called == []
+    for finding in findings:
+        _assert_whole(finding)
 
 
 def _assert_whole(value):
