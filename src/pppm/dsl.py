@@ -38,9 +38,10 @@ fields.
 `parse_policy` reads a text with one pattern match per header and per
 declaration: the policy header, then each section's header, its declarations
 and its `}`, then the end of the text.  A section's run of declarations
-becomes entries column by column of their matches' groups, and spans are
-computed from match offsets once the text is read.  Each distinct condition
-text is parsed once per call.
+becomes entries column by column of their matches' groups.  Of the matches,
+only each declaration's first and end offsets are kept, and the spans are
+made of them when one is first read (`_Spans`).  Each distinct condition text
+is parsed once per call.
 
 Where the patterns miss (no match where one is due, text left over, or a
 condition that does not parse), the token parser (`token_parser`, imported
@@ -58,15 +59,12 @@ and LowerDiagnostic are NamedTuples.
 Parsing produces Declarations: the entries in source order and their spans.
 `lower` builds a PolicyModel of them, validates it once with `model.validate`,
 and reports every problem together, each at the declaration of the entry it
-is about, ordered by rule and then by source position.  A duplicated id is
-reported at each declaration after the first; references to it resolve to the
-first.  `serialize` writes a model back in canonical form (sections in table
-order, two-space indent, LF) such that lower(parse(serialize(m))) == m.
-
-`load_policy` builds no span for a valid text: spans only place problems.
-It lowers the token parser's declarations where the patterns miss, and
-places a model's problems at spans made of the matched offsets, so every
-ParseError and LoweringError is that of `lower(parse_policy(text))`.
+is about, ordered by rule and then by source position.  Only a problem reads
+a span, so `load_policy`, which is `lower(parse_policy(text))`, builds none
+for a valid text.  A duplicated id is reported at each declaration after the
+first; references to it resolve to the first.  `serialize` writes a model
+back in canonical form (sections in table order, two-space indent, LF) such
+that lower(parse(serialize(m))) == m.
 
 An attribute may be declared more than once under the same label; the
 declarations merge (group sets union).  Contradictory `collected` flags mark
@@ -154,7 +152,44 @@ class Declarations(NamedTuple):
 
     name: str
     entries: tuple[tuple, ...]
-    spans: tuple[Span, ...]
+    spans: Sequence[Span]  # a tuple, or a _Spans that stands for one
+
+
+class _Spans(Sequence):
+    """The spans of a text's declarations, made of each one's first and end
+    offsets: to a reader, the tuple of them.  `len` reads the offsets; the
+    first item, slice or iteration builds the tuple, kept in `built`."""
+
+    __slots__ = ("text", "firsts", "ends", "built")
+
+    def __init__(self, text: str, firsts: list[int], ends: list[int]) -> None:
+        self.text, self.firsts, self.ends, self.built = text, firsts, ends, None
+
+    def build(self) -> tuple[Span, ...]:
+        if self.built is None:
+            text, firsts, ends = self.text, self.firsts, self.ends
+            # An offset's line is one more than the line breaks before it, and
+            # its column its distance from the last of them; -1 stands before
+            # line 1.  A declaration ends on its first line plus the line
+            # breaks inside it.
+            breaks = [-1, *map(Match.start, re.finditer("\n", text))]
+            before = [0, *breaks].__getitem__
+            first_lines = list(map(bisect_left, repeat(breaks), firsts))
+            end_lines = list(map(add, first_lines, map(text.count, repeat("\n"), firsts, ends)))
+            self.built = tuple(map(_new, repeat(Span), zip(
+                first_lines, map(sub, firsts, map(before, first_lines)),
+                end_lines, map(sub, ends, map(before, end_lines)))))
+        return self.built
+
+    __len__ = lambda self: len(self.firsts)
+    __getitem__ = lambda self, index: self.build()[index]  # an index or a slice
+    __iter__ = lambda self: iter(self.build())
+    __eq__ = lambda self, other: self.build() == other
+    __hash__ = lambda self: hash(self.build())
+    __add__ = lambda self, other: self.build() + other
+    __radd__ = lambda self, other: other + self.build()
+    __repr__ = lambda self: repr(self.build())
+    __reduce__ = lambda self: (_Spans, (self.text, self.firsts, self.ends))
 
 
 _ID_LINES = f"(?:{IDENTIFIER.pattern}\n)*"  # ids each followed by a line break
@@ -163,23 +198,22 @@ _ID_LINES = f"(?:{IDENTIFIER.pattern}\n)*"  # ids each followed by a line break
 @collector_paused
 def parse_policy(text: str) -> Declarations:
     """Parse policy text into declarations; raises ParseError on bad input."""
-    return _declarations(text, _match_policy(text))
+    decls = _match_policy(text)
+    if decls is None:
+        from .token_parser import parse_tokens  # the error path, imported on a miss
+        return parse_tokens(text)
+    return decls
 
 
 @collector_paused
 def load_policy(text: str) -> PolicyModel:
-    """Parse and lower in one step, as `lower(parse_policy(text))` does."""
-    matched = _match_policy(text)
-    if matched is not None:
-        model, problems = _model(matched[0], matched[1])
-        if not problems and not model.validation_errors:
-            return model
-    return lower(_declarations(text, matched))
+    """Parse and lower in one step: `lower(parse_policy(text))`."""
+    return lower(parse_policy(text))
 
 
-def _match_policy(text: str) -> Optional[tuple[str, list[tuple], list[int], list[int]]]:
-    """The name, the entries and each declaration's start and end offsets, by
-    the declaration patterns; or None where they miss."""
+def _match_policy(text: str) -> Optional[Declarations]:
+    """The declarations of `text` by the declaration patterns, their spans
+    made of the matches' offsets; or None where the patterns miss."""
     if "\f" in text or "\v" in text:  # see _GAP
         return None
     m = _HEAD.match(text)
@@ -212,29 +246,7 @@ def _match_policy(text: str) -> Optional[tuple[str, list[tuple], list[int], list
         pos = m.end()
     if _END.match(text, pos) is None:
         return None
-    return name, entries, firsts, ends
-
-
-def _declarations(text: str, matched: Optional[tuple]) -> Declarations:
-    """The declarations of `text` made of what `_match_policy` matched, or
-    the token parser's where the patterns missed."""
-    if matched is None:
-        from .token_parser import parse_tokens  # the error path, imported on a miss
-        return parse_tokens(text)
-    name, entries, firsts, ends = matched
-    # An offset's line is one more than the line breaks before it, and its
-    # column its distance from the last of them; -1 stands before line 1.  A
-    # declaration ends on its first line plus the line breaks inside it.
-    breaks = [-1, *map(Match.start, re.finditer("\n", text))]
-    before = [0, *breaks].__getitem__
-    first_lines = list(map(bisect_left, repeat(breaks), firsts))
-    end_lines = list(map(add, first_lines, map(text.count, repeat("\n"), firsts, ends)))
-    # `max` keeps the first of equal lines, so a span on one line holds one
-    # int object for both.
-    spans = map(_new, repeat(Span), zip(
-        first_lines, map(sub, firsts, map(before, first_lines)),
-        map(max, first_lines, end_lines), map(sub, ends, map(before, end_lines))))
-    return Declarations(name, tuple(entries), tuple(spans))
+    return Declarations(name, tuple(entries), _Spans(text, firsts, ends))
 
 
 # The declaration patterns spell the lexer's rules one declaration at a time.

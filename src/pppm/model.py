@@ -335,11 +335,11 @@ class RoleClosure(NamedTuple):
     def hops(self, inferior: str) -> tuple[str, ...]:
         """Shortest chain from the role down to `inferior`, ties by id."""
         role, parent = self.role, self.parent
-        chain = [inferior]
-        while chain[-1] != role:
-            chain.append(parent[chain[-1]])
-        chain.reverse()
-        return tuple(chain)
+        path = [inferior]
+        while path[-1] != role:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return tuple(path)
 
 
 def _first_by_id(entities: tuple) -> dict:

@@ -20,7 +20,7 @@ from pppm.conditions import (
     TriBool,
     Var,
 )
-from pppm.dsl import _FIELD_BY_ENTRY, _SECTIONS, AttributeDecl
+from pppm.dsl import _FIELD_BY_ENTRY, _SECTIONS, AttributeDecl, Span
 from pppm.model import Attribute, PolicyModel
 
 
@@ -265,6 +265,16 @@ def loop_model(name: str, decls) -> tuple[PolicyModel, list[tuple[str, int, str]
         attr._replace(derived=True) if attr.id in derived else attr for attr in attributes
     ]
     return PolicyModel(name, **{field: tuple(e) for field, e in entries.items()}), problems
+
+
+def brute_spans(text: str, firsts: list[int], ends: list[int]) -> tuple[Span, ...]:
+    """The Span of each declaration of `text` from its first and end offsets:
+    an offset's line is one more than the line breaks counted before it, and
+    its column its distance from the last of them."""
+    def position(offset: int) -> tuple[int, int]:
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    return tuple(Span(*position(first), *position(end))
+                 for first, end in zip(firsts, ends, strict=True))
 
 
 def make_time(hh: int, mm: int) -> TimeOfDay:

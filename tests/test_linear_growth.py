@@ -105,8 +105,10 @@ def test_loading_a_generated_policy_is_linear(monkeypatch):
 
 # Each stage of the author pass, with its input made of the policy text.  A
 # model stage gets a copy of the lowered model, whose lazy maps are not built.
+# `spans` is the build that `parse_policy` defers to the first read of a span.
 AUTHOR_STAGES = {
     "parse_policy": lambda text: (parse_policy, text),
+    "spans": lambda text: (tuple, parse_policy(text).spans),
     "lower": lambda text: (lower, parse_policy(text)),
     **{fn.__name__: lambda text, fn=fn: (fn, PolicyModel._make(load_policy(text)))
        for fn in (validate, run_lints, emit_graph, emit_tables, serialize)},

@@ -1,9 +1,9 @@
-"""`load_policy` against the path it skips, `lower(parse_policy(text))`.
+"""`load_policy` against `lower(parse_policy(text))`, and without a span.
 
 A text that the declaration patterns read, and whose model has no problem,
-is lowered without building a span; every other text takes the other path.
-So both must give an equal model, or the same exception with the same
-message and diagnostics.  The inputs are the fixtures (also with CRLF line
+is lowered without building a span: its spans are built when one is read.
+Both must give an equal model, or the same exception with the same message
+and diagnostics.  The inputs are the fixtures (also with CRLF line
 ends), the fixture mutants of `test_dsl_patterns.py`, serialized random
 models and texts that fail lowering.
 """
@@ -65,11 +65,11 @@ def test_the_fixtures_load_as_the_slow_path_loads_them(shop_text, baby_text):
 
 
 def test_a_valid_text_builds_no_span(shop_text):
-    # The patch bites: parsing builds spans, and cannot.
+    # The patch bites: reading a span builds the spans, and cannot.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dsl, "Span", _NoSpan)
         with pytest.raises(TypeError):
-            parse_policy(shop_text)
+            parse_policy(shop_text).spans[0]
     assert _spanless(shop_text) == lower(parse_policy(shop_text))
 
 

@@ -32,7 +32,7 @@ def _assert_same(text: str) -> tuple:
     decls = parse_policy(text)
     built = dsl._model(decls.name, decls.entries)
     assert built == loop_model(decls.name, decls.entries), text
-    # `_match_policy` hands over its entries as a list.
+    # A list of declarations builds the same model.
     assert dsl._model(decls.name, list(decls.entries)) == built
     assert repr(built[0]) == repr(loop_model(decls.name, decls.entries)[0])
     return built
