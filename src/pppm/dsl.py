@@ -37,7 +37,8 @@ fields.
 
 `parse_policy` reads a text with one pattern match per header and per
 declaration: the policy header, then each section's header, its declarations
-and its `}`, then the end of the text.  A section's run of declarations
+and its `}`, then the end of the text.  A section's run of declarations is
+read by its pattern's scanner, each match starting where the last ended, and
 becomes entries column by column of their matches' groups.  Of the matches,
 only each declaration's first and end offsets are kept, and the spans are
 made of them when one is first read (`_Spans`).  Each distinct condition text
@@ -229,12 +230,10 @@ def _match_policy(text: str) -> Optional[Declarations]:
         if section is None:
             return None
         pos = m.end()
-        run: list[Match[str]] = []  # the section's declarations, dropped once read
-        match = _declaration(section.shape, section.trailers)
-        while (m := match(text, pos)) is not None:
-            run.append(m)
-            pos = m.end()
+        # The section's declarations, dropped once read: each match starts where the last ended.
+        run = list(iter(_declaration(section.shape, section.trailers)(text, pos).match, None))
         if run:
+            pos = run[-1].end()
             try:
                 entries += _entries(section, run, conditions)
             except ConditionError:
@@ -408,9 +407,8 @@ def _tokens(tokens: tuple[str, ...]) -> str:
 
 
 @cache
-def _declaration(shape: tuple[str, ...],
-                 trailers: tuple[_Trailer, ...]) -> Callable[[str, int], Optional[Match[str]]]:
-    """The match method of the pattern of one declaration of `shape` and
+def _declaration(shape: tuple[str, ...], trailers: tuple[_Trailer, ...]) -> Callable:
+    """The scanner method of the pattern of one declaration of `shape` and
     `trailers`, after the gap before it: group 1 marks where the declaration
     starts, a group follows for each field, and the match ends where the
     declaration does.  Compiled on first use."""
@@ -419,7 +417,7 @@ def _declaration(shape: tuple[str, ...],
         pattern += ("(?: " + _tokens(trailer.lead) + ("(?! :)" if trailer.refusable else "")
                     + (" " + _tokens(trailer.rest) if trailer.rest else "")
                     + (_KINDS["flag"].pattern if trailer.kind == "flag" else "") + ")?")
-    return _compile(pattern).match
+    return _compile(pattern).scanner
 
 
 def _entries(section: _Section, run: list[Match[str]],

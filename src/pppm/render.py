@@ -20,7 +20,7 @@ has as many fields as its header; backslashes are written as they are.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .conditions import (collector_paused, condition_texts, escape_string, escape_strings, tsv,
                          value_type)
@@ -83,12 +83,12 @@ def _cluster(
     return [f"  subgraph cluster_{name} {{", f'    label="{label}";', *body, "  }"]
 
 
-def _conditions_by_task(model: PolicyModel, texts: dict[int, str]) -> dict[str, list[str]]:
-    """Each task's "purpose: condition" texts, sorted; `texts` as `condition_texts`."""
+def _conditions_by_task(model: PolicyModel, texts: dict[int, str]) -> dict[str, str]:
+    """Each task's "purpose: condition" texts, sorted, "; "-joined; `texts` as `condition_texts`."""
     by_task: dict[str, list[str]] = {}
     for c in model.pt_conditions:
         by_task.setdefault(c.task, []).append(f"{c.purpose}: {texts[id(c.condition)]}")
-    return {task: sorted(parts) for task, parts in by_task.items()}
+    return {task: "; ".join(sorted(parts)) for task, parts in by_task.items()}
 
 
 def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> str:
@@ -129,9 +129,11 @@ def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> 
     if "purposes" in layers:
         colors = {p.id: PALETTE[i % len(PALETTE)] for i, p in enumerate(model.purposes)}
         for purpose in purposes:
-            chain = [f'"purpose:{esc[purpose.id]}"', *[f'"task:{esc[t]}"' for t in purpose.tasks]]
-            color = colors[purpose.id]
-            lines += [f'  {src} -> {dst} [color="{color}"];' for src, dst in zip(chain, chain[1:])]
+            src, color = f'"purpose:{esc[purpose.id]}"', colors[purpose.id]
+            for task in purpose.tasks:
+                dst = f'"task:{esc[task]}"'
+                lines.append(f'  {src} -> {dst} [color="{color}"];')
+                src = dst
     if "attributes" in layers:
         pairs = sorted((src, a.product) for a in model.aggregations for src in (a.left, a.right))
         lines += [f'  "attr:{esc[src]}" -> "attr:{esc[dst]}" [style=solid];' for src, dst in pairs]
@@ -143,10 +145,11 @@ def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> 
         conditions = _conditions_by_task(model, texts)
         granularities = model.granularities_by_id
         for task in tasks:
-            parts = conditions.get(task.id, [])
+            label = conditions.get(task.id)
             if task.via is not None:
-                parts = parts + [granularities[task.via].description]
-            label = f', label="{escape_string("; ".join(parts))}"' if parts else ""
+                via = granularities[task.via].description
+                label = via if label is None else f"{label}; {via}"
+            label = "" if label is None else f', label="{escape_string(label)}"'
             lines.append(f'  "task:{esc[task.id]}" -> "attr:{esc[task.reads]}" '
                          f'[style=dashed{label}];')
         lines += [f'  "purpose:{esc[g.purpose]}" -> "group:{esc[g.group]}" '
@@ -163,31 +166,28 @@ def _attribute_cluster(
     """The attributes cluster's body: group anchors for `granted` and one node per
     attribute, its tooltip its groups but the one it is drawn in.  Clustered, each
     attribute is drawn in the sub-cluster of its first group (lexicographic), if any."""
-    by_home: dict[Optional[str], list[Attribute]] = {}
+    nodes: dict[Optional[str], list[str]] = {None: []}  # each block's lines; None's is loose
+    for g in sorted(granted):  # a group's anchor starts its block; unclustered, the loose one
+        home, indent, e = (g, "      ", esc[g]) if clustered else (None, "    ", esc[g])
+        nodes.setdefault(home, []).append(f'{indent}"group:{e}" [shape=plaintext, label="{e}"];')
     for attr in attributes:
-        by_home.setdefault(min(attr.groups) if clustered and attr.groups else None, []).append(attr)
-    # (group, indent, anchored group ids) of each block; group None is the loose one.
-    blocks: list[tuple[Optional[str], str, Sequence[str]]] = []
-    if clustered:
-        blocks += [(g, "      ", (g,) if g in granted else ())
-                   for g in sorted(by_home.keys() - {None} | granted)]
-    blocks.append((None, "    ", () if clustered else sorted(granted)))
+        groups, home, tooltip = attr.groups, None, ""
+        if clustered and len(groups) == 1:
+            (home,) = groups
+        elif groups:  # sorted once: clustered, the first is the home and the rest the tooltip
+            groups = sorted(groups)
+            home = groups.pop(0) if clustered else None
+            tooltip = f', tooltip="{", ".join([esc[g] for g in groups])}"'
+        indent, e = "    " if home is None else "      ", esc[attr.id]
+        line = f'{indent}"attr:{e}" [shape=ellipse, label="{e}"{tooltip}];'
+        nodes.setdefault(home, []).append(line)
     lines = []
-    for home, indent, anchors in blocks:
-        body = [f'{indent}"group:{esc[g]}" [shape=plaintext, label="{esc[g]}"];' for g in anchors]
-        for attr in by_home.get(home, ()):
-            groups = sorted(attr.groups - {home})
-            tooltip = f', tooltip="{", ".join([esc[g] for g in groups])}"' if groups else ""
-            body.append(f'{indent}"attr:{esc[attr.id]}" [shape=ellipse, label="{esc[attr.id]}"'
-                        f'{tooltip}];')
-        if home is None:
-            lines += body
-        else:
-            # A Python identifier is also a DOT identifier; any other name is quoted.
-            name = f"cluster_group_{esc[home]}"
-            name = name if name.isidentifier() else f'"{name}"'
-            lines += [f"    subgraph {name} {{", f'      label="{esc[home]}";', *body, "    }"]
-    return lines
+    for home in sorted(nodes.keys() - {None}):
+        # A Python identifier is also a DOT identifier; any other name is quoted.
+        name = f"cluster_group_{esc[home]}"
+        name = name if name.isidentifier() else f'"{name}"'
+        lines += [f"    subgraph {name} {{", f'      label="{esc[home]}";', *nodes[home], "    }"]
+    return lines + nodes[None]
 
 
 def _collected_text(attr: Attribute) -> str:
@@ -221,7 +221,7 @@ def emit_tables(model: PolicyModel) -> str:
         ("role-purpose grants", ("role", "purpose", "condition"),
          [(g.role, g.purpose, texts.get(id(g.condition), "")) for g in model.rp_grants]),
         ("task bindings", ("task", "attribute", "condition", "granularity"),
-         [(t.id, t.reads, "; ".join(conditions.get(t.id, ())),
+         [(t.id, t.reads, conditions.get(t.id, ""),
            "" if t.via is None else granularities[t.via].description) for t in model.tasks]),
     )
     return "\n".join(f"== {title} ==\n" + tsv([header, *rows]) for title, header, rows in blocks)

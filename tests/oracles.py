@@ -9,8 +9,8 @@ is meaningful.
 from __future__ import annotations
 
 from itertools import groupby
-from operator import itemgetter
-from typing import Optional
+from operator import attrgetter, itemgetter
+from typing import Optional, Sequence
 
 from pppm.conditions import (
     ConditionExpr,
@@ -19,9 +19,13 @@ from pppm.conditions import (
     TimeOfDay,
     TriBool,
     Var,
+    condition_texts,
+    escape_string,
+    escape_strings,
 )
 from pppm.dsl import _FIELD_BY_ENTRY, _SECTIONS, AttributeDecl, Span
-from pppm.model import Attribute, PolicyModel
+from pppm.model import Attribute, PolicyModel, require_valid
+from pppm.render import PALETTE, RenderOptions, _cluster, _selected_layers
 
 
 def brute_inferiors(model: PolicyModel, role_id: str) -> set[str]:
@@ -265,6 +269,106 @@ def loop_model(name: str, decls) -> tuple[PolicyModel, list[tuple[str, int, str]
         attr._replace(derived=True) if attr.id in derived else attr for attr in attributes
     ]
     return PolicyModel(name, **{field: tuple(e) for field, e in entries.items()}), problems
+
+
+def loop_emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> str:
+    """`render.emit_graph` as it was before it built the attribute nodes in one
+    walk: a set and a sort per attribute, and a node list per purpose's chain."""
+    by_id = attrgetter("id")
+    require_valid(model, "rendering")
+    layers = _selected_layers(options)
+    legend = options.show_legend
+    purposes = sorted(model.purposes, key=by_id)
+    tasks = sorted(model.tasks, key=by_id)
+    ids = [e.id for kind in (model.roles, model.purposes, model.tasks, model.attributes,
+                             model.groups) for e in kind]
+    esc = dict(zip(ids, escape_strings(ids)))
+    texts = condition_texts(model.rp_grants, model.pt_conditions, model.pg_grants)
+    labels = {key: f', label="{escape_string(text)}"' for key, text in texts.items()}
+    lines = [f'digraph "{escape_string(model.name)}" {{']
+
+    if "roles" in layers:
+        roles = sorted(model.roles, key=by_id)
+        body = [f'    "role:{e}" [shape=ellipse, label="{e}"];' for e in [esc[r.id] for r in roles]]
+        lines += _cluster("roles", "Roles", roles, legend, body)
+    if "purposes" in layers:
+        body = [f'    "purpose:{e}" [shape=ellipse, label="{e}"];'
+                for e in [esc[p.id] for p in purposes]]
+        body += [f'    "task:{e}" [shape=point, xlabel="{e}"];' for e in [esc[t.id] for t in tasks]]
+        lines += _cluster("purposes", "Purposes", purposes + tasks, legend, body)
+    if "attributes" in layers:
+        attributes = sorted(model.attributes, key=by_id)
+        granted = {g.group for g in model.pg_grants} if "purpose-attribute" in layers else set()
+        body = _loop_attribute_cluster(attributes, granted, options.cluster_groups, esc)
+        entities = attributes + sorted(model.groups, key=by_id)
+        lines += _cluster("attributes", "Attributes", entities, legend, body)
+
+    if "roles" in layers:
+        lines += [f'  "role:{esc[e.superior]}" -> "role:{esc[e.inferior]}";'
+                  for e in sorted(model.role_edges, key=attrgetter("superior", "inferior"))]
+    if "purposes" in layers:
+        colors = {p.id: PALETTE[i % len(PALETTE)] for i, p in enumerate(model.purposes)}
+        for purpose in purposes:
+            chain = [f'"purpose:{esc[purpose.id]}"', *[f'"task:{esc[t]}"' for t in purpose.tasks]]
+            color = colors[purpose.id]
+            lines += [f'  {src} -> {dst} [color="{color}"];' for src, dst in zip(chain, chain[1:])]
+    if "attributes" in layers:
+        pairs = sorted((src, a.product) for a in model.aggregations for src in (a.left, a.right))
+        lines += [f'  "attr:{esc[src]}" -> "attr:{esc[dst]}" [style=solid];' for src, dst in pairs]
+    if "role-purpose" in layers:
+        lines += [f'  "role:{esc[g.role]}" -> "purpose:{esc[g.purpose]}" '
+                  f'[style=dashed{labels.get(id(g.condition), "")}];'
+                  for g in sorted(model.rp_grants, key=attrgetter("role", "purpose"))]
+    if "purpose-attribute" in layers:
+        conditions: dict[str, list[str]] = {}
+        for c in model.pt_conditions:
+            conditions.setdefault(c.task, []).append(f"{c.purpose}: {texts[id(c.condition)]}")
+        conditions = {task: sorted(parts) for task, parts in conditions.items()}
+        granularities = model.granularities_by_id
+        for task in tasks:
+            parts = conditions.get(task.id, [])
+            if task.via is not None:
+                parts = parts + [granularities[task.via].description]
+            label = f', label="{escape_string("; ".join(parts))}"' if parts else ""
+            lines.append(f'  "task:{esc[task.id]}" -> "attr:{esc[task.reads]}" '
+                         f'[style=dashed{label}];')
+        lines += [f'  "purpose:{esc[g.purpose]}" -> "group:{esc[g.group]}" '
+                  f'[style=dashed{labels.get(id(g.condition), "")}];'
+                  for g in sorted(model.pg_grants, key=attrgetter("purpose", "group"))]
+
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _loop_attribute_cluster(
+    attributes: list[Attribute], granted: set[str], clustered: bool, esc: dict[str, str]
+) -> list[str]:
+    """The attributes cluster's body, as `render._attribute_cluster` built it:
+    attributes grouped by home, then per attribute its groups but the home, sorted."""
+    by_home: dict[Optional[str], list[Attribute]] = {}
+    for attr in attributes:
+        by_home.setdefault(min(attr.groups) if clustered and attr.groups else None, []).append(attr)
+    # (group, indent, anchored group ids) of each block; group None is the loose one.
+    blocks: list[tuple[Optional[str], str, Sequence[str]]] = []
+    if clustered:
+        blocks += [(g, "      ", (g,) if g in granted else ())
+                   for g in sorted(by_home.keys() - {None} | granted)]
+    blocks.append((None, "    ", () if clustered else sorted(granted)))
+    lines = []
+    for home, indent, anchors in blocks:
+        body = [f'{indent}"group:{esc[g]}" [shape=plaintext, label="{esc[g]}"];' for g in anchors]
+        for attr in by_home.get(home, ()):
+            groups = sorted(attr.groups - {home})
+            tooltip = f', tooltip="{", ".join([esc[g] for g in groups])}"' if groups else ""
+            body.append(f'{indent}"attr:{esc[attr.id]}" [shape=ellipse, label="{esc[attr.id]}"'
+                        f'{tooltip}];')
+        if home is None:
+            lines += body
+        else:
+            name = f"cluster_group_{esc[home]}"
+            name = name if name.isidentifier() else f'"{name}"'
+            lines += [f"    subgraph {name} {{", f'      label="{esc[home]}";', *body, "    }"]
+    return lines
 
 
 def brute_spans(text: str, firsts: list[int], ends: list[int]) -> tuple[Span, ...]:
