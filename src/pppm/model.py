@@ -11,8 +11,10 @@ aggregations (role closures, `aggregation_sources`, lint L2, each cycle that
 Models are immutable after construction and safe to share across threads.
 Lookup caches and the per-role and per-attribute memos of the access index
 are filled lazily on first use; sharing them stays safe because every fill
-is idempotent, so threads that race store equal values.  The six `*_by_id` maps
-resolve a duplicated id to its first declaration.
+is idempotent, so threads that race store equal values.  No per-purpose
+view is kept: `query.accessible_attributes` builds one purpose's sources on
+each call.  The six `*_by_id` maps resolve a duplicated id to its first
+declaration.
 
 `validate` checks every structural invariant and returns a report instead of
 raising, so callers can show all problems at once.  Each reference rule is a
@@ -200,26 +202,12 @@ class PolicyModel(_PolicyModelFields):
         return {role: tuple(g) for role, g in grants.items()}
 
     @cached_property
-    def sources_by_purpose(self) -> dict[str, tuple[SourceEntry, ...]]:
-        """What each purpose reaches: its tasks in task-list order, each with its
-        first condition, then the members of its granted groups in grant order."""
-        sources: dict[str, list[SourceEntry]] = {p: [] for p in self.purposes_by_id}
-        for entry in self._source_maps[0]:
-            sources[entry[1]].append(entry)
-        for grant in self.pg_grants:
-            for attribute_id in self.group_members(grant.group):
-                sources.setdefault(grant.purpose, []).append(
-                    (attribute_id, grant.purpose, grant.group, "group", None, grant.condition)
-                )
-        return {p: tuple(entries) for p, entries in sources.items()}
-
-    @cached_property
-    def _source_maps(self) -> tuple[list, dict, dict, dict]:
+    def _source_maps(self) -> tuple[dict, dict, dict]:
         """The access index's parts, each linear in the model and built in this
         order, so a purpose's unknown task raises before a grant's unknown group:
-        the task entries of each purpose in turn, each with its first condition;
-        those entries by attribute; each group's grants; and each attribute's
-        groups, a group once per time it lists the attribute."""
+        each attribute's task entries, purpose by purpose, each with its first
+        condition; each group's grants; and each attribute's groups, a group
+        once per time it lists the attribute."""
         conditions = {(c.purpose, c.task): c.condition for c in reversed(self.pt_conditions)}
         tasks_by_id = self.tasks_by_id  # `task` only for an unknown id, which raises
         listings = [(task.reads, purpose.id, task.id, "task", task.via,
@@ -237,7 +225,7 @@ class PolicyModel(_PolicyModelFields):
         for group_id, members in self.members_by_group.items():
             for attribute_id in members:
                 groups.setdefault(attribute_id, []).append(group_id)
-        return listings, tasks, grants, groups
+        return tasks, grants, groups
 
     @cached_property
     def _sources_by_attribute(self) -> dict[str, tuple[tuple[SourceEntry, ...], ...]]:
@@ -250,7 +238,7 @@ class PolicyModel(_PolicyModelFields):
         entries and its groups' grants, grouped by (purpose, source id) in order;
         a group keeps source order, a task before a group."""
         self.attribute(attribute_id)
-        _, tasks, grants, groups = self._source_maps
+        tasks, grants, groups = self._source_maps
         entries = list(tasks.get(attribute_id, ()))
         for group_id, count in Counter(groups.get(attribute_id, ())).items():
             for grant in grants.get(group_id, ()):

@@ -118,15 +118,21 @@ def effective_purposes(model: PolicyModel, role_id: str) -> list[EffectiveGrant]
 def accessible_attributes(model: PolicyModel, purpose_id: str) -> list[AttributeSource]:
     """Attributes reachable from a purpose, with their sources.
 
-    Task entries come first in task-list order, then group-grant members in
-    grant order; the same attribute may appear once per distinct source.
+    Task entries come first in task-list order, each with its first
+    condition, then group-grant members in grant order; the same attribute
+    may appear once per distinct source.  Built on each call, in time linear
+    in the model plus the output.  Unknown ids raise UnknownEntityError: the
+    purpose first, then its tasks, then its granted groups.
     """
-    model.purpose(purpose_id)
-    return [
-        AttributeSource(attribute, source, kind, granularity, condition)
-        for attribute, _, source, kind, granularity, condition
-        in model.sources_by_purpose[purpose_id]
-    ]
+    purpose = model.purpose(purpose_id)
+    conditions = {c.task: c.condition for c in reversed(model.pt_conditions) if c.purpose == purpose_id}
+    sources = [AttributeSource(task.reads, task.id, "task", task.via, conditions.get(task.id))
+               for task in map(model.task, purpose.tasks)]
+    for grant in model.pg_grants:
+        if grant.purpose == purpose_id:
+            sources += [AttributeSource(attribute, grant.group, "group", None, grant.condition)
+                        for attribute in model.group_members(grant.group)]
+    return sources
 
 
 def can_access(

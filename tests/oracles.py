@@ -208,17 +208,9 @@ def whole_access_index(model: PolicyModel) -> dict[str, tuple[tuple[tuple, ...],
     order) inverted by attribute, grouped by (purpose, source id) in order.
     Raises as that build did: for a purpose's unknown task, then for a
     grant's unknown group."""
-    conditions = {(c.purpose, c.task): c.condition for c in reversed(model.pt_conditions)}
-    sources: dict[str, list[tuple]] = {p: [] for p in model.purposes_by_id}
-    for purpose in model.purposes_by_id.values():
-        for task_id in purpose.tasks:
-            task = model.task(task_id)
-            condition = conditions.get((purpose.id, task_id))
-            sources[purpose.id].append((task.reads, purpose.id, task_id, "task", task.via, condition))
+    sources = {p.id: _task_sources(model, p) for p in model.purposes_by_id.values()}
     for grant in model.pg_grants:
-        for attribute_id in model.group_members(grant.group):
-            sources.setdefault(grant.purpose, []).append(
-                (attribute_id, grant.purpose, grant.group, "group", None, grant.condition))
+        sources.setdefault(grant.purpose, []).extend(_group_sources(model, grant))
     index: dict[str, list[tuple]] = {}
     for entries in sources.values():
         for entry in entries:
@@ -226,6 +218,25 @@ def whole_access_index(model: PolicyModel) -> dict[str, tuple[tuple[tuple, ...],
     tie = itemgetter(1, 2)
     return {a: tuple(tuple(group) for _, group in groupby(sorted(entries, key=tie), tie))
             for a, entries in index.items()}
+
+
+def purpose_sources(model: PolicyModel, purpose_id: str) -> list[tuple]:
+    """One purpose's sources by that formula; raises for it, then its task, then its group."""
+    purpose = model.purpose(purpose_id)
+    grants = [grant for grant in model.pg_grants if grant.purpose == purpose_id]
+    return _task_sources(model, purpose) + [e for g in grants for e in _group_sources(model, g)]
+
+
+def _task_sources(model: PolicyModel, purpose) -> list[tuple]:
+    conditions = [(c.task, c.condition) for c in model.pt_conditions if c.purpose == purpose.id]
+    return [(task.reads, purpose.id, task.id, "task", task.via,
+             next((cond for t, cond in conditions if t == task.id), None))
+            for task in map(model.task, purpose.tasks)]
+
+
+def _group_sources(model: PolicyModel, grant) -> list[tuple]:
+    return [(attribute, grant.purpose, grant.group, "group", None, grant.condition)
+            for attribute in model.group_members(grant.group)]
 
 
 def loop_model(name: str, decls) -> tuple[PolicyModel, list[tuple[str, int, str]]]:

@@ -27,7 +27,7 @@ import pppm
 from pppm.dsl import load_policy, lower, parse_policy, serialize
 from pppm.lints import run_lints
 from pppm.model import PolicyModel, validate
-from pppm.query import can_access
+from pppm.query import accessible_attributes, can_access
 from pppm.render import emit_graph, emit_tables
 
 import gen
@@ -88,6 +88,24 @@ def test_the_first_query_on_star_is_linear():
     # group: building every attribute's sources is n**2, and the first query
     # builds those of one attribute.
     counts = [line_events(can_access, gen.shape_model("star", n), "top", "d0") for n in (50, 200)]
+    assert counts[1] / counts[0] <= GROWTH, counts
+
+
+@pytest.mark.parametrize("shape", ["star", "star+1", "wide"])
+def test_a_purposes_accessible_attributes_are_linear(shape):
+    counts = [line_events(accessible_attributes, gen.shape_model(shape, n), "p0") for n in (50, 200)]
+    assert counts[1] / counts[0] <= GROWTH, counts
+
+
+def _ask_every_attribute(model: PolicyModel) -> None:
+    for attribute in model.attributes_by_id:
+        can_access(model, "top", attribute)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: on star each attribute's memo entry "
+                                       "copies every grant of its group, n**2 in all")
+def test_every_attribute_on_star_asked_once_is_linear():
+    counts = [line_events(_ask_every_attribute, gen.shape_model("star", n)) for n in (50, 200)]
     assert counts[1] / counts[0] <= GROWTH, counts
 
 

@@ -30,7 +30,7 @@ from pppm.model import (
     inferiors,
     validate,
 )
-from pppm.query import can_access
+from pppm.query import accessible_attributes, can_access
 from pppm.render import emit_graph, emit_tables
 
 import gen
@@ -118,17 +118,22 @@ def test_the_access_index_is_built_lazily(shop_text):
     model = pppm.dsl.load_policy(shop_text)
     index = {"children_by_role", "grants_by_role", "_role_closures",
              "_source_maps", "_sources_by_attribute"}
-    assert not (index | {"sources_by_purpose"}) & set(vars(model))
+    assert not index & set(vars(model))
+    # `accessible_attributes` builds no part of the access index.
+    accessible_attributes(model, "p1")
+    assert not {"_source_maps", "_sources_by_attribute"} & set(vars(model))
     inferiors(model, "r3")
     assert set(model._role_closures) == {"r3"}
     assert "_source_maps" not in vars(model)
     can_access(model, "r1", "d1")
     assert set(model._role_closures) == {"r3", "r1"}
     assert index <= set(vars(model))
-    # The first query fills the queried attribute's sources alone, and a
-    # purpose's sources are left to `accessible_attributes`.
+    # The first query fills the queried attribute's sources alone, and
+    # `accessible_attributes` adds nothing to the model.
     assert set(model._sources_by_attribute) == {"d1"}
-    assert "sources_by_purpose" not in vars(model)
+    built = set(vars(model))
+    accessible_attributes(model, "p2")
+    assert set(vars(model)) == built and set(model._sources_by_attribute) == {"d1"}
     can_access(model, "r2", "d1", "p1")
     can_access(model, "r1", "d2")
     assert set(model._sources_by_attribute) == {"d1", "d2"}

@@ -19,10 +19,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(workload: str, seconds: str) -> dict:
+def _run(workload: str, seconds: str, trace: str = "0") -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
-         "--seconds", seconds, "--trace", "0"],
+         "--seconds", seconds, "--trace", trace],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -43,6 +43,14 @@ def test_serve_workload_checks_its_decisions_against_the_oracle():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_traced_serve_workload_runs_every_query_probe():
+    # Only a traced run calls the per-layer probes, `accessible_attributes`
+    # among them.
+    result = _run("serve", "1", trace="1")
+    assert result["correct"] is True
+    assert result["failed"] == 0
 
 
 def test_cli_workload_checks_every_command_against_its_digest():

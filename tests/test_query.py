@@ -35,7 +35,8 @@ from pppm.query import (
 )
 
 import gen
-from oracles import brute_can_access, brute_effective_purposes, brute_hops, make_time
+from oracles import brute_can_access, brute_effective_purposes, brute_hops, make_time, purpose_sources
+from test_fuzz_validate import SEED, corrupted_models
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -364,7 +365,7 @@ def _assert_access_index_order(model):
         for grants in model.role_closure(role.id).grants.values():
             vias = [grant.role for grant in grants]
             assert vias == sorted(set(vias))
-    entries = [entry for per_purpose in model.sources_by_purpose.values() for entry in per_purpose]
+    entries = [entry for purpose in model.purposes_by_id for entry in purpose_sources(model, purpose)]
     for attribute in model.attributes_by_id:
         groups = model.attribute_sources(attribute)
         assert model._sources_by_attribute[attribute] is groups
@@ -389,6 +390,69 @@ def test_the_access_index_keeps_the_walk_order(shop_model, baby_model, seed):
     _assert_access_index_order(shop_model)
     _assert_access_index_order(baby_model)
     _assert_access_index_order(gen.random_model(random.Random(seed)))
+
+
+def _assert_sources_are_the_references(model) -> list[str]:
+    """Each purpose's `accessible_attributes` equals its `purpose_sources`, or
+    both raise the same UnknownEntityError; returns the messages raised."""
+    raised = []
+    for purpose in model.purposes_by_id:
+        try:
+            expected = [entry[:1] + entry[2:] for entry in purpose_sources(model, purpose)]
+        except UnknownEntityError as exc:
+            with pytest.raises(UnknownEntityError) as info:
+                accessible_attributes(model, purpose)
+            assert str(info.value) == str(exc)
+            raised.append(str(exc))
+        else:
+            assert [tuple(s) for s in accessible_attributes(model, purpose)] == expected
+    return raised
+
+
+@given(seeds)
+@settings(max_examples=200)
+def test_accessible_attributes_are_the_purpose_references(shop_model, baby_model, seed):
+    rng = random.Random(seed)
+    for model in (shop_model, baby_model, gen.random_model(rng), gen.hierarchy_model(rng)):
+        assert _assert_sources_are_the_references(model) == []
+
+
+def test_the_shapes_accessible_attributes_are_the_purpose_references():
+    for kind in gen.SHAPES:
+        for n in (1, 7, 30):
+            assert _assert_sources_are_the_references(gen.shape_model(kind, n)) == []
+
+
+def test_an_invalid_models_accessible_attributes_are_the_purpose_references():
+    raised = Counter()
+    for model in corrupted_models(SEED, 1500):
+        raised.update(message.split(" ")[1] for message in _assert_sources_are_the_references(model))
+    assert raised["task"] and raised["group"], raised
+
+
+def test_accessible_attributes_check_the_asked_purposes_references_alone():
+    # p2 lists the unknown task tx; p3 also lists tx and is granted the
+    # unknown group gx; p4 is granted gx alone.
+    model = PolicyModel(
+        "x",
+        roles=(Role("r1", "R"),),
+        attributes=(Attribute("d1", "A"),),
+        tasks=(Task("t1", "T", "d1"),),
+        purposes=(Purpose("p1", "P", ("t1",)), Purpose("p2", "Q", ("tx",)),
+                  Purpose("p3", "S", ("t1", "tx")), Purpose("p4", "U", ("t1",))),
+        rp_grants=(RolePurposeGrant("r1", "p1"),),
+        pg_grants=(PurposeGroupGrant("p3", "gx"), PurposeGroupGrant("p4", "gx")),
+    )
+    for purpose, message in (("p9", "unknown purpose 'p9'"), ("p3", "unknown task 'tx'"),
+                             ("p4", "unknown group 'gx'")):
+        with pytest.raises(UnknownEntityError) as info:
+            accessible_attributes(model, purpose)
+        assert str(info.value) == message
+    assert [s.attribute for s in accessible_attributes(model, "p1")] == ["d1"]
+    # `can_access` still builds the whole index, so any purpose's dangling
+    # task raises first.
+    with pytest.raises(UnknownEntityError, match="unknown task 'tx'"):
+        can_access(model, "r1", "d1")
 
 
 def test_a_duplicated_id_resolves_to_its_first_declaration():
