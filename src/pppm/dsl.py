@@ -40,9 +40,9 @@ declaration: the policy header, then each section's header, its declarations
 and its `}`, then the end of the text.  A section's run of declarations is
 read by its pattern's scanner, each match starting where the last ended, and
 becomes entries column by column of their matches' groups.  Of the matches,
-only each declaration's first and end offsets are kept, and the spans are
-made of them when one is first read (`_Spans`).  Each distinct condition text
-is parsed once per call.
+only where each run starts is kept; the runs are scanned again for the spans
+when one is first read (`_Spans`).  Each distinct condition text or id list
+is converted once per call, and equal captures share the value.
 
 Where the patterns miss (no match where one is due, text left over, or a
 condition that does not parse), the token parser (`token_parser`, imported
@@ -54,8 +54,8 @@ parser reads such a text to the same declarations.
 A declaration is built once, as the model entry it declares (a Role, a Task,
 ...), but for an attribute: declarations of one attribute merge in `lower`,
 so each is an AttributeDecl, whose groups stay a tuple as written (a
-frozenset would make a Declarations' repr vary with string hashing).  Span
-and LowerDiagnostic are NamedTuples.
+frozenset would make a Declarations' repr vary with string hashing; `lower`
+makes one per distinct tuple).  Span and LowerDiagnostic are NamedTuples.
 
 Parsing produces Declarations: the entries in source order and their spans.
 `lower` builds a PolicyModel of them, validates it once with `model.validate`,
@@ -83,7 +83,7 @@ from operator import add, attrgetter, is_, is_not, itemgetter, ne, sub
 from re import Match
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .conditions import (IDENTIFIER, ConditionError, ConditionExpr, collector_paused,
+from .conditions import (IDENTIFIER, ConditionError, collector_paused,
                          condition_texts, escape_string, escape_strings, parse_condition,
                          unescape_string, value_type)
 from .model import (
@@ -157,18 +157,24 @@ class Declarations(NamedTuple):
 
 
 class _Spans(Sequence):
-    """The spans of a text's declarations, made of each one's first and end
-    offsets: to a reader, the tuple of them.  `len` reads the offsets; the
-    first item, slice or iteration builds the tuple, kept in `built`."""
+    """The spans of a text's declarations: to a reader, the tuple of them.  It
+    keeps each run's (keyword, offset) start and the number of declarations,
+    which `len` reads; the first item, slice or iteration builds the tuple of
+    the `offsets` of a new scan of the runs, kept in `built`."""
 
-    __slots__ = ("text", "firsts", "ends", "built")
+    __slots__ = ("text", "runs", "size", "built")
 
-    def __init__(self, text: str, firsts: list[int], ends: list[int]) -> None:
-        self.text, self.firsts, self.ends, self.built = text, firsts, ends, None
+    def __init__(self, text: str, runs: list[tuple[str, int]], size: int) -> None:
+        self.text, self.runs, self.size, self.built = text, runs, size, None
+
+    def offsets(self) -> tuple[list[int], list[int]]:
+        """Each declaration's first and end offsets, from its run's scan."""
+        matches = [m for k, at in self.runs for m in _run(_SECTION_BY_KEYWORD[k], self.text, at)]
+        return list(map(Match.start, matches, repeat(1))), list(map(Match.end, matches))
 
     def build(self) -> tuple[Span, ...]:
         if self.built is None:
-            text, firsts, ends = self.text, self.firsts, self.ends
+            text, (firsts, ends) = self.text, self.offsets()
             # An offset's line is one more than the line breaks before it, and
             # its column its distance from the last of them; -1 stands before
             # line 1.  A declaration ends on its first line plus the line
@@ -182,7 +188,7 @@ class _Spans(Sequence):
                 end_lines, map(sub, ends, map(before, end_lines)))))
         return self.built
 
-    __len__ = lambda self: len(self.firsts)
+    __len__ = lambda self: self.size
     __getitem__ = lambda self, index: self.build()[index]  # an index or a slice
     __iter__ = lambda self: iter(self.build())
     __eq__ = lambda self, other: self.build() == other
@@ -190,7 +196,7 @@ class _Spans(Sequence):
     __add__ = lambda self, other: self.build() + other
     __radd__ = lambda self, other: other + self.build()
     __repr__ = lambda self: repr(self.build())
-    __reduce__ = lambda self: (_Spans, (self.text, self.firsts, self.ends))
+    __reduce__ = lambda self: (_Spans, (self.text, self.runs, self.size))
 
 
 _ID_LINES = f"(?:{IDENTIFIER.pattern}\n)*"  # ids each followed by a line break
@@ -214,38 +220,35 @@ def load_policy(text: str) -> PolicyModel:
 
 def _match_policy(text: str) -> Optional[Declarations]:
     """The declarations of `text` by the declaration patterns, their spans
-    made of the matches' offsets; or None where the patterns miss."""
+    kept as where each run starts; or None where the patterns miss."""
     if "\f" in text or "\v" in text:  # see _GAP
         return None
     m = _HEAD.match(text)
     if m is None:
         return None
     name, pos = _text(m[1]), m.end()
-    conditions: dict[str, ConditionExpr] = {}
+    memos: dict[str, dict] = {kind: {} for kind in _KINDS}
     entries: list[tuple] = []
-    firsts: list[int] = []
-    ends: list[int] = []
+    runs: list[tuple[str, int]] = []
     while (m := _SECTION_HEAD.match(text, pos)) is not None:
         section = _SECTION_BY_KEYWORD.get(m[1])
         if section is None:
             return None
         pos = m.end()
-        # The section's declarations, dropped once read: each match starts where the last ended.
-        run = list(iter(_declaration(section.shape, section.trailers)(text, pos).match, None))
+        run = _run(section, text, pos)  # dropped once read
         if run:
+            runs.append((section.keyword, pos))
             pos = run[-1].end()
             try:
-                entries += _entries(section, run, conditions)
+                entries += _entries(section, run, memos)
             except ConditionError:
                 return None
-            firsts += map(Match.start, run, repeat(1))
-            ends += map(Match.end, run)
         if (m := _CLOSE.match(text, pos)) is None:
             return None
         pos = m.end()
     if _END.match(text, pos) is None:
         return None
-    return Declarations(name, tuple(entries), _Spans(text, firsts, ends))
+    return Declarations(name, tuple(entries), _Spans(text, runs, len(entries)))
 
 
 # The declaration patterns spell the lexer's rules one declaration at a time.
@@ -277,13 +280,14 @@ def _texts(bodies: tuple[str, ...]) -> Sequence[str]:
     return unescape_string(joined).split("\n") if "\\" in joined else bodies
 
 
-def _conditions(conditions: dict[str, ConditionExpr],
-                bodies: tuple[Optional[str], ...]) -> Iterable:
-    """The condition of each string body, or None for none; each distinct body
-    is parsed once per `parse_policy` call."""
-    for body in set(bodies).difference(conditions, (None,)):
-        conditions[body] = parse_condition(_text(body))
-    return map(conditions.get, bodies)
+def _shared(convert: Callable[[Optional[str]], object]) -> Callable:
+    """The column converter that converts each distinct capture once per
+    `parse_policy` call, kept in the call's `memo`: equal captures share it."""
+    def column(memo: dict, captures: Sequence[Optional[str]]) -> Iterable:
+        for capture in set(captures).difference(memo):
+            memo[capture] = convert(capture)
+        return map(memo.__getitem__, captures)
+    return column
 
 
 def _quote(text: str) -> str:
@@ -304,8 +308,8 @@ class _Kind(NamedTuple):
     field of a trailer left out, as a capture and as a written text."""
 
     pattern: str  # the declaration pattern's text for it, one group
-    # A column of its values, of a column of captures and the call's condition cache.
-    column: Callable[[dict[str, ConditionExpr], Sequence[Optional[str]]], Iterable]
+    # A column of its values, of a column of captures and the call's cache for the kind.
+    column: Callable[[dict, Sequence[Optional[str]]], Iterable]
     # The texts of a column of its values, given each condition's quoted text by `id`.
     write: Callable[[dict[int, str], Iterable], Iterable[Optional[str]]]
     # For the token parser: the lexer's kind of its (first) token, and what an
@@ -315,27 +319,27 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "ident": _Kind(f"({_ID})", lambda conditions, column: column,
+    "ident": _Kind(f"({_ID})", lambda memo, column: column,
                    lambda quoted, values: values, "ident", "an identifier"),
     # A string is written escaped, between the quotes of its row's template.
-    "string": _Kind(_STRING, lambda conditions, column: _texts(column),
+    "string": _Kind(_STRING, lambda memo, column: _texts(column),
                     lambda quoted, values: _escaped(list(values)), "string", "a string"),
     # An id list is written as it is, but a set (an attribute's groups) sorted.
-    "ids": _Kind(rf"({_ID}(?: , {_ID})*)",
-                 lambda conditions, column: [() if ids is None else tuple(
-                     map(str.strip, ids.split(","))) for ids in column],
+    "ids": _Kind(rf"({_ID}(?: , {_ID})*)", _shared(lambda ids: () if ids is None else tuple(
+                     map(str.strip, ids.split(",")))),
                  lambda quoted, values: [(", ".join(ids if type(ids) is tuple else sorted(ids))
                                           if ids else None) for ids in values],
                  "ident", "an identifier"),
     "yes_no": _Kind(r"(yes|no)\b",
-                    lambda conditions, column: map({"yes": True, "no": False}.get, column),
+                    lambda memo, column: map({"yes": True, "no": False}.get, column),
                     lambda quoted, values: map({True: "yes", False: "no"}.get, values),
                     "ident", "'yes' or 'no'"),
-    "condition": _Kind(_STRING, _conditions,
+    "condition": _Kind(_STRING, _shared(lambda body: None if body is None
+                                        else parse_condition(_text(body))),
                        lambda quoted, values: map(quoted.get, map(id, values)),
                        "string", "a string"),
     # The field of a trailer that holds no other: whether it is there.
-    "flag": _Kind("()", lambda conditions, column: map(is_not, repeat(None), column),
+    "flag": _Kind("()", lambda memo, column: map(is_not, repeat(None), column),
                   lambda quoted, values: map({True: ""}.get, values)),
 }
 
@@ -420,12 +424,16 @@ def _declaration(shape: tuple[str, ...], trailers: tuple[_Trailer, ...]) -> Call
     return _compile(pattern).scanner
 
 
-def _entries(section: _Section, run: list[Match[str]],
-             conditions: dict[str, ConditionExpr]) -> Iterable:
+def _run(section: _Section, text: str, pos: int) -> list[Match[str]]:
+    """The matches of `section`'s run of declarations at `pos`, each where the last ends."""
+    return list(iter(_declaration(section.shape, section.trailers)(text, pos).match, None))
+
+
+def _entries(section: _Section, run: list[Match[str]], memos: dict[str, dict]) -> Iterable:
     """The entries of a run of declarations of `section`, built column by
-    column of their matches' groups, each field by its kind."""
+    column of their matches' groups, each field by its kind (and its memo)."""
     columns = list(zip(*map(Match.groups, run)))[1:]
-    fields = [_KINDS[kind].column(conditions, column)
+    fields = [_KINDS[kind].column(memos[kind], column)
               for kind, column in zip(section.kinds, columns)]
     return map(_new, repeat(section.entry), zip(*fields))
 
@@ -471,17 +479,20 @@ def lower(decls: Declarations) -> PolicyModel:
 def _model(name: str, decls: Sequence[tuple]) -> tuple[PolicyModel, list[tuple[str, int, str]]]:
     """The model of declarations `decls`, not yet validated, and each attribute
     redeclared with a different label as (rule, declaration index, message).
-    Attributes are built column by column; then only a repeated id's later
-    declarations are folded into its first, in order, merging group sets and
-    collection votes so a policy's own contradictions stay representable."""
+    Attributes are built column by column (one set per written group list);
+    then only a repeated id's later declarations are folded into its first,
+    in order, merging group sets and collection votes so a policy's own
+    contradictions stay representable."""
     entries: dict[str, list] = {section.field: [] for section in _SECTIONS}
     for kind, run in groupby(decls, type):
         entries[_FIELD_BY_ENTRY[kind]] += run
     attributes, problems = entries["attributes"], []
     ids = list(map(itemgetter(0), attributes))
     derived = set(map(attrgetter("product"), entries["aggregations"]))
+    written = list(map(itemgetter(2), attributes))
+    sets = {groups: frozenset(groups) for groups in set(written)}
     entries["attributes"] = built = list(map(_new, repeat(Attribute), zip(
-        ids, map(itemgetter(1), attributes), map(frozenset, map(itemgetter(2), attributes)),
+        ids, map(itemgetter(1), attributes), map(sets.__getitem__, written),
         map(itemgetter(3), attributes), repeat(False), map(derived.__contains__, ids))))
     first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # each id's first position
     if len(first) < len(ids):
@@ -541,7 +552,8 @@ def serialize(model: PolicyModel) -> str:
         for texts, literal in zip(fields, literals[1:]):
             columns += (texts, repeat(literal))
         lines += ["", f"{section.keyword} {{", *map("".join, zip(*columns)), "}"]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the last line break too: one copy of the text
+    return "\n".join(lines)
 
 
 @cache

@@ -543,7 +543,7 @@ def _cycles(nodes: Container[str], edges: list[tuple[str, str]]) -> list[list[st
     caller reports self-edges).  Two passes (Kosaraju-Sharir): an iterative
     depth-first search lists the nodes by finishing time; then, from the last
     finished node back, each node not yet placed takes as its component what
-    `reach` finds backwards from it.
+    `reach` finds backwards from it, unless the finishing order has no cycle.
     """
     forward: dict[str, list[str]] = {}
     backward: dict[str, list[str]] = {}
@@ -567,6 +567,9 @@ def _cycles(nodes: Container[str], edges: list[tuple[str, str]]) -> list[list[st
             work.pop()
             finished.append(node)
     finished.pop()  # the root
+    rank = dict(zip(finished, range(len(finished))))
+    if all(rank[src] > rank[dst] for src, dsts in forward.items() for dst in dsts):
+        return []  # the finishing order is topological: no cycle
     sccs: list[list[str]] = []
     placed: set[str] = set()
     for node in reversed(finished):

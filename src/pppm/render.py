@@ -156,8 +156,8 @@ def emit_graph(model: PolicyModel, options: RenderOptions = RenderOptions()) -> 
                   f'[style=dashed{labels.get(id(g.condition), "")}];'
                   for g in sorted(model.pg_grants, key=attrgetter("purpose", "group"))]
 
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ("}", "")  # the last line break too: one copy of the text
+    return "\n".join(lines)
 
 
 def _attribute_cluster(

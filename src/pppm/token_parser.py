@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from itertools import repeat
 
-from .conditions import IDENTIFIER, STRING_BODY, ConditionError, ConditionExpr
+from .conditions import IDENTIFIER, STRING_BODY, ConditionError
 from .dsl import _KINDS, _SECTION_BY_KEYWORD, Declarations, ParseError, Span, _new, _Trailer
 
 # The whitespace before a token, then one token, comment or stray character.
@@ -105,8 +105,8 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.kinds, self.texts, self.lines, self.cols, self.ends = _lex(text)
         self.pos = 0
-        # String body -> ConditionExpr: each distinct condition is parsed once.
-        self.conditions: dict[str, ConditionExpr] = {}
+        # Each kind's converted captures: each distinct condition is parsed once.
+        self.memos: dict[str, dict] = {kind: {} for kind in _KINDS}
 
     def fits(self, token: str, pos: int) -> bool:
         """Whether the token at `pos` can be `token`, a token of a shape or
@@ -150,7 +150,7 @@ class _Parser:
                         raise self.unexpected(pos, kind.expected)
                     text += "," + self.texts[pos]
                 try:
-                    (value,) = kind.column(self.conditions, (text,))
+                    (value,) = kind.column(self.memos[token], (text,))
                 except ConditionError as exc:
                     raise ParseError(f"invalid condition: {exc}", self.span(pos)) from exc
                 if value is None:  # an identifier other than `yes` or `no`
@@ -173,7 +173,7 @@ class _Parser:
                     and not (trailer.refusable and self.kinds[end] == ":")):
                 values += self.walk(trailer.lead + trailer.rest) or [True]
             else:
-                values += _KINDS[trailer.kind].column(self.conditions, (None,))
+                values += _KINDS[trailer.kind].column(self.memos[trailer.kind], (None,))
         return values
 
 

@@ -1,11 +1,12 @@
 """The spans of a text the declaration patterns read, built on demand.
 
-`parse_policy` keeps each declaration's first and end offsets and builds no
-`Span` until one is read.  The sequence it returns must stand for the tuple
+`parse_policy` keeps where each section's run of declarations starts and
+builds no `Span` until one is read; then it scans the runs again for each
+declaration's first and end offsets (`_Spans.offsets`).  The sequence it returns must stand for the tuple
 of its spans everywhere a reader can tell: equality and hash from either
 side, concatenation, indexes and slices, repr, pickle and copies.  Its spans
 must equal those of `oracles.brute_spans`, which counts the line breaks
-before each offset, on the fixtures (also with CRLF line ends), the fixture
+before each offset, and those of the token parser, on the fixtures (also with CRLF line ends), the fixture
 mutants of `test_dsl_patterns.py` that the patterns read, and serialized
 random models, also re-spaced across lines.
 """
@@ -31,6 +32,7 @@ from test_fuzz_lowering import CASES, mutants
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 TEXT = 'policy "x"\nroles {\n  r1: "A"\n  r2:\n    "B"\n}\nrole_hierarchy { r1 -> r2 }\n'
 SPANS = (Span(3, 3, 3, 10), Span(4, 3, 5, 8), Span(7, 18, 7, 26))
+RUNS = [("roles", TEXT.index("{") + 1), ("role_hierarchy", TEXT.rindex("{") + 1)]  # after each `{`
 
 
 def _lazy(text: str) -> dsl._Spans:
@@ -41,7 +43,8 @@ def _lazy(text: str) -> dsl._Spans:
 
 def _assert_oracle(text: str) -> None:
     spans = _lazy(text)
-    assert tuple(spans) == brute_spans(text, spans.firsts, spans.ends), text
+    assert tuple(spans) == brute_spans(text, *spans.offsets()), text
+    assert tuple(spans) == token_parser.parse_tokens(text).spans, text
 
 
 def test_the_fixtures_spans_are_the_oracles(shop_text, baby_text):
@@ -101,6 +104,7 @@ def test_the_spans_repr_pickle_and_copy_as_their_tuple():
     assert repr(decls) == repr(token_parser.parse_tokens(TEXT))
     for spans in (decls.spans, _lazy(TEXT)):  # read and not yet read
         for twin in (pickle.loads(pickle.dumps(spans)), copy.copy(spans), copy.deepcopy(spans)):
+            assert (twin.text, twin.runs, len(twin)) == (TEXT, RUNS, 3)
             assert twin == spans and type(twin) is dsl._Spans and repr(twin) == repr(SPANS)
     for twin in (pickle.loads(pickle.dumps(decls)), copy.deepcopy(decls)):
         assert type(twin) is Declarations and twin == decls and repr(twin) == repr(decls)

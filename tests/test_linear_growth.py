@@ -13,12 +13,18 @@ stage that is superlinear only inside C calls passes.  That now covers most
 of the author stages' work on a valid model: the model is built, checked and
 written a column at a time (`map`, `set.union`, `dict(zip(...))`), so their
 counts mostly measure the Python lines around those calls.
+
+Memory is checked the same way: `traced_peak` is the tracemalloc peak while
+one call runs, over what was traced before it, and the peak of parse, lower
+and each writer may grow at most 4.5 times from n=50 to n=200.  C calls are
+no blind spot here, since tracemalloc sees every allocation.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -59,6 +65,22 @@ def line_events(fn, *args) -> int:
     return count
 
 
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak while `fn(*args)` runs, in bytes over what was
+    traced before the call.  Tracing, if it was off, is off again after it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def test_the_counter_restores_the_previous_trace_function():
     def outer(frame, event, arg):
         return None
@@ -81,6 +103,14 @@ def test_the_counter_sees_a_quadratic_stage():
     code = pairs.__code__.replace(co_filename=PPPM + "pairs.py")
     quadratic = type(pairs)(code, globals())
     assert line_events(quadratic, 200) / line_events(quadratic, 50) > 15
+
+
+def test_the_peak_sees_a_quadratic_stage_and_leaves_tracing_off():
+    def grid(n: int) -> list:
+        return [[0] * n for _ in range(n)]
+
+    peaks = [traced_peak(grid, n) for n in (50, 200)]
+    assert peaks[1] / peaks[0] > 10 and not tracemalloc.is_tracing()
 
 
 def test_the_first_query_on_star_is_linear():
@@ -138,3 +168,10 @@ def test_each_author_stage_is_linear_on_a_generated_policy(monkeypatch, stage):
     load_policy(_generate(monkeypatch, 50))  # compile the patterns first
     counts = [line_events(*AUTHOR_STAGES[stage](_generate(monkeypatch, n))) for n in (50, 200)]
     assert counts[1] / counts[0] <= GROWTH, counts
+
+
+@pytest.mark.parametrize("stage", ["parse_policy", "lower", "emit_graph", "emit_tables", "serialize"])
+def test_each_author_stages_memory_is_linear_on_a_generated_policy(monkeypatch, stage):
+    load_policy(_generate(monkeypatch, 50))  # compile the patterns first
+    peaks = [traced_peak(*AUTHOR_STAGES[stage](_generate(monkeypatch, n))) for n in (50, 200)]
+    assert peaks[1] / peaks[0] <= GROWTH, peaks

@@ -243,6 +243,31 @@ def test_cycles_match_mutual_reachability(data):
 
 
 @given(st.data())
+def test_cycles_match_mutual_reachability_on_acyclic_and_cyclic_graphs(data):
+    # Edges from an earlier to a later node of a shuffled order make an
+    # acyclic graph; each reversed copy of one of them closes a cycle.
+    names = data.draw(st.permutations([f"n{i}" for i in range(data.draw(st.integers(2, 12)))]))
+    index = st.integers(0, len(names) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index).filter(lambda p: p[0] != p[1]).map(sorted),
+                               max_size=3 * len(names)))
+    edges = [(names[a], names[b]) for a, b in pairs]
+    back = data.draw(st.lists(st.sampled_from(edges), max_size=2)) if edges else []
+    edges += [(b, a) for a, b in back]
+    nodes = set(names)
+    assert _cycles(nodes, edges) == brute_cycles(nodes, edges)
+    assert bool(_cycles(nodes, edges)) == bool(back)
+
+
+def test_cycles_of_an_acyclic_graph_make_no_sweep(monkeypatch):
+    calls = []
+    monkeypatch.setattr("pppm.model.reach", lambda *args: calls.append(args) or {})
+    ladder = [(f"r{i}", f"r{j}") for i in range(50) for j in (i + 1, i + 2) if j < 50]
+    assert _cycles({f"r{i}" for i in range(50)}, ladder) == [] and calls == []
+    _cycles({"a", "b"}, [("a", "b"), ("b", "a")])  # a cycle is swept for
+    assert calls
+
+
+@given(st.data())
 def test_reach_is_breadth_first_reachability(data):
     names = [f"n{i}" for i in range(data.draw(st.integers(1, 12)))]
     # x0 and x1 are successors with no entry of their own in `edges`.
