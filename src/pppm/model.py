@@ -301,7 +301,7 @@ class PolicyModel(_PolicyModelFields):
         grants: dict[str, list[RolePurposeGrant]] = {}
         for key in sorted(usable):
             grants.setdefault(key[0], []).append(usable[key])
-        closure = RoleClosure(role_id, parent, {p: tuple(g) for p, g in grants.items()})
+        closure = RoleClosure(role_id, parent, {p: tuple(g) for p, g in grants.items()}, {})
         self._role_closures[role_id] = closure
         return closure
 
@@ -312,22 +312,30 @@ _TIE = itemgetter(1, 2)  # the (purpose, source id) a source entry ties on
 
 
 class RoleClosure(NamedTuple):
-    """A role's view of the hierarchy below it; see `PolicyModel.role_closure`."""
+    """A role's view of the hierarchy below it, with the hop chains built so
+    far; see `PolicyModel.role_closure`."""
 
     role: str
     # Each inferior, breadth-first with ties by id, to the role it was first
     # reached from.  The role itself is never a key.
     parent: dict[str, str]
     grants: dict[str, tuple[RolePurposeGrant, ...]]  # purpose -> grants by role; purposes sorted
+    # Each role `hops` was asked for (the role itself or an inferior) to its
+    # chain, so the decisions through one supplying role share one tuple.
+    built_hops: dict[str, tuple[str, ...]]
 
     def hops(self, inferior: str) -> tuple[str, ...]:
-        """Shortest chain from the role down to `inferior`, ties by id."""
-        role, parent = self.role, self.parent
-        path = [inferior]
-        while path[-1] != role:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return tuple(path)
+        """Shortest chain from the role down to `inferior`, ties by id, built
+        on the first call for `inferior`."""
+        hops = self.built_hops.get(inferior)
+        if hops is None:
+            role, parent = self.role, self.parent
+            path = [inferior]
+            while path[-1] != role:
+                path.append(parent[path[-1]])
+            path.reverse()
+            hops = self.built_hops[inferior] = tuple(path)
+        return hops
 
 
 def _first_by_id(entities: tuple) -> dict:

@@ -261,3 +261,20 @@ def shape_model(kind: str, n: int) -> PolicyModel:
         rp_grants=tuple(RolePurposeGrant(f"r{i}", f"p{i}") for i in range(n)),
         pg_grants=tuple(PurposeGroupGrant(f"p{i}", "g") for i in range(n)),
     )
+
+
+def chain_model(n: int) -> PolicyModel:
+    """A valid model whose roles form one chain r0 -> r1 -> ... -> r(n-1).
+
+    Only the leaf r(n-1) holds purpose p0, whose one task t0 reads attribute
+    d0, so every role reaches d0 through the whole chain below it.
+    """
+    return PolicyModel(
+        name="chain",
+        roles=tuple(Role(f"r{i}", f"Role {i}") for i in range(n)),
+        role_edges=tuple(RoleEdge(f"r{i}", f"r{i + 1}") for i in range(n - 1)),
+        attributes=(Attribute("d0", "Attr 0"),),
+        tasks=(Task("t0", "Task 0", "d0"),),
+        purposes=(Purpose("p0", "Purpose 0", ("t0",)),),
+        rp_grants=(RolePurposeGrant(f"r{n - 1}", "p0"),),
+    )

@@ -139,6 +139,19 @@ def test_every_attribute_on_star_asked_once_is_linear():
     assert counts[1] / counts[0] <= GROWTH, counts
 
 
+def _ask_every_role(model: PolicyModel) -> None:
+    for role in model.roles_by_id:
+        can_access(model, role, "d0")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: each role's closure keeps a parent "
+                                       "map and a hop chain as long as the chain below it")
+def test_one_query_per_role_on_a_chain_is_linear():
+    counts = [line_events(_ask_every_role, gen.chain_model(n)) for n in (50, 200)]
+    peaks = [traced_peak(_ask_every_role, gen.chain_model(n)) for n in (50, 200)]
+    assert counts[1] / counts[0] <= GROWTH and peaks[1] / peaks[0] <= GROWTH, (counts, peaks)
+
+
 def _generate(monkeypatch, n: int) -> str:
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from policygen import generate  # the benchmark's policy generator
@@ -175,3 +188,12 @@ def test_each_author_stages_memory_is_linear_on_a_generated_policy(monkeypatch, 
     load_policy(_generate(monkeypatch, 50))  # compile the patterns first
     peaks = [traced_peak(*AUTHOR_STAGES[stage](_generate(monkeypatch, n))) for n in (50, 200)]
     assert peaks[1] / peaks[0] <= GROWTH, peaks
+
+
+@pytest.mark.parametrize("shape", gen.SHAPES)
+@pytest.mark.parametrize("stage", AUTHOR_STAGES)
+def test_each_author_stage_is_linear_on_the_shapes(shape, stage):
+    texts = [serialize(gen.shape_model(shape, n)) for n in (50, 200)]
+    load_policy(texts[0])  # compile the patterns first
+    counts = [line_events(*AUTHOR_STAGES[stage](text)) for text in texts]
+    assert counts[1] / counts[0] <= GROWTH, counts

@@ -545,12 +545,22 @@ def test_hops_are_the_shortest_chain_with_the_smallest_ids(seed):
     ctx = gen.random_ctx(rng)
     # A hierarchy with diamonds gives a role more than one chain to choose from.
     for model in (model, gen.hierarchy_model(rng)):
-        for role in model.roles:
-            for attribute in model.attributes:
-                for purpose in [None] + [p.id for p in model.purposes]:
-                    path = can_access(model, role.id, attribute.id, purpose, ctx).path
-                    if path is not None:
-                        assert path.hops == brute_hops(model, role.id, path.via)
+        # Each request twice, in shuffled order, so that kept chains are
+        # checked as well as newly built ones.
+        requests = [(role.id, attribute.id, purpose)
+                    for role in model.roles
+                    for attribute in model.attributes
+                    for purpose in [None] + [p.id for p in model.purposes]] * 2
+        rng.shuffle(requests)
+        seen: dict[tuple[str, str], tuple[str, ...]] = {}
+        for role, attribute, purpose in requests:
+            path = can_access(model, role, attribute, purpose, ctx).path
+            if path is not None:
+                assert path.hops == brute_hops(model, role, path.via)
+                # Every decision through the same (role, via) holds one chain object.
+                assert seen.setdefault((role, path.via), path.hops) is path.hops
+        for role, closure in model._role_closures.items():
+            assert set(closure.built_hops) <= {role, *closure.parent}
 
 
 def test_hops_take_the_shortest_chain_over_a_longer_one_with_smaller_ids():
