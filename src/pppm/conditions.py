@@ -454,9 +454,11 @@ def evaluate(expr: ConditionExpr, ctx: EvalContext) -> TriBool:
                 raise ConditionTypeError(f"ordering comparison {op!r} is not defined for {lt}s")
             if not _COMPARE[op](lv, rv):
                 false = True
-    return TriBool.FALSE if false else TriBool.UNKNOWN if unknown else TriBool.TRUE
+    return _FALSE if false else _UNKNOWN if unknown else _TRUE
 
 
+# Bound once: on CPython 3.11 each read through an enum class calls `EnumType.__getattr__`.
+_TRUE, _FALSE, _UNKNOWN = TriBool.TRUE, TriBool.FALSE, TriBool.UNKNOWN
 _MISSING = object()
 _COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}

@@ -222,15 +222,14 @@ class PolicyModel(_PolicyModelFields):
             self.group(grant.group)
             grants.setdefault(grant.group, []).append(grant)
         groups: dict[str, list[str]] = {}
-        for group_id, members in self.members_by_group.items():
-            for attribute_id in members:
-                groups.setdefault(attribute_id, []).append(group_id)
+        for attribute in self.attributes:
+            groups.setdefault(attribute.id, []).extend(attribute.groups)
         return tasks, grants, groups
 
     @cached_property
     def _sources_by_attribute(self) -> dict[str, tuple[tuple[SourceEntry, ...], ...]]:
-        """Memo for `attribute_sources`, filled one attribute at a time; read
-        by `query.can_access` directly."""
+        """Memo for `attribute_sources`, filled one attribute at a time, so its
+        keys are known ids: `query.can_access` reads it inline."""
         return {}
 
     def attribute_sources(self, attribute_id: str) -> tuple[tuple[SourceEntry, ...], ...]:
@@ -251,7 +250,8 @@ class PolicyModel(_PolicyModelFields):
 
     @cached_property
     def _role_closures(self) -> dict[str, RoleClosure]:
-        """Memo for `role_closure`, filled one role at a time."""
+        """Memo for `role_closure`, filled one role at a time, so its keys are
+        known ids: `query.can_access` reads it inline."""
         return {}
 
     @cached_property

@@ -83,14 +83,11 @@ class Decision(NamedTuple):
 
     def describe(self) -> str:
         """Stable multi-line rendering: outcome, residuals, then the trace."""
-        lines = [self.outcome.value]
-        for condition in self.residual:
-            lines.append(f"residual: {render_condition(condition)}")
-        if self.path is not None:
-            p = self.path
-            lines.append(f"purpose: {p.purpose} (granted to {p.via})")
-            lines.append(f"hops: {' -> '.join(p.hops)}")
-            lines.append(f"source: {p.source_kind} {p.source}")
+        lines = [self.outcome.value, *(f"residual: {render_condition(c)}" for c in self.residual)]
+        p = self.path
+        if p is not None:
+            lines += [f"purpose: {p.purpose} (granted to {p.via})", f"hops: {' -> '.join(p.hops)}",
+                      f"source: {p.source_kind} {p.source}"]
             if p.granularity is not None:
                 lines.append(f"granularity: {p.granularity}")
             for pc in p.conditions:
@@ -98,7 +95,11 @@ class Decision(NamedTuple):
         return "\n".join(lines)
 
 
-_STRUCTURAL_DENY = Decision(Outcome.DENY, (), None)
+# Bound once: on CPython 3.11 each read through an enum class calls `EnumType.__getattr__`.
+_ALLOW, _DENY, _CONDITIONAL = Outcome.ALLOW, Outcome.DENY, Outcome.CONDITIONAL
+_FALSE, _UNKNOWN = TriBool.FALSE, TriBool.UNKNOWN
+_NO_BINDINGS: EvalContext = {}  # the context of a request given none; only ever read
+_STRUCTURAL_DENY = Decision(_DENY, (), None)
 _new = tuple.__new__  # builds a value without its constructor's frame; see `value_type`
 
 
@@ -108,11 +109,8 @@ def effective_purposes(model: PolicyModel, role_id: str) -> list[EffectiveGrant]
     Inherited entries keep their conditions; `via` names the supplying role.
     Sorted by (purpose, via) and deduplicated per that pair.
     """
-    return [
-        EffectiveGrant(grant.purpose, grant.condition, grant.role)
-        for grants in model.role_closure(role_id).grants.values()
-        for grant in grants
-    ]
+    return [EffectiveGrant(grant.purpose, grant.condition, grant.role)
+            for grants in model.role_closure(role_id).grants.values() for grant in grants]
 
 
 def accessible_attributes(model: PolicyModel, purpose_id: str) -> list[AttributeSource]:
@@ -150,29 +148,29 @@ def can_access(
     Conditional decision.  A type clash while evaluating raises
     QueryEvaluationError naming the grant.
     """
-    closure = model.role_closure(role_id)  # raises first for an unknown role
-    if attribute_id not in model.attributes_by_id:
+    # The memos are read inline, so a hit calls no model method; a miss checks each id in turn.
+    closure = model._role_closures.get(role_id) or model.role_closure(role_id)
+    groups = model._sources_by_attribute.get(attribute_id)
+    if groups is None and attribute_id not in model.attributes_by_id:
         model.attribute(attribute_id)
     if purpose_id is not None and purpose_id not in model.purposes_by_id:
         model.purpose(purpose_id)
-    ctx = ctx or {}
+    if groups is None:
+        groups = model.attribute_sources(attribute_id)
+    ctx = ctx or _NO_BINDINGS
     # The attribute's sources come grouped by (purpose, source id) in order
     # and a purpose's grants by supplying role, so this walk meets the
     # candidates in (purpose, source, via) order: the first Allow decides.
-    # The memo is read inline: a method call would cost every request a frame.
-    groups = model._sources_by_attribute.get(attribute_id)
-    if groups is None:
-        groups = model.attribute_sources(attribute_id)
-    first = conditional = None
+    grants, first, conditional = closure.grants, None, None
     for group in groups:
         purpose = group[0][1]
         if purpose_id is not None and purpose != purpose_id:
             continue
-        for grant in closure.grants.get(purpose, ()):
+        for grant in grants.get(purpose, ()):
             for entry in group:
                 if grant.condition is None and entry[5] is None:
-                    return _decide(Outcome.ALLOW, (), entry, grant, closure)
-                first = first or (Outcome.DENY, (), entry, grant)
+                    return _decide(_ALLOW, (), entry, grant, closure)
+                first = first or (_DENY, (), entry, grant)
                 unknowns: list[ConditionExpr] = []
                 for origin, condition in (("grant", grant.condition), ("source", entry[5])):
                     if condition is None:
@@ -184,15 +182,15 @@ def can_access(
                             f"cannot evaluate the {origin} condition {render_condition(condition)!r} "
                             f"on grant {grant.role}->{purpose}: {exc}"
                         ) from exc
-                    if status is TriBool.FALSE:
+                    if status is _FALSE:
                         break
-                    if status is TriBool.UNKNOWN:
+                    if status is _UNKNOWN:
                         unknowns.append(condition)
                 else:
                     if not unknowns:
-                        return _decide(Outcome.ALLOW, (), entry, grant, closure)
+                        return _decide(_ALLOW, (), entry, grant, closure)
                     if conditional is None:
-                        conditional = Outcome.CONDITIONAL, tuple(unknowns), entry, grant
+                        conditional = _CONDITIONAL, tuple(unknowns), entry, grant
     chosen = conditional or first
     return _STRUCTURAL_DENY if chosen is None else _decide(*chosen, closure)
 

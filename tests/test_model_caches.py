@@ -4,6 +4,8 @@ the access index) and the per-parse condition memo."""
 from __future__ import annotations
 
 import random
+import sys
+import types
 from collections import Counter
 
 import pytest
@@ -150,6 +152,36 @@ def test_each_attributes_sources_are_computed_once(monkeypatch, shop_text):
         can_access(model, "r1", "d1")
         can_access(model, "r2", "d2", "p1")
     assert calls == ["d1", "d2"]
+
+
+def _policy_model_code() -> set:
+    """The code of every method and cached property of PolicyModel."""
+    functions = [getattr(value, "func", value) for value in vars(PolicyModel).values()]
+    return {f.__code__ for f in functions if isinstance(f, types.FunctionType)}
+
+
+def test_a_warmed_request_calls_no_policy_model_method(shop_text):
+    model = pppm.dsl.load_policy(shop_text)
+    contexts = ({}, {"age": 30}, {"age": 10, "consent": True})
+    requests = [(role.id, attribute.id, purpose, ctx) for role in model.roles
+                for attribute in model.attributes for purpose in (None, *model.purposes_by_id)
+                for ctx in contexts]
+    for request in requests:
+        can_access(model, *request)
+    methods, called = _policy_model_code(), []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        outcomes = Counter(can_access(model, *request).outcome for request in requests)
+    finally:
+        sys.setprofile(None)
+    assert len(outcomes) == 3  # Allow, Conditional and Deny were all decided
+    assert can_access.__code__ in called
+    assert [code.co_name for code in called if code in methods] == []
 
 
 def test_unknown_roles_are_not_memoised(shop_model):

@@ -199,6 +199,47 @@ def test_can_access_checks_the_role_then_the_attribute_then_the_purpose(
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "request_ids, message",
+    [
+        (("r9", "d9", "nope"), "unknown role 'r9'"),
+        (("r1", "d9", "nope"), "unknown attribute 'd9'"),
+        (("r1", "d1", "nope"), "unknown purpose 'nope'"),
+        (("r1", "d1", "p1"), "unknown task 't9'"),
+        (("r1", "d1"), "unknown task 't9'"),
+    ],
+)
+def test_an_invalid_models_dangling_task_raises_after_the_asked_ids(request_ids, message):
+    # p1 lists the unknown task t9, so d1's sources cannot be built, and
+    # the memo stays cold: each repeat raises the same.
+    model = PolicyModel("x", roles=(Role("r1", "R"),), attributes=(Attribute("d1", "D"),),
+                        purposes=(Purpose("p1", "P", ("t9",)),),
+                        rp_grants=(RolePurposeGrant("r1", "p1", None),))
+    for _ in range(2):
+        with pytest.raises(UnknownEntityError) as info:
+            can_access(model, *request_ids)
+        assert str(info.value) == message
+    assert "d1" not in model._sources_by_attribute
+
+
+def test_the_raise_order_holds_with_the_attribute_memo_cold_and_warm():
+    # r1 is granted the unknown purpose p9, which names no source, so d1's
+    # sources can be memoised on this invalid model.
+    model = PolicyModel("x", roles=(Role("r1", "R"),), attributes=(Attribute("d1", "D"),),
+                        purposes=(Purpose("p1", "P"),),
+                        rp_grants=(RolePurposeGrant("r1", "p1"), RolePurposeGrant("r1", "p9")))
+    cases = [(("r9", "d9", "p9"), "unknown role 'r9'"),
+             (("r1", "d9", "p9"), "unknown attribute 'd9'"),
+             (("r1", "d1", "p9"), "unknown purpose 'p9'")]
+    for warm in (False, True):
+        assert ("d1" in model._sources_by_attribute) is warm
+        for request_ids, message in cases:
+            with pytest.raises(UnknownEntityError) as info:
+                can_access(model, *request_ids)
+            assert str(info.value) == message
+        assert can_access(model, "r1", "d1").path is None  # a structural Deny
+
+
 def test_can_access_reports_type_clashes(shop_model):
     with pytest.raises(QueryEvaluationError):
         can_access(shop_model, "r4", "d1", "p3", {"age": "fifteen", "now": make_time(9, 0)})
